@@ -417,10 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    import dataclasses
     config = load_config(args.config) if args.config else DEFAULT
-    if args.jobs and args.jobs != config.jobs:
-        config = dataclasses.replace(config, jobs=args.jobs)
     try:
         return args.fn(args, config)
     except BudgetError as exc:
@@ -433,3 +430,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

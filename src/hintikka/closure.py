@@ -68,7 +68,7 @@ def close(base, schemes, depth: int, max_iter: int = 64,
     """
     if max_iter < 1:
         raise HintikkaError("max_iter must be >= 1")
-    interner = interner or default_interner()
+    interner = default_interner() if interner is None else interner
     scheme_map = {s.scheme_id: s for s in schemes}
 
     per_k = {}

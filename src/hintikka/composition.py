@@ -10,7 +10,10 @@ quantifier-free type of the part-projected subtuple in its own part. Tables
 may therefore redefine relations even inside one part, clique-width style.
 
 The transfer function computes the theory of the glued structure from the
-parts' theories alone; glue is the oracle it is tested against.
+parts' theories alone; glue is the oracle it is tested against. Its depth-0
+kernel is one loop for every table kind: the parts' atoms are joined by OR,
+which is the union table, and a tabled predicate then reads its entries from
+its table. Its memos live on the Interner.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from operator import or_
 
 from .config import DEFAULT, Config
-from .diagrams import canonical_eq, rel_index, subdiagram, vars_distinct_nonconst
+from .diagrams import canonical_eq, partitions, rel_index, subdiagram, vars_distinct_nonconst
 from .errors import BudgetError, HintikkaError, ParseError, SignatureError
 from .structures import Structure, Vocabulary
 from .theory import Interner, Theory, default_interner
@@ -44,8 +48,10 @@ class Scheme:
     ``tables`` maps predicate names (including set predicates "P<j>") to
     specs: ("union",), ("const", bool), ("map", default, overrides) with
     default in {"union", False, True}, or ("random", seed). Predicates
-    without an entry use plain union, which is also how the extra set
-    columns introduced by theory depth are always handled.
+    without an entry use plain union. Tables cover the vocabulary's
+    predicates and set columns only: the set columns introduced by theory
+    depth are never tabled, and a table naming no column of the parts is
+    ignored, by glue and transfer alike.
     """
 
     k1: int
@@ -162,10 +168,9 @@ def pattern_key(pattern) -> str:
             f"p1=[{_diag(p1)}] p2=[{_diag(p2)}]")
 
 
-_TABLE_CACHE = {}
-
-
 def _table_value(scheme: Scheme, pred_name: str, pattern, union_value) -> bool:
+    """Table entry of a pattern; ``pattern`` is a thunk, only called by the
+    table kinds that read it."""
     spec = scheme.table_spec(pred_name)
     kind = spec[0]
     if kind == "union":
@@ -173,25 +178,15 @@ def _table_value(scheme: Scheme, pred_name: str, pattern, union_value) -> bool:
     if kind == "const":
         return spec[1]
     key = pattern_key(pattern())
-    cache_key = (scheme.scheme_id, key)
-    cached = _TABLE_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
     if kind == "map":
         overrides = dict(spec[2])
         if key in overrides:
-            value = overrides[key]
-        elif spec[1] == "union":
-            value = union_value
-        else:
-            value = bool(spec[1])
-    elif kind == "random":
+            return overrides[key]
+        return union_value if spec[1] == "union" else bool(spec[1])
+    if kind == "random":
         digest = hashlib.sha256(f"{spec[1]}|{key}".encode("utf-8")).digest()
-        value = digest[0] & 1 == 1
-    else:
-        raise HintikkaError(f"unknown table spec {spec!r}")
-    _TABLE_CACHE[cache_key] = value
-    return value
+        return digest[0] & 1 == 1
+    raise HintikkaError(f"unknown table spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +313,7 @@ def _vars_diagram(m: Structure, elements) -> tuple:
 def transfer(t1: Theory, t2: Theory, scheme: Scheme,
              interner: Interner = None, config: Config = DEFAULT) -> Theory:
     """F^n(t1, t2, s): the theory of any glue of representatives."""
-    interner = interner or t1.interner
+    interner = t1.interner if interner is None else interner
     if t1.interner is not t2.interner or t1.interner is not interner:
         raise SignatureError("theories come from different interners")
     if t1.vocab_key != t2.vocab_key or t1.depth != t2.depth or t1.m != t2.m:
@@ -341,7 +336,7 @@ def _transfer_id(i1: int, i2: int, scheme: Scheme, interner: Interner,
     _require_distinct_consts(r1)
     _require_distinct_consts(r2)
     if r1.depth == 0:
-        result = _transfer_base(i1, i2, r1, r2, scheme, interner, config, lift)
+        result = _transfer_base(i1, i2, r1, r2, scheme, interner, lift)
     else:
         newest = r1.m  # children carry one extra set column
         children = set()
@@ -389,125 +384,68 @@ def _compatible(rec1, rec2, scheme: Scheme, newest: int) -> bool:
     return True
 
 
-def _slot_atoms(diag, arities):
-    """Per predicate, atom values indexed by slot tuples; per set column,
-    values per slot."""
-    v, eq, rel, sets = diag
-    nslots = len(eq)
-    n = max(eq) + 1 if eq else 0
-    rel_out = []
-    for atoms, arity in zip(rel, arities):
-        rel_out.append(tuple(
-            atoms[rel_index(tuple(eq[s] for s in st), n)]
-            for st in itertools.product(range(nslots), repeat=arity)
-        ))
-    set_out = tuple(tuple(col[eq[s]] for s in range(nslots)) for col in sets)
-    return rel_out, set_out
-
-
-_CONFIG_CACHE = {}
-
-
-def _scheme_configs(scheme: Scheme, preds, r: int):
-    """Per (partition, block-origin) configuration: result-diagram
-    bookkeeping plus flat atom-index recipes into the part projections."""
-    cache_key = (scheme.scheme_id, preds, r)
-    cached = _CONFIG_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
+                   interner: Interner, lift: int) -> int:
+    """Depth-0 transfer, one loop for every table kind. Per configuration of
+    the result variables: pack each part's distinct projections, join each
+    distinct pair by OR, replace each tabled predicate's mask by its table
+    values, and unpack each distinct result once."""
+    preds = r1.vocab_key
     arities = tuple(a for _, a in preds)
-    kept = scheme.kept_refs()
-    k1, k2, k = scheme.k1, scheme.k2, scheme.k
-    configs = []
-    for eq_vars in _partitions(r):
-        nblocks = max(eq_vars) + 1 if eq_vars else 0
-        for origins_blocks in _block_origins(nblocks, kept):
-            entry = _build_config(eq_vars, origins_blocks, scheme, k1, k2, k, r)
-            if entry is None:
-                continue
-            res_eq, class_origin, d1slot, d2slot, v1, v2 = entry
-            nclasses = max(res_eq) + 1 if res_eq else 0
-            ns1 = v1 + k1
-            ns2 = v2 + k2
-            rel_entries = []
-            for arity in arities:
-                entries = []
-                for ct in itertools.product(range(nclasses), repeat=arity):
-                    i1 = i2 = None
-                    if all(d1slot[c] is not None for c in ct):
-                        i1 = rel_index(tuple(d1slot[c] for c in ct), ns1)
-                    if all(d2slot[c] is not None for c in ct):
-                        i2 = rel_index(tuple(d2slot[c] for c in ct), ns2)
-                    entries.append((i1, i2, ct, _pattern_skeleton(ct, class_origin,
-                                                                  d1slot, d2slot)))
-                rel_entries.append(tuple(entries))
-            set_skeletons = tuple(
-                _pattern_skeleton((c,), class_origin, d1slot, d2slot)
-                for c in range(nclasses))
-            configs.append((res_eq, class_origin, d1slot, d2slot, v1, v2,
-                            nclasses, tuple(rel_entries), set_skeletons))
-    _CONFIG_CACHE[cache_key] = configs
-    return configs
+    m = r1.m
+    base_m = m - lift
+    r = max([1] + list(arities)) + 1
+    projections = (_projections(interner, i1, r1, r, arities, scheme.k1),
+                   _projections(interner, i2, r2, r, arities, scheme.k2))
+    ckey = (scheme.scheme_id, preds, r, base_m)
+    configs = interner.scheme_configs.get(ckey)
+    if configs is None:
+        configs = interner.scheme_configs[ckey] = _scheme_configs(scheme, preds, r, base_m)
 
+    packs = interner.side_packs
+    realized = set()
+    for cfg_idx, (res_eq, nclasses, parts, tabled) in enumerate(configs):
+        sides = (set(), set())
+        for side, part in enumerate(parts):
+            for D in projections[side][part[0]]:
+                key = (ckey, cfg_idx, side, D)
+                packed = packs.get(key)
+                if packed is None:
+                    packed = packs[key] = _pack_side(interner, D, part, arities, base_m)
+                sides[side].add(packed)
+        sigs = set()
+        for masks1, subs1 in sides[0]:
+            for masks2, subs2 in sides[1]:
+                sig = list(map(or_, masks1, masks2))
+                for t, (pos, name, skeletons) in enumerate(tabled):
+                    sig[pos] = _table_mask(interner, scheme, name, skeletons,
+                                           subs1[t], subs2[t], sig[pos])
+                sigs.add(tuple(sig))
+        for sig in sigs:
+            ukey = (ckey, cfg_idx, sig)
+            diag = interner.unpacked_diagrams.get(ukey)
+            if diag is None:
+                diag = interner.unpacked_diagrams[ukey] = _unpack_sig(
+                    sig, r, res_eq, nclasses, arities, m)
+            realized.add(diag)
 
-def _pattern_skeleton(ct, class_origin, d1slot, d2slot):
-    """Config-constant part of a tuple's pattern: equalities, origins, and
-    the projection slots feeding each part type."""
-    peq = canonical_eq(ct)
-    pcls = []
-    for pos, c in enumerate(peq):
-        if c == len(pcls):
-            pcls.append(ct[pos])
-    porig = tuple(class_origin[c] for c in pcls)
-    slots1 = tuple(d1slot[c] for c in pcls if d1slot[c] is not None)
-    slots2 = tuple(d2slot[c] for c in pcls if d2slot[c] is not None)
-    return (peq, porig, slots1, slots2)
-
-
-def _sub_truncated(interner, diag, slots, base_m, arities):
-    cache = getattr(interner, "_sub_cache", None)
-    if cache is None:
-        cache = interner._sub_cache = {}
-    key = (diag, slots, base_m)
-    out = cache.get(key)
-    if out is None:
-        p = subdiagram(diag, list(slots), arities, new_v=len(slots))
-        out = (p[0], p[1], p[2], p[3][:base_m])
-        cache[key] = out
-    return out
-
-
-def _pattern_value(interner, scheme, pname, skeleton, D1, D2, base_m,
-                   arities, union):
-    peq, porig, slots1, slots2 = skeleton
-    sub1 = _sub_truncated(interner, D1, slots1, base_m, arities)
-    sub2 = _sub_truncated(interner, D2, slots2, base_m, arities)
-    cache = getattr(interner, "_patval_cache", None)
-    if cache is None:
-        cache = interner._patval_cache = {}
-    key = (scheme.scheme_id, pname, peq, porig, sub1, sub2, union)
-    val = cache.get(key)
-    if val is None:
-        pattern = (pname, peq, porig, sub1, sub2)
-        val = _table_value(scheme, pname, lambda: pattern, union)
-        cache[key] = val
-    return val
+    if realized:
+        const_diag = _const_restriction(min(realized), r, scheme.k, arities)
+    else:
+        # glue of empty parts: only possible with k = 0
+        const_diag = (0, (), tuple(() for _ in preds), tuple(() for _ in range(m)))
+    return interner.intern_depth0(preds, m, scheme.k, frozenset(realized), const_diag)
 
 
 def _projections(interner: Interner, tid: int, rec, r: int, arities, kc: int):
     """Realized prefix projections of a depth-0 theory by variable count,
-    variables pairwise distinct and non-constant; cached on the interner,
-    with per-diagram projection results shared across theories."""
-    cache = getattr(interner, "_proj_cache", None)
-    if cache is None:
-        cache = interner._proj_cache = {}
+    variables pairwise distinct and non-constant; per-diagram projection
+    results are shared across theories."""
     key = (tid, r)
-    out = cache.get(key)
+    out = interner.theory_projections.get(key)
     if out is not None:
         return out
-    dcache = getattr(interner, "_diag_proj_cache", None)
-    if dcache is None:
-        dcache = interner._diag_proj_cache = {}
+    dcache = interner.diagram_projections
     out = {0: (rec.const_diag,)}
     for v in range(1, r + 1):
         seen = {}
@@ -522,192 +460,64 @@ def _projections(interner: Interner, tid: int, rec, r: int, arities, kc: int):
             if p is not False and p not in seen:
                 seen[p] = True
         out[v] = tuple(seen)
-    cache[key] = out
+    interner.theory_projections[key] = out
     return out
 
 
-def _satoms_cached(interner: Interner, diag, arities):
-    cache = getattr(interner, "_satoms_cache", None)
-    if cache is None:
-        cache = interner._satoms_cache = {}
-    out = cache.get(diag)
-    if out is None:
-        out = _slot_atoms(diag, arities)
-        cache[diag] = out
-    return out
+def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
+    """Per (partition, block-origin) configuration of the r result variables:
+    the result equality type, its class count, per part the recipe that packs
+    a projection, and the tabled predicates with a pattern skeleton per entry.
 
-
-def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
-                   interner: Interner, config: Config, lift: int) -> int:
-    vocab_key = r1.vocab_key
-    preds = vocab_key
+    Entries of a predicate are its class tuples in atom order; entries of a
+    set column are the classes. Tables cover the vocabulary's predicates and
+    its first base_m set columns only; the set columns added by theory depth
+    stay union, as in glue.
+    """
     arities = tuple(a for _, a in preds)
-    m = r1.m
-    k1, k2, k = scheme.k1, scheme.k2, scheme.k
-    r = max([1] + [a for a in arities]) + 1
-
-    R1 = _projections(interner, i1, r1, r, arities, k1)
-    R2 = _projections(interner, i2, r2, r, arities, k2)
-
-    set_names = tuple(f"P{j}" for j in range(m))
-    base_m = m - lift
-    specs = {name: scheme.table_spec(name)
-             for name in [p for p, _ in preds] + list(set_names)}
-    all_union = all(spec[0] == "union" for spec in specs.values())
-
-    realized = set()
-    configs = _scheme_configs(scheme, preds, r)
-    if all_union:
-        pack_cache = getattr(interner, "_pack_cache", None)
-        if pack_cache is None:
-            pack_cache = interner._pack_cache = {}
-        sig_cache = getattr(interner, "_sig_cache", None)
-        if sig_cache is None:
-            sig_cache = interner._sig_cache = {}
-        sid = scheme.scheme_id
-        for cfg_idx, cfg in enumerate(configs):
-            (res_eq, class_origin, d1slot, d2slot, v1, v2, nclasses,
-             rel_entries, set_skeletons) = cfg
-            packs1 = []
-            for D1 in R1[v1]:
-                key = (sid, r, cfg_idx, 1, m, D1)
-                p = pack_cache.get(key)
-                if p is None:
-                    sa = _satoms_cached(interner, D1, arities)
-                    p = _pack_side(sa, rel_entries, d1slot, m, side=1)
-                    pack_cache[key] = p
-                packs1.append(p)
-            packs2 = []
-            for D2 in R2[v2]:
-                key = (sid, r, cfg_idx, 2, m, D2)
-                p = pack_cache.get(key)
-                if p is None:
-                    sa = _satoms_cached(interner, D2, arities)
-                    p = _pack_side(sa, rel_entries, d2slot, m, side=2)
-                    pack_cache[key] = p
-                packs2.append(p)
-            sigs = set()
-            for p1 in packs1:
-                for p2 in packs2:
-                    sigs.add(tuple(a | b for a, b in zip(p1, p2)))
-            for sig in sigs:
-                skey = (sid, r, cfg_idx, m, sig)
-                diag = sig_cache.get(skey)
-                if diag is None:
-                    diag = _unpack_sig(sig, r, res_eq, rel_entries, m, nclasses)
-                    sig_cache[skey] = diag
-                realized.add(diag)
-    else:
-        for cfg in configs:
-            (res_eq, class_origin, d1slot, d2slot, v1, v2, nclasses,
-             rel_entries, set_skeletons) = cfg
-            for D1 in R1[v1]:
-                sa1 = _satoms_cached(interner, D1, arities)
-                for D2 in R2[v2]:
-                    sa2 = _satoms_cached(interner, D2, arities)
-                    diag = _assemble_tables(r, res_eq, rel_entries, scheme, specs,
-                                            preds, arities, set_names, set_skeletons,
-                                            d1slot, d2slot, D1, D2, sa1, sa2,
-                                            base_m, nclasses, interner)
-                    realized.add(diag)
-
-    if realized:
-        const_diag = _const_restriction(sorted(realized)[0], r, k, arities)
-    else:
-        # glue of empty parts: only possible with k = 0
-        const_diag = (0, (), tuple(() for _ in preds), tuple(() for _ in range(m)))
-    return interner.intern_depth0(vocab_key, m, k, frozenset(realized), const_diag)
+    names = [name for name, _ in preds] + [f"P{j}" for j in range(base_m)]
+    tabled_pos = [pos for pos, name in enumerate(names)
+                  if scheme.table_spec(name)[0] != "union"]
+    kept = scheme.kept_refs()
+    configs = []
+    for eq_vars in partitions(r):
+        nblocks = max(eq_vars) + 1 if eq_vars else 0
+        for origins_blocks in _block_origins(nblocks, kept):
+            res_eq, class_origin, dslots, nvars = _build_config(
+                eq_vars, origins_blocks, scheme, r)
+            nclasses = max(res_eq) + 1 if res_eq else 0
+            entries = [tuple(itertools.product(range(nclasses), repeat=a)) for a in arities]
+            entries += [tuple((c,) for c in range(nclasses))] * base_m
+            skeletons = {pos: tuple(_pattern_skeleton(ct, class_origin, dslots)
+                                    for ct in entries[pos]) for pos in tabled_pos}
+            tabled = tuple(
+                (pos, names[pos], tuple((peq, porig) for peq, porig, _ in skeletons[pos]))
+                for pos in tabled_pos)
+            parts = []
+            for side, (v, dslot, kc) in enumerate(zip(nvars, dslots, (scheme.k1, scheme.k2))):
+                atom_idx = tuple(
+                    tuple(rel_index(tuple(dslot[c] for c in ct), v + kc)
+                          if all(dslot[c] is not None for c in ct) else None
+                          for ct in cts)
+                    for cts in entries[:len(arities)])
+                sub_slots = tuple(tuple(slots[side] for _, _, slots in skeletons[pos])
+                                  for pos in tabled_pos)
+                parts.append((v, atom_idx, dslot, sub_slots))
+            configs.append((res_eq, nclasses, tuple(parts), tabled))
+    return configs
 
 
-def _pack_side(sa, rel_entries, dslot, m, side):
-    """Bitmask per predicate (and per set column) of this part's union
-    contribution, aligned with the config's entry order."""
-    out = []
-    for pred_idx, entries in enumerate(rel_entries):
-        sap = sa[0][pred_idx]
-        mask = 0
-        for e, (i1, i2, _, _) in enumerate(entries):
-            idx = i1 if side == 1 else i2
-            if idx is not None and sap[idx]:
-                mask |= 1 << e
-        out.append(mask)
-    for jcol in range(m):
-        col = sa[1][jcol]
-        mask = 0
-        for c, slot in enumerate(dslot):
-            if slot is not None and col[slot]:
-                mask |= 1 << c
-        out.append(mask)
-    return tuple(out)
-
-
-def _unpack_sig(sig, r, res_eq, rel_entries, m, nclasses):
-    rel_atoms = tuple(
-        tuple(sig[p] >> e & 1 == 1 for e in range(len(rel_entries[p])))
-        for p in range(len(rel_entries))
-    )
-    set_atoms = tuple(
-        tuple(sig[len(rel_entries) + j] >> c & 1 == 1 for c in range(nclasses))
-        for j in range(m)
-    )
-    return (r, res_eq, rel_atoms, set_atoms)
-
-
-def _assemble_tables(r, res_eq, rel_entries, scheme, specs, preds, arities,
-                     set_names, set_skeletons, d1slot, d2slot, D1, D2,
-                     sa1, sa2, base_m, nclasses, interner):
-    rel_atoms = []
-    for pred_idx, (pname, _) in enumerate(preds):
-        sa1p = sa1[0][pred_idx]
-        sa2p = sa2[0][pred_idx]
-        spec = specs[pname]
-        kind = spec[0]
-        vals = []
-        for i1, i2, ct, skeleton in rel_entries[pred_idx]:
-            union = (i1 is not None and sa1p[i1]) or (i2 is not None and sa2p[i2])
-            if kind == "union":
-                vals.append(union)
-            elif kind == "const":
-                vals.append(spec[1])
-            else:
-                vals.append(_pattern_value(interner, scheme, pname, skeleton,
-                                           D1, D2, base_m, arities, union))
-        rel_atoms.append(tuple(vals))
-
-    set_atoms = []
-    for jcol, sname in enumerate(set_names):
-        col1 = sa1[1][jcol]
-        col2 = sa2[1][jcol]
-        spec = specs[sname]
-        kind = spec[0]
-        vals = []
-        for c in range(nclasses):
-            union = ((d1slot[c] is not None and col1[d1slot[c]]) or
-                     (d2slot[c] is not None and col2[d2slot[c]]))
-            if kind == "union":
-                vals.append(union)
-            elif kind == "const":
-                vals.append(spec[1])
-            else:
-                vals.append(_pattern_value(interner, scheme, sname,
-                                           set_skeletons[c], D1, D2, base_m,
-                                           arities, union))
-        set_atoms.append(tuple(vals))
-
-    return (r, res_eq, tuple(rel_atoms), tuple(set_atoms))
-
-
-def _partitions(n):
-    if n == 0:
-        yield ()
-        return
-    def rec(prefix, used):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for c in range(used + 1):
-            yield from rec(prefix + [c], max(used, c + 1))
-    yield from rec([], 0)
+def _pattern_skeleton(ct, class_origin, dslots):
+    """Config-constant part of an entry's pattern: equalities, origins, and
+    per part the projection slots feeding its sub-diagram."""
+    peq = canonical_eq(ct)
+    pcls = []
+    for pos, c in enumerate(peq):
+        if c == len(pcls):
+            pcls.append(ct[pos])
+    porig = tuple(class_origin[c] for c in pcls)
+    slots = tuple(tuple(dslot[c] for c in pcls if dslot[c] is not None) for dslot in dslots)
+    return (peq, porig, slots)
 
 
 def _block_origins(nblocks, kept_refs):
@@ -721,10 +531,10 @@ def _block_origins(nblocks, kept_refs):
         yield combo
 
 
-def _build_config(eq_vars, origins_blocks, scheme, k1, k2, k, r):
+def _build_config(eq_vars, origins_blocks, scheme, r):
     """Resolve a variable partition plus block origins into result-diagram
-    bookkeeping: eq over r+k slots, per-class origin, and per-class slot
-    indices into the part projections."""
+    bookkeeping: eq over r+k slots, per-class origin, per part the per-class
+    slot indices into its projections, and per part the variable count."""
     entities = []
     for s in range(r):
         block = eq_vars[s]
@@ -771,7 +581,67 @@ def _build_config(eq_vars, origins_blocks, scheme, k1, k2, k, r):
             class_origin.append(ent)
             d1slot.append(None)
             d2slot.append(v2 + ent[1])
-    return (res_eq, tuple(class_origin), tuple(d1slot), tuple(d2slot), v1, v2)
+    return res_eq, tuple(class_origin), (tuple(d1slot), tuple(d2slot)), (v1, v2)
+
+
+def _pack_side(interner: Interner, diag, part, arities, base_m: int):
+    """One part's share of a config: per predicate and set column a bitmask
+    of the entries the part makes true (bit e for entry e), and per tabled
+    predicate the part-projected sub-diagram of each entry.
+
+    Projections have pairwise-distinct slots, so their atoms are indexed by
+    slot tuples directly."""
+    _, atom_idx, dslot, sub_slots = part
+    masks = [sum(1 << e for e, idx in enumerate(idxs) if idx is not None and atoms[idx])
+             for idxs, atoms in zip(atom_idx, diag[2])]
+    masks += [sum(1 << c for c, slot in enumerate(dslot) if slot is not None and col[slot])
+              for col in diag[3]]
+    subs = tuple(tuple(_sub_diagram(interner, diag, slots, base_m, arities)
+                       for slots in entry_slots)
+                 for entry_slots in sub_slots)
+    return tuple(masks), subs
+
+
+def _sub_diagram(interner: Interner, diag, slots, base_m: int, arities):
+    """A pattern's part type: the diagram of the slots without the set
+    columns added by theory depth."""
+    key = (diag, slots, base_m)
+    out = interner.sub_diagrams.get(key)
+    if out is None:
+        v, eq, rel, sets = subdiagram(diag, list(slots), arities)
+        out = interner.sub_diagrams[key] = (v, eq, rel, sets[:base_m])
+    return out
+
+
+def _table_mask(interner: Interner, scheme: Scheme, name, skeletons, subs1, subs2,
+                union: int) -> int:
+    """A tabled predicate's entries under its table, as a bitmask; values
+    are memoized per pattern and union bit."""
+    memo = interner.table_values
+    sid = scheme.scheme_id
+    mask = 0
+    for e, ((peq, porig), sub1, sub2) in enumerate(zip(skeletons, subs1, subs2)):
+        bit = union >> e & 1
+        key = (sid, name, peq, porig, sub1, sub2, bit)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _table_value(
+                scheme, name, lambda: (name, peq, porig, sub1, sub2), bit == 1)
+        mask |= value << e
+    return mask
+
+
+def _unpack_sig(sig, r, res_eq, nclasses, arities, m):
+    npreds = len(arities)
+    rel_atoms = tuple(
+        tuple(sig[p] >> e & 1 == 1 for e in range(nclasses ** a))
+        for p, a in enumerate(arities)
+    )
+    set_atoms = tuple(
+        tuple(sig[npreds + j] >> c & 1 == 1 for c in range(nclasses))
+        for j in range(m)
+    )
+    return (r, res_eq, rel_atoms, set_atoms)
 
 
 def _const_restriction(diag, r, k, arities):
@@ -809,7 +679,7 @@ def enumerate_patterns(vocab: Vocabulary, scheme: Scheme, pred_name: str):
     else:
         arity = dict(preds)[pred_name]
     kept = scheme.kept_refs()
-    for eq in _partitions(arity):
+    for eq in partitions(arity):
         nclasses = max(eq) + 1 if eq else 0
         for origins in _block_origins(nclasses, kept):
             c1 = sum(1 for o in origins if o[0] in ("n1", REF_SHARED, REF_P1))
@@ -829,7 +699,7 @@ def count_patterns(vocab: Vocabulary, scheme: Scheme, pred_name: str) -> int:
         arity = dict(preds)[pred_name]
     kept = scheme.kept_refs()
     total = 0
-    for eq in _partitions(arity):
+    for eq in partitions(arity):
         nclasses = max(eq) + 1 if eq else 0
         for origins in _block_origins(nclasses, kept):
             c1 = sum(1 for o in origins if o[0] in ("n1", REF_SHARED, REF_P1))

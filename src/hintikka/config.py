@@ -44,7 +44,6 @@ class Config:
 
     k_star_max: int = 4             # largest supported constant count
     include_empty_model: bool = False
-    jobs: int = 1
 
     def check(self, budget: str, needed, limit) -> None:
         if needed > limit:

@@ -183,7 +183,7 @@ def find_small_equivalent(m: Structure, depth: int, size_max: int,
     by exhaustive enumeration; None if no candidate exists within the bound."""
     from .structures import enumerate_structures
 
-    interner = interner or default_interner()
+    interner = default_interner() if interner is None else interner
     target = compute_theory(m, depth, interner, config)
     k = m.vocab.num_consts
     for size in range(k + 1, size_max + 1):

@@ -31,9 +31,18 @@ def canonical_eq(classes_by_slot) -> tuple:
     return tuple(out)
 
 
-def num_classes(diag) -> int:
-    eq = diag[1]
-    return max(eq) + 1 if eq else 0
+def partitions(n: int):
+    """All canonical first-occurrence partitions of n slots."""
+    if n == 0:
+        yield ()
+        return
+    def rec(prefix, used):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for c in range(used + 1):
+            yield from rec(prefix + [c], max(used, c + 1))
+    yield from rec([], 0)
 
 
 def rel_index(class_tuple, nclasses: int) -> int:
@@ -43,40 +52,11 @@ def rel_index(class_tuple, nclasses: int) -> int:
     return idx
 
 
-def rel_value(diag, pred_idx: int, class_tuple) -> bool:
-    return diag[2][pred_idx][rel_index(class_tuple, num_classes(diag))]
-
-
-def diagram_of(m: Structure, elements, extra_sets=()) -> tuple:
-    """Diagram realized by the given variable elements together with m's constants.
-
-    ``extra_sets`` are additional set columns (iterables of elements) beyond
-    m.sets; both contribute set atoms in order.
-    """
-    elems = tuple(elements) + m.consts
-    eq = canonical_eq(elems)
-    nclasses = max(eq) + 1 if eq else 0
-    reps = [None] * nclasses
-    for slot, cls in enumerate(eq):
-        if reps[cls] is None:
-            reps[cls] = elems[slot]
-    rel = []
-    for (_, arity), tuples in zip(m.vocab.predicates, m.relations):
-        rel.append(tuple(
-            tuple(reps[c] for c in ct) in tuples
-            for ct in itertools.product(range(nclasses), repeat=arity)
-        ))
-    cols = list(m.sets) + [frozenset(s) for s in extra_sets]
-    sets = tuple(tuple(r in col for r in reps) for col in cols)
-    return (len(elements), eq, tuple(rel), sets)
-
-
-def subdiagram(diag, slots, arities, new_v=None, keep_consts=0) -> tuple:
+def subdiagram(diag, slots, arities, new_v=None) -> tuple:
     """Diagram over an arbitrary slot list of ``diag``.
 
     The first ``new_v`` positions of ``slots`` become variable slots (all of
-    them by default); ``keep_consts`` only documents intent via new_v.
-    ``arities`` are the predicate arities, in diagram order.
+    them by default). ``arities`` are the predicate arities, in diagram order.
     """
     v, eq, rel, sets = diag
     if new_v is None:
@@ -100,25 +80,10 @@ def subdiagram(diag, slots, arities, new_v=None, keep_consts=0) -> tuple:
     return (new_v, new_eq, new_rel, new_sets)
 
 
-def project_vars(diag, keep_vars, arities) -> tuple:
-    """Restrict to a subset of variable slots; constant slots are kept."""
-    v, eq, _, _ = diag
-    k = len(eq) - v
-    slots = list(keep_vars) + list(range(v, v + k))
-    return subdiagram(diag, slots, arities, new_v=len(keep_vars))
-
-
 def vars_distinct_nonconst(diag) -> bool:
     """True when every variable slot is a singleton class distinct from constants."""
     v, eq, _, _ = diag
     return len(set(eq[:v])) == v and not (set(eq[:v]) & set(eq[v:]))
-
-
-def diag_key(diag) -> str:
-    v, eq, rel, sets = diag
-    rels = ",".join("".join("1" if b else "0" for b in r) for r in rel)
-    ss = ",".join("".join("1" if b else "0" for b in s) for s in sets)
-    return f"v{v};eq:{','.join(map(str, eq))};r:{rels};s:{ss}"
 
 
 class DiagramEngine:
@@ -164,19 +129,6 @@ class DiagramEngine:
         )
         self.const_core = (eq0, rel0, tuple(reps0))
 
-    def th0(self, extra_masks: tuple):
-        """Realized r-diagram set and constant diagram under the given extra sets."""
-        masks = self.base_masks + extra_masks
-        r = self.r
-        realized = set()
-        add = realized.add
-        for eq, rel, reps in self.cores:
-            sets_part = tuple(tuple(mask >> e & 1 == 1 for e in reps) for mask in masks)
-            add((r, eq, rel, sets_part))
-        eq0, rel0, reps0 = self.const_core
-        const_diag = (0, eq0, rel0, tuple(tuple(mask >> e & 1 == 1 for e in reps0) for mask in masks))
-        return frozenset(realized), const_diag
-
     # -- packed fast path (used by compute_theory's subset recursion) -------
 
     def _prepare_packed(self):
@@ -206,10 +158,11 @@ class DiagramEngine:
         self._local_list = []
 
     def th0_local(self, extra_masks: tuple):
-        """Like th0 but returns engine-local diagram ids (cheap to hash).
+        """Realized r-diagrams and the constant diagram under the given extra
+        set columns, as engine-local ids (cheap to hash).
 
-        Use resolve_local / resolve_const to convert back into canonical
-        diagram tuples when interning.
+        Use resolve_local to convert them back into canonical diagram tuples
+        when interning.
         """
         if not hasattr(self, "_core_shape"):
             self._prepare_packed()

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
-from .diagrams import DiagramEngine, canonical_eq, subdiagram
+from .diagrams import DiagramEngine, partitions, subdiagram
 from .errors import BudgetError, HintikkaError, SignatureError
 from .structures import Structure, Vocabulary
 
@@ -51,6 +51,15 @@ class Interner:
         self.theory_memo = {}
         self.transfer_memo = {}
         self._by_digest = {}
+        # memos of the depth-0 transfer kernel (composition._transfer_base),
+        # keyed by values that only this interner's ids make meaningful
+        self.scheme_configs = {}
+        self.theory_projections = {}
+        self.diagram_projections = {}
+        self.side_packs = {}
+        self.sub_diagrams = {}
+        self.table_values = {}
+        self.unpacked_diagrams = {}
 
     def _insert(self, key, rec_builder):
         with self._lock:
@@ -180,7 +189,7 @@ class Theory:
 def compute_theory(m: Structure, n: int, interner: Interner = None,
                    config: Config = DEFAULT) -> Theory:
     """Th^n(M, sets, consts): definition-faithful, exponential in n."""
-    interner = interner or default_interner()
+    interner = default_interner() if interner is None else interner
     config.check("theory_depth", n, config.n_max)
     if n >= 2:
         config.check("theory_depth2_size", m.size, config.depth2_size_max)
@@ -227,28 +236,13 @@ def compute_theory(m: Structure, n: int, interner: Interner = None,
 # Formal theory spaces (Claim: TH^{n+1} is the powerset of TH^n one set up)
 # ---------------------------------------------------------------------------
 
-def _all_eq_tuples(nslots: int):
-    """All canonical first-occurrence partitions of nslots slots."""
-    if nslots == 0:
-        yield ()
-        return
-    def rec(prefix, used):
-        pos = len(prefix)
-        if pos == nslots:
-            yield tuple(prefix)
-            return
-        for c in range(used + 1):
-            yield from rec(prefix + [c], max(used, c + 1))
-    yield from rec([], 0)
-
-
 def _diagram_universe(vocab: Vocabulary, r: int, budget: int, config: Config):
     """Every syntactically complete diagram over r variables + k constants."""
     k = vocab.num_consts
     m = vocab.num_sets
     arities = tuple(a for _, a in vocab.predicates)
     diagrams = []
-    for eq in _all_eq_tuples(r + k):
+    for eq in partitions(r + k):
         n = max(eq) + 1 if eq else 0
         bits = sum(n ** a for a in arities) + n * m
         config.check("formal_space", bits, 24)
@@ -337,7 +331,7 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
     the depth-n space over m+1 sets. Refuses when the cardinality exceeds the
     budget. Soundness contract: every realizable theory is a member.
     """
-    interner = interner or default_interner()
+    interner = default_interner() if interner is None else interner
     budget = budget if budget is not None else config.formal_budget
     if n > 0:
         inner = enumerate_formal(vocab.with_sets(vocab.num_sets + 1), n - 1,
@@ -485,7 +479,7 @@ def small_model_theories(vocab: Vocabulary, n: int, k_star: int,
                          include_empty: bool = None) -> SmallModels:
     from .structures import enumerate_structures
 
-    interner = interner or default_interner()
+    interner = default_interner() if interner is None else interner
     include_empty = config.include_empty_model if include_empty is None else include_empty
     sizes_by_theory = {}
     witnesses = {}
@@ -523,7 +517,7 @@ def theories_equal_on_sentences(m1: Structure, m2: Structure, d: int,
     """If Th^d(M1) = Th^d(M2), random depth-<=d sentences must agree."""
     from .oracle import eval_formula, random_sentence
 
-    interner = interner or default_interner()
+    interner = default_interner() if interner is None else interner
     if m1.vocab != m2.vocab:
         raise SignatureError("structures have different vocabularies")
     t1 = compute_theory(m1, d, interner, config)

@@ -1,7 +1,13 @@
 """CLI surface: every subcommand, exit codes, and output determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hintikka
 from hintikka.cli import run
 from hintikka.composition import plain_union_scheme, serialize_scheme
 from hintikka.numbersets import QuadrupleSystem, serialize_system
@@ -43,6 +49,21 @@ def test_theory_header(files, capsys):
     code, out = _capture(capsys, ["theory", "--model", files["p3.struct"], "--depth", "1"])
     assert code == 0
     assert out.startswith("theory depth=1 tau=E/2 m=0 k=0 digest=")
+
+
+def test_module_entry_point(files, capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(hintikka.__file__).resolve().parent.parent))
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "hintikka.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    bogus = module_run("--bogus")
+    assert bogus.returncode == 2 and "error:" in bogus.stderr
+    argv = ["theory", "--model", files["p3.struct"], "--depth", "1"]
+    ok = module_run(*argv)
+    assert ok.returncode == 0
+    assert ok.stdout == _capture(capsys, argv)[1]
 
 
 def test_glue_and_check_addition(files, capsys):

@@ -29,7 +29,7 @@ from hintikka.composition import (
 )
 from hintikka.errors import BudgetError, SignatureError
 from hintikka.structures import Structure, Vocabulary, path_graph
-from hintikka.theory import compute_theory, default_interner
+from hintikka.theory import Interner, compute_theory, default_interner
 
 GRAPHS = Vocabulary((("E", 2),))
 
@@ -54,10 +54,24 @@ def _scheme_samples(rng, vocab, k1, k2, seed):
     kept = Scheme(k1, k2, 0, idents, tuple(keep1), tuple(keep2)).kept_refs()
     k = rng.randint(0, min(2, len(kept)))
     result = tuple(rng.sample(list(kept), k))
+    shape = (k1, k2, k, idents, tuple(keep1), tuple(keep2), result)
     if rng.random() < 0.5:
-        return plain_union_scheme(k1, k2, k, idents, tuple(keep1), tuple(keep2), result)
-    return random_table_scheme(vocab, k1, k2, k, seed, idents,
-                               tuple(keep1), tuple(keep2), result)
+        sampled = plain_union_scheme(*shape)
+    else:
+        sampled = random_table_scheme(vocab, *shape[:3], seed, *shape[3:])
+    return sampled, _mixed_kind_scheme(vocab, shape, seed)
+
+
+def _mixed_kind_scheme(vocab, shape, seed):
+    """One table of each kind on the sampled constants: E by PRF, S constant
+    true, P0 every other entry of a PRF table as overrides on a union default.
+    A name outside the vocabulary is ignored, so over E alone the P0 table
+    must not touch the set column that theory depth adds."""
+    prf = random_table_scheme(vocab, *shape[:3], seed + 500, *shape[3:])
+    overrides = tuple(sorted(table_extension(prf, vocab).get("P0", {}).items()))[::2]
+    tables = (("E", ("random", seed)), ("S", ("const", True)),
+              ("P0", ("map", "union", overrides)))
+    return Scheme(*shape, tables)
 
 
 def test_glue_k2_on_point_gives_p3():
@@ -93,8 +107,8 @@ def test_glue_size_law():
     for trial in range(30):
         m1 = rand_structure(v, rng.randint(2, 5), rng)
         m2 = rand_structure(v, rng.randint(2, 5), rng)
-        s = _scheme_samples(rng, v, 2, 2, 900 + trial)
-        assert glue(m1, m2, s).size == m1.size + m2.size - s.j
+        for s in _scheme_samples(rng, v, 2, 2, 900 + trial):
+            assert glue(m1, m2, s).size == m1.size + m2.size - s.j
 
 
 def test_glue_rejects_repeated_constants():
@@ -129,15 +143,43 @@ def test_transfer_matches_direct_random():
             v2 = Vocabulary(preds, k2, nsets)
             m1 = rand_structure(v1, rng.randint(max(1, k1), 3), rng)
             m2 = rand_structure(v2, rng.randint(max(1, k2), 3), rng)
-            s = _scheme_samples(rng, v1, k1, k2, 40 + trial)
-            g = glue(m1, m2, s)
-            for n in (0, 1):
-                lhs = transfer(compute_theory(m1, n, interner),
-                               compute_theory(m2, n, interner), s, interner)
-                rhs = compute_theory(g, n, interner)
-                assert lhs.intern_id == rhs.intern_id
-                checked += 1
-    assert checked == 40
+            for s in _scheme_samples(rng, v1, k1, k2, 40 + trial):
+                g = glue(m1, m2, s)
+                for n in (0, 1):
+                    lhs = transfer(compute_theory(m1, n, interner),
+                                   compute_theory(m2, n, interner), s, interner)
+                    rhs = compute_theory(g, n, interner)
+                    assert lhs.intern_id == rhs.intern_id
+                    checked += 1
+    assert checked == 80
+
+
+def test_transfer_leaves_depth_columns_union():
+    # a table on P0 over a vocabulary without sets names no column of the
+    # parts; at depth 1, P0 is the column theory depth adds, which glue
+    # never sees, so transfer must keep it union as well
+    s = parse_scheme("scheme k1=0 k2=0 k=0\ntable P0 default=true\n")
+    interner = default_interner()
+    m1, m2 = path_graph(2), path_graph(3)
+    for n in (0, 1):
+        lhs = transfer(compute_theory(m1, n, interner),
+                       compute_theory(m2, n, interner), s, interner)
+        assert lhs.intern_id == compute_theory(glue(m1, m2, s), n, interner).intern_id
+
+
+def test_transfer_vocabularies_share_interner():
+    # the same scheme over two orders of the same arities: the kernel's
+    # memos must keep the vocabularies apart
+    interner = Interner()
+    s = disjoint_union_scheme()
+    rng = random.Random(1)
+    for preds in ((("S", 1), ("E", 2)), (("E", 2), ("S", 1))):
+        v = Vocabulary(preds)
+        for _ in range(6):
+            m1, m2 = rand_structure(v, 2, rng), rand_structure(v, 2, rng)
+            lhs = transfer(compute_theory(m1, 0, interner),
+                           compute_theory(m2, 0, interner), s, interner)
+            assert lhs.intern_id == compute_theory(glue(m1, m2, s), 0, interner).intern_id
 
 
 def test_transfer_depth2():

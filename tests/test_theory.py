@@ -68,6 +68,8 @@ def test_digest_stable_across_interners():
     m = path_graph(5)
     a = compute_theory(m, 1, Interner())
     b = compute_theory(m, 1, Interner())
+    assert a.interner is not b.interner
+    assert len(a.interner) > 0 and len(b.interner) > 0
     assert a.digest == b.digest and len(a.digest) == 64
 
 
