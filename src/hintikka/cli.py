@@ -166,11 +166,12 @@ def cmd_spectrum(args, config):
     if args.base:
         text += "\n" + _read(args.base)
     base, facts = parse_facts(text)
-    digests = [args.theory] if args.theory else sorted(
-        set(base) | {f[3] for f in facts} | {f[0] for f in facts} | {f[1] for f in facts})
+    induced = induce_system_from_facts(base, facts)
+    digests = [args.theory] if args.theory else induced[1]
     lines = []
     for digest in digests:
-        report = spectrum_from_facts(base, facts, digest, args.bound, config)
+        report = spectrum_from_facts(base, facts, digest, args.bound, config,
+                                     induced=induced)
         lines.append(report.describe())
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -225,8 +225,8 @@ def parse_facts(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = dict(part.split("=", 1) for part in line.split()[1:])
         try:
+            fields = dict(part.split("=", 1) for part in line.split()[1:])
             if line.startswith("base "):
                 base.setdefault(fields["t"], set()).add(int(fields["size"]))
             elif line.startswith("fact "):

@@ -8,11 +8,18 @@ saturates over an enlarged window [0, bound + slack] before filtering; the
 computation retries once with doubled slack and reports whether the answer
 below the bound changed. Certificates record exactly what was verified;
 periodicity beyond the scan bound is never claimed.
+
+Saturation works on bitsets: the values of a label are one int (bit n set
+when n is reachable), and a rule adds the sumset of its operands shifted
+down by j. Rounds are semi-naive (only rules with an operand that changed
+in the last round are applied), and the values new in each round are kept
+as stages, from which witness trees are rebuilt. Each system saturates
+once per limit: the result is memoized on the ``QuadrupleSystem`` instance
+itself, outside its equality and hash.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
@@ -24,6 +31,9 @@ class QuadrupleSystem:
     m: int
     rules: tuple        # (l1, l2, l3, j)
     base: tuple         # per label, frozenset of naturals
+    # limit -> (members, stages) of _saturate; not part of equality or hash
+    _saturated: dict = field(default_factory=dict, init=False, compare=False,
+                             repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(sorted(tuple(map(int, r)) for r in self.rules)))
@@ -61,35 +71,75 @@ class ReachResult:
         return self.sets[label]
 
 
+def _bits(x: int):
+    """Positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _sumset(a: int, b: int) -> int:
+    """The bitset of {x + y : x in a, y in b}."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out |= b * low          # b shifted up by the position of low
+        a ^= low
+    return out
+
+
 def _saturate(sys: QuadrupleSystem, limit: int):
-    """Least fixpoint of the rules restricted to values <= limit; also
-    returns one first derivation per (label, value) for witness trees."""
-    members = [set(v for v in b if v <= limit) for b in sys.base]
-    origin = {(l, v): None for l in range(sys.m) for v in members[l]}
-    queue = [(l, v) for l in range(sys.m) for v in sorted(members[l])]
-    by_first = {}
-    for idx, (l1, l2, l3, j) in enumerate(sys.rules):
-        by_first.setdefault(l1, []).append(idx)
-        by_first.setdefault(l2, []).append(idx)
-    qi = 0
-    while qi < len(queue):
-        label, value = queue[qi]
-        qi += 1
-        for idx in by_first.get(label, ()):
+    """Least fixpoint of the rules restricted to values <= limit, memoized
+    on ``sys`` per limit.
+
+    Returns ``(members, stages)``: per label the bitset of reached values,
+    and per round the per-label bitsets of the values first reached in it
+    (round 0 is the base). Round r applies each rule whose operand changed
+    in round r-1 as ``((D1 + A2) | (A1 + D2)) >> j`` over everything found
+    before round r (A) and in round r-1 (D), masked to the limit after the
+    shift, since n1 + n2 may exceed the limit before j brings it back.
+    """
+    done = sys._saturated.get(limit)
+    if done is not None:
+        return done
+    mask = (1 << (limit + 1)) - 1
+    delta = [sum(1 << v for v in b if v <= limit) for b in sys.base]
+    members = list(delta)
+    stages = [tuple(delta)]
+    by_operand = [set() for _ in range(sys.m)]
+    for idx, (l1, l2, _, _) in enumerate(sys.rules):
+        by_operand[l1].add(idx)
+        by_operand[l2].add(idx)
+    while True:
+        touched = set()
+        for label, d in enumerate(delta):
+            if d:
+                touched |= by_operand[label]
+        new = [0] * sys.m
+        for idx in touched:
             l1, l2, l3, j = sys.rules[idx]
-            partners = []
-            if l1 == label:
-                partners.extend((value, v2) for v2 in sorted(members[l2]))
-            if l2 == label:
-                partners.extend((v1, value) for v1 in sorted(members[l1]))
-            for n1, n2 in partners:
-                n = n1 + n2 - j
-                if n < 0 or n > limit or n in members[l3]:
-                    continue
-                members[l3].add(n)
-                origin[(l3, n)] = (idx, n1, n2)
-                queue.append((l3, n))
-    return members, origin
+            if l1 == l2:
+                sums = _sumset(delta[l1], members[l1])
+            else:
+                sums = _sumset(delta[l1], members[l2]) | _sumset(members[l1], delta[l2])
+            new[l3] |= (sums >> j) & mask
+        for label in range(sys.m):
+            new[label] &= ~members[label]
+            members[label] |= new[label]
+        if not any(new):
+            break
+        stages.append(tuple(new))
+        delta = new
+    done = (tuple(members), tuple(stages))
+    sys._saturated[limit] = done
+    return done
+
+
+def _values_upto(bits: int, bound: int) -> tuple:
+    return tuple(_bits(bits & ((1 << (bound + 1)) - 1)))
 
 
 def reach(sys: QuadrupleSystem, bound: int, slack: int = None,
@@ -103,9 +153,9 @@ def reach(sys: QuadrupleSystem, bound: int, slack: int = None,
         raise HintikkaError("bound must be a natural number")
     slack = sys.default_slack() if slack is None else slack
     members, _ = _saturate(sys, bound + slack)
-    first = tuple(tuple(sorted(v for v in ms if v <= bound)) for ms in members)
+    first = tuple(_values_upto(ms, bound) for ms in members)
     members2, _ = _saturate(sys, bound + 2 * slack)
-    second = tuple(tuple(sorted(v for v in ms if v <= bound)) for ms in members2)
+    second = tuple(_values_upto(ms, bound) for ms in members2)
     return ReachResult(second, bound, slack, first == second)
 
 
@@ -188,19 +238,35 @@ def validate_tree(sys: QuadrupleSystem, tree: Node):
 
 def witness_tree(sys: QuadrupleSystem, label: int, value: int,
                  bound: int, slack: int = None, config: Config = DEFAULT) -> Node:
-    """Reconstruct a derivation tree for a reachable value."""
+    """A derivation tree for a reachable value, rebuilt from the stages of
+    the saturation: a value first reached in round r > 0 takes the first
+    rule (by index), then the smallest n1, whose two children were both
+    reached before round r; a base value is a leaf."""
     slack = sys.default_slack() if slack is None else slack
-    members, origin = _saturate(sys, bound + 2 * slack)
-    if value not in members[label]:
+    members, stages = _saturate(sys, bound + 2 * slack)
+    if value < 0 or not (members[label] >> value) & 1:
         raise HintikkaError(f"value {value} not reachable at label {label}")
+    before = [(0,) * sys.m]          # before[r]: values reached before round r
+    for stage in stages[:-1]:
+        before.append(tuple(a | b for a, b in zip(before[-1], stage)))
+    producers = [[] for _ in range(sys.m)]
+    for idx, rule in enumerate(sys.rules):
+        producers[rule[2]].append(idx)
 
     def build(l, v):
-        how = origin[(l, v)]
-        if how is None:
+        r = next(r for r, stage in enumerate(stages) if (stage[l] >> v) & 1)
+        if r == 0:
             return Node(l, v)
-        idx, n1, n2 = how
-        l1, l2, _, _ = sys.rules[idx]
-        return Node(l, v, idx, build(l1, n1), build(l2, n2))
+        seen = before[r]
+        for idx in producers[l]:
+            l1, l2, _, j = sys.rules[idx]
+            for n1 in _bits(seen[l1]):
+                n2 = v + j - n1
+                if n2 < 0:
+                    break
+                if (seen[l2] >> n2) & 1:
+                    return Node(l, v, idx, build(l1, n1), build(l2, n2))
+        raise AssertionError(f"no derivation of {v} at label {l} in round {r}")
 
     return build(label, value)
 
@@ -459,10 +525,12 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
 
 def verify_certificate(sys: QuadrupleSystem, cert: PeriodicityCertificate,
                        config: Config = DEFAULT) -> bool:
-    """Independent re-check: fresh reach, exact periodicity on the verified
-    range, and (when present) pump validity, increment divisibility, and a
-    few pumped members landing back in the reach set."""
-    rr = reach(sys, cert.verified_to, config=config)
+    """Independent re-check: a fresh saturation (of a copy of ``sys``, so no
+    memo filled while the certificate was made is read), exact periodicity
+    on the verified range, and (when present) pump validity, increment
+    divisibility, and a few pumped members landing back in the reach set."""
+    fresh = QuadrupleSystem(sys.m, sys.rules, sys.base)     # empty memo
+    rr = reach(fresh, cert.verified_to, config=config)
     vals = set(rr.values(cert.label))
     for x in range(cert.threshold, cert.verified_to - cert.period + 1):
         if (x in vals) != (x + cert.period in vals):
@@ -503,7 +571,9 @@ def parse_system(text: str) -> QuadrupleSystem:
             if parts[0] == "labels":
                 m = int(parts[1])
             elif parts[0] == "rule":
-                rules.append(tuple(int(x) for x in parts[1:5]))
+                if len(parts) != 5:
+                    raise ParseError("expected 'rule <l1> <l2> <l3> <j>'", lineno)
+                rules.append(tuple(int(x) for x in parts[1:]))
             elif parts[0] == "base":
                 label = int(parts[1].rstrip(":"))
                 base.setdefault(label, set()).update(int(x) for x in parts[2:])
@@ -513,8 +583,13 @@ def parse_system(text: str) -> QuadrupleSystem:
             raise ParseError(f"malformed line: {line!r}", lineno)
     if m is None:
         raise ParseError("missing 'labels' line")
-    return QuadrupleSystem(m, tuple(rules),
-                           tuple(frozenset(base.get(l, ())) for l in range(m)))
+    if any(not 0 <= label < m for label in base):
+        raise ParseError(f"base label out of range 0..{m - 1}")
+    try:
+        return QuadrupleSystem(m, tuple(rules),
+                               tuple(frozenset(base.get(l, ())) for l in range(m)))
+    except HintikkaError as exc:
+        raise ParseError(str(exc))
 
 
 def serialize_system(sys: QuadrupleSystem) -> str:

@@ -81,8 +81,12 @@ def spectrum(state: ClosureState, digest: str, bound: int,
 
 
 def spectrum_from_facts(base, facts, digest: str, bound: int,
-                        config: Config = DEFAULT) -> SpectrumReport:
-    sys, digests = induce_system_from_facts(base, facts)
+                        config: Config = DEFAULT, induced=None) -> SpectrumReport:
+    """Spectrum of one digest of a parsed facts file. ``induced`` is the
+    ``(system, digests)`` pair of ``induce_system_from_facts(base, facts)``
+    when the caller already has it: reports for many digests then share
+    one system, and so one saturation per limit."""
+    sys, digests = induced or induce_system_from_facts(base, facts)
     if digest not in digests:
         raise HintikkaError(f"unknown theory digest {digest}")
     return _spectrum_of_label(sys, digests.index(digest), digest, bound, config)

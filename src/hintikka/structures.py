@@ -191,7 +191,10 @@ def parse_structure(text: str) -> Structure:
         raise ParseError("missing 'vocab' line")
     if size is None:
         raise ParseError("missing 'size' line")
-    vocab = Vocabulary(preds, num_consts or 0, num_sets or 0)
+    try:
+        vocab = Vocabulary(preds, num_consts or 0, num_sets or 0)
+    except HintikkaError as exc:
+        raise ParseError(str(exc))
 
     consts = [None] * vocab.num_consts
     for lineno, i, e in const_lines:
@@ -204,9 +207,11 @@ def parse_structure(text: str) -> Structure:
     relations = [set() for _ in vocab.predicates]
     for lineno, line in rel_lines:
         head, _, body = line.partition(":")
-        name = head.split()[1]
         try:
+            _, name = head.split()
             idx = vocab.pred_index(name)
+        except ValueError:
+            raise ParseError("expected 'rel <name>: (e,...,e) ...'", lineno)
         except HintikkaError:
             raise ParseError(f"unknown relation {name!r}", lineno)
         arity = vocab.predicates[idx][1]
@@ -224,10 +229,15 @@ def parse_structure(text: str) -> Structure:
     sets = [set() for _ in range(vocab.num_sets)]
     for lineno, line in set_lines:
         head, _, body = line.partition(":")
-        j = int(head.split()[1])
+        try:
+            _, j = head.split()
+            j = int(j)
+            elems = [int(x) for x in body.split()]
+        except ValueError:
+            raise ParseError("expected 'set <index>: <element> ...'", lineno)
         if not (0 <= j < vocab.num_sets):
             raise ParseError(f"set index {j} out of range", lineno)
-        sets[j].update(int(x) for x in body.split())
+        sets[j].update(elems)
 
     try:
         return Structure(vocab, size, tuple(relations), tuple(consts), tuple(sets))

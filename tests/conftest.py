@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from hintikka.structures import Structure, Vocabulary
 
@@ -41,3 +42,33 @@ def matching_graph(pairs):
     for i in range(pairs):
         edges |= {(2 * i, 2 * i + 1), (2 * i + 1, 2 * i)}
     return Structure(v, 2 * pairs, (frozenset(edges),))
+
+
+# Characters and keywords the line formats are made of, for mutation fuzzing.
+FUZZ_ALPHABET = tuple(" =:,()#-/~.\n0123456789abstx") + (
+    "rule", "base", "labels", "fact", "t=", "size=", "j=", "vocab", "size",
+    "consts", "sets", "const", "rel", "set", "E/2",
+)
+
+
+def _apply_edits(text, edits):
+    for op, pos, token in edits:
+        i = pos % (len(text) + 1)
+        if op == "delete":
+            text = text[:i] + text[i + 1:]
+        elif op == "insert":
+            text = text[:i] + token + text[i:]
+        elif op == "replace":
+            text = text[:i] + token + text[i + 1:]
+        else:                                   # cut a span of up to 8 characters
+            text = text[:i] + text[i + 8:]
+    return text
+
+
+def mutated(text):
+    """Strategy: ``text`` after one to three character-level edits."""
+    edit = st.tuples(st.sampled_from(("delete", "insert", "replace", "cut")),
+                     st.integers(min_value=0, max_value=len(text)),
+                     st.sampled_from(FUZZ_ALPHABET))
+    return st.lists(edit, min_size=1, max_size=3).map(
+        lambda edits: _apply_edits(text, edits))

@@ -1,5 +1,6 @@
 """CLI surface: every subcommand, exit codes, and output determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -111,6 +112,32 @@ def test_closure_spectrum_pipeline(files, capsys, tmp_path):
     assert code == 0 and "status=converged" in out
     code, out = _capture(capsys, ["spectrum", "--facts", facts, "--bound", "8"])
     assert code == 0 and out.count("spectrum t=") >= 8
+
+
+def test_spectrum_whole_file_golden(tmp_path):
+    """Whole-file spectrum output of the depth-0 disjoint-union closure over
+    all graphs of size at most 1, pinned byte for byte: 17 digests, one
+    system. Each command runs in a fresh interpreter, since the line order
+    of a facts file follows the intern order of the process's interner."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hintikka.__file__).resolve().parent.parent))
+
+    def module_run(*argv):
+        done = subprocess.run([sys.executable, "-m", "hintikka.cli", *argv], env=env,
+                              capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    facts = tmp_path / "du.facts"
+    scheme_path = tmp_path / "du.scm"
+    scheme_path.write_text("scheme k1=0 k2=0 k=0\n")
+    module_run("closure", "--vocab", "E/2", "--depth", "0", "--scheme", str(scheme_path),
+               "--small-models", "1", "--facts-out", str(facts))
+    assert hashlib.sha256(facts.read_bytes()).hexdigest() == (
+        "19b8aefb284eaba4d6c57eb3765ac01bc5dad1b84d43dc360127878d7c8c8cf8")
+    out = module_run("spectrum", "--facts", str(facts), "--bound", "16")
+    assert out.count(b"spectrum t=") == 17
+    assert hashlib.sha256(out).hexdigest() == (
+        "bd20abbfcd3a99bb4867efee030b085dc87517f931ea5e516c7e9525b6c79e2b")
 
 
 def test_periodicity_and_reach(files, capsys):

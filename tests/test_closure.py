@@ -12,8 +12,9 @@ Claims:
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import k2_graph
+from conftest import k2_graph, mutated
 from hintikka.closure import (
     close,
     minimal_derivations,
@@ -23,6 +24,7 @@ from hintikka.closure import (
     write_facts,
 )
 from hintikka.composition import disjoint_union_scheme, plain_union_scheme
+from hintikka.errors import HintikkaError, ParseError
 from hintikka.structures import Structure, Vocabulary, path_graph
 from hintikka.theory import Theory, compute_theory, default_interner, small_model_theories
 
@@ -162,6 +164,32 @@ def test_facts_file_roundtrip():
     assert set(base) == {st.digest_of(t) for t in st.base_sizes}
     for t1, t2, sid, t, j in facts:
         assert j == 0
+
+
+FACTS_TEXT = ("base t=aa size=2\nbase t=bb size=3\n"
+              "fact t1=aa t2=bb scheme=s t=aa j=1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "base t=aa size\n",
+    "fact t1=aa t2=bb scheme=s t=aa j\n",
+    "base t=aa\n",
+    "fact t1=aa t2=bb scheme=s t=aa j=x\n",
+])
+def test_parse_facts_refusals(text):
+    with pytest.raises(ParseError):
+        parse_facts(text)
+
+
+@given(mutated(FACTS_TEXT))
+@settings(max_examples=300, deadline=None)
+def test_parse_facts_mutation_fuzz(text):
+    """Any input either parses or raises HintikkaError, never
+    ValueError/IndexError/KeyError."""
+    try:
+        parse_facts(text)
+    except HintikkaError:
+        pass
 
 
 def test_depth1_disjoint_union_converges():

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hintikka.errors import HintikkaError
+from conftest import mutated
+from hintikka import numbersets
+from hintikka.errors import HintikkaError, ParseError
 from hintikka.numbersets import (
     Node,
+    PeriodicityCertificate,
     PumpPair,
     QuadrupleSystem,
     chain_rank,
@@ -201,3 +204,112 @@ def test_tree_dump_paths():
     dump = dump_tree(CHAIN_TREE)
     assert "node e label=0 value=9 rule=0" in dump
     assert "node 10 label=0 value=3" in dump
+
+
+def naive_fixpoint(sysq, limit):
+    """Per label, the values <= limit reachable by the rules: set iteration
+    to a fixpoint, independent of the bitset saturation."""
+    sets = [{v for v in b if v <= limit} for b in sysq.base]
+    changed = True
+    while changed:
+        changed = False
+        for l1, l2, l3, j in sysq.rules:
+            made = {a + b - j for a in sets[l1] for b in sets[l2]}
+            new = {n for n in made if 0 <= n <= limit} - sets[l3]
+            if new:
+                sets[l3] |= new
+                changed = True
+    return [tuple(sorted(s)) for s in sets]
+
+
+@st.composite
+def small_systems(draw):
+    m = draw(st.integers(min_value=1, max_value=3))
+    label = st.integers(min_value=0, max_value=m - 1)
+    rules = draw(st.lists(st.tuples(label, label, label, st.integers(0, 3)), max_size=6))
+    base = draw(st.lists(st.frozensets(st.integers(0, 8), max_size=3),
+                         min_size=m, max_size=m))
+    return QuadrupleSystem(m, tuple(rules), tuple(base))
+
+
+@given(small_systems(), st.integers(min_value=0, max_value=16))
+@settings(max_examples=80, deadline=None)
+def test_reach_matches_naive_fixpoint(sysq, bound):
+    slack = sysq.default_slack()
+    rr = reach(sysq, bound)
+    naive = {}
+    for limit in (bound + slack, bound + 2 * slack):
+        naive[limit] = naive_fixpoint(sysq, limit)
+        members, _ = numbersets._saturate(sysq, limit)
+        assert [tuple(numbersets._bits(x)) for x in members] == naive[limit]
+
+    def upto(sets):
+        return tuple(tuple(v for v in vals if v <= bound) for vals in sets)
+
+    first = upto(naive[bound + slack])
+    second = upto(naive[bound + 2 * slack])
+    assert rr.sets == second
+    assert rr.slack_stable == (first == second)
+    for label in range(sysq.m):
+        for value in rr.values(label):
+            tree = witness_tree(sysq, label, value, bound)
+            assert validate_tree(sysq, tree) is None
+            assert (tree.label, tree.value) == (label, value)
+    # the memo is keyed by limit, answers like a fresh saturation, and stays
+    # outside the system's equality and hash
+    limit = bound + 2 * slack
+    memo = sysq._saturated[limit]
+    assert numbersets._saturate(sysq, limit) is memo
+    fresh = QuadrupleSystem(sysq.m, sysq.rules, sysq.base)
+    assert fresh == sysq and hash(fresh) == hash(sysq)
+    assert numbersets._saturate(fresh, limit) == memo
+
+
+def test_verify_certificate_saturates_afresh(monkeypatch):
+    sysq = QuadrupleSystem(1, ((0, 0, 0, 0),), (frozenset({4, 7}),))
+    cert = find_period(sysq, 0, 200, 16)
+    assert sysq._saturated, "find_period fills the memo of its system"
+    # poison the memo: a re-check that read it would see every value reached
+    everything = (1 << 201) - 1
+    for limit in sysq._saturated:
+        sysq._saturated[limit] = ((everything,), ((everything,),))
+    seen = []
+    real = numbersets._saturate
+
+    def spy(system, limit):
+        seen.append((system, bool(system._saturated)))
+        return real(system, limit)
+
+    monkeypatch.setattr(numbersets, "_saturate", spy)
+    assert verify_certificate(sysq, cert)
+    assert seen and all(system is not sysq for system, _ in seen)
+    assert seen[0][1] is False, "the re-check starts from an empty memo"
+    tampered = PeriodicityCertificate(cert.label, 17, cert.period, cert.verified_to,
+                                      cert.status, cert.pump)
+    assert not verify_certificate(sysq, tampered)
+
+
+SYSTEM_TEXT = serialize_system(QuadrupleSystem(
+    2, ((0, 1, 0, 2), (1, 1, 1, 0)), (frozenset({1}), frozenset({2, 5}))))
+
+
+@pytest.mark.parametrize("text", [
+    "labels 1\nrule 0 0 1\n",
+    "labels 1\nrule 0 0 0 1 5\n",
+    "labels 1\nbase 3: 1\n",
+    "labels -1\n",
+])
+def test_parse_system_refusals(text):
+    with pytest.raises(ParseError):
+        parse_system(text)
+
+
+@given(mutated(SYSTEM_TEXT))
+@settings(max_examples=300, deadline=None)
+def test_parse_system_mutation_fuzz(text):
+    """Any input either parses or raises HintikkaError (a ParseError or a
+    domain refusal), never ValueError/IndexError/KeyError."""
+    try:
+        parse_system(text)
+    except HintikkaError:
+        pass

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_structure
+from conftest import mutated, rand_structure
 from hintikka.config import Config
 from hintikka.errors import BudgetError, HintikkaError, ParseError
 from hintikka.structures import (
@@ -51,6 +51,33 @@ def test_parse_requires_vocab_and_size():
         parse_structure("size 3\n")
     with pytest.raises(ParseError):
         parse_structure("vocab E/2\n")
+
+
+@pytest.mark.parametrize("text", [
+    "vocab E/2\nsize 2\nrel : (0,1)\n",
+    "vocab E/2\nsets 1\nsize 2\nset s 0\n",
+    "vocab E/2\nsets 1\nsize 2\nset 0: x\n",
+    "vocab E/2\nsets 1\nsize 2\nset 0 1\n",
+])
+def test_parse_malformed_rel_and_set_lines(text):
+    with pytest.raises(ParseError):
+        parse_structure(text)
+
+
+STRUCTURE_TEXT = serialize_structure(Structure(
+    Vocabulary((("E", 2), ("S", 1)), 1, 1), 3,
+    (frozenset({(0, 1), (1, 2)}), frozenset({(2,)})), (1,), (frozenset({0, 2}),)))
+
+
+@given(mutated(STRUCTURE_TEXT))
+@settings(max_examples=300, deadline=None)
+def test_parse_structure_mutation_fuzz(text):
+    """Any input either parses or raises HintikkaError, never
+    ValueError/IndexError/KeyError."""
+    try:
+        parse_structure(text)
+    except HintikkaError:
+        pass
 
 
 def test_roundtrip_with_consts_and_sets():
