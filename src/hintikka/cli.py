@@ -21,6 +21,7 @@ from .composition import (
     pattern_key,
     plain_union_scheme,
     serialize_scheme,
+    table_names,
     transfer,
 )
 from .config import DEFAULT, Config, load_config
@@ -81,8 +82,7 @@ def cmd_theory(args, config):
 def cmd_pattern_dump(args, config):
     vocab = _vocab_from_args(args)
     scheme = parse_scheme(_read(args.scheme))
-    names = [args.pred] if args.pred else (
-        [n for n, _ in vocab.predicates] + [f"P{j}" for j in range(vocab.num_sets)])
+    names = [args.pred] if args.pred else table_names(vocab.predicates, vocab.num_sets)
     lines = []
     for name in names:
         for pattern in enumerate_patterns(vocab, scheme, name):
@@ -95,7 +95,7 @@ def cmd_glue(args, config):
     m1 = _load_model(args.left)
     m2 = _load_model(args.right)
     scheme = parse_scheme(_read(args.scheme))
-    _emit(serialize_structure(glue(m1, m2, scheme, config)), args.out)
+    _emit(serialize_structure(glue(m1, m2, scheme)), args.out)
     return 0
 
 
@@ -105,8 +105,8 @@ def cmd_check_addition(args, config):
     scheme = parse_scheme(_read(args.scheme))
     t1 = compute_theory(m1, args.depth, config=config)
     t2 = compute_theory(m2, args.depth, config=config)
-    via_transfer = transfer(t1, t2, scheme, config=config)
-    direct = compute_theory(glue(m1, m2, scheme, config), args.depth, config=config)
+    via_transfer = transfer(t1, t2, scheme)
+    direct = compute_theory(glue(m1, m2, scheme), args.depth, config=config)
     if via_transfer.intern_id == direct.intern_id:
         _emit(f"OK digest={direct.digest}\n", args.out)
         return 0
@@ -146,7 +146,7 @@ def cmd_closure(args, config):
                     entries.append((Theory(interner, tid), size, sm.witnesses.get(tid)))
     if not base:
         raise HintikkaError("no base: give --base-model and/or --small-models")
-    state = close(base, schemes, args.depth, args.max_iter, interner, config)
+    state = close(base, schemes, args.depth, args.max_iter, interner)
     summary = [f"closure status={state.status} iterations={state.iterations} "
                f"facts={len(state.facts)}"]
     for k in sorted(state.per_k):

@@ -57,7 +57,7 @@ class ClosureState:
 
 
 def close(base, schemes, depth: int, max_iter: int = 64,
-          interner: Interner = None, config: Config = DEFAULT) -> ClosureState:
+          interner: Interner = None) -> ClosureState:
     """Iterate T_k <- T_k + {transfer(t1, t2, s)} to the fixpoint.
 
     ``base`` maps a constant count k to an iterable of (Theory, size) or
@@ -119,8 +119,7 @@ def close(base, schemes, depth: int, max_iter: int = 64,
                     continue
                 if not (distinct_ok(a) and distinct_ok(b)):
                     continue
-                t = transfer(Theory(interner, a), Theory(interner, b), s,
-                             interner, config)
+                t = transfer(Theory(interner, a), Theory(interner, b), s, interner)
                 facts[(a, b, sid)] = CompositionFact(a, b, sid, t.intern_id, s.j)
                 added_fact = True
                 if t.intern_id not in per_k.setdefault(s.k, set()):
@@ -169,7 +168,7 @@ def minimal_derivations(state: ClosureState):
     return best
 
 
-def replay_witness(state: ClosureState, tid: int, config: Config = DEFAULT) -> Structure:
+def replay_witness(state: ClosureState, tid: int) -> Structure:
     """Build an explicit structure realizing a reachable theory by replaying
     its minimal derivation."""
     derivations = minimal_derivations(state)
@@ -184,7 +183,7 @@ def replay_witness(state: ClosureState, tid: int, config: Config = DEFAULT) -> S
                 raise HintikkaError(f"no base witness stored for theory {t}")
             return witness
         scheme = state.schemes[fact.scheme_id]
-        return glue(build(fact.t1), build(fact.t2), scheme, config)
+        return glue(build(fact.t1), build(fact.t2), scheme)
 
     return build(tid)
 
@@ -193,7 +192,7 @@ def validate_replay(state: ClosureState, config: Config = DEFAULT) -> dict:
     """Check compute_theory(replay_witness(t)) == t for every reachable theory."""
     results = {}
     for tid in sorted(state.reachable()):
-        witness = replay_witness(state, tid, config)
+        witness = replay_witness(state, tid)
         got = compute_theory(witness, state.depth, state.interner, config)
         results[tid] = (got.intern_id == tid, witness.size)
     return results

@@ -24,7 +24,17 @@ from dataclasses import dataclass, field
 from operator import or_
 
 from .config import DEFAULT, Config
-from .diagrams import canonical_eq, partitions, rel_index, subdiagram, vars_distinct_nonconst
+from .diagrams import (
+    canonical_eq,
+    complete_diagrams,
+    diagram_bits,
+    partitions,
+    qf_core,
+    rel_index,
+    subdiagram,
+    unpack_diagram,
+    vars_distinct_nonconst,
+)
 from .errors import BudgetError, HintikkaError, ParseError, SignatureError
 from .structures import Structure, Vocabulary
 from .theory import Interner, Theory, default_interner
@@ -32,6 +42,8 @@ from .theory import Interner, Theory, default_interner
 REF_SHARED = "s"
 REF_P1 = "1"
 REF_P2 = "2"
+IN_P1 = ("n1", REF_SHARED, REF_P1)      # origins of elements that part 1 has
+IN_P2 = ("n2", REF_SHARED, REF_P2)
 
 
 def _ref_str(ref) -> str:
@@ -141,10 +153,21 @@ def disjoint_union_scheme() -> Scheme:
     return plain_union_scheme(name="disjoint-union")
 
 
+def table_names(preds, m: int) -> list:
+    """Names a scheme can table: the predicates, then the set columns
+    P0..P{m-1}. This order is the order of patterns and overrides."""
+    return [name for name, _ in preds] + [f"P{j}" for j in range(m)]
+
+
+def _set_column(name: str):
+    """j for a set-column name "P<j>", None for a predicate name."""
+    return int(name[1:]) if name.startswith("P") and name[1:].isdigit() else None
+
+
 def random_table_scheme(vocab: Vocabulary, k1, k2, k, seed, ident=(),
                         keep1=None, keep2=None, result_refs=()) -> Scheme:
     """Total tables decided by a PRF of the canonical pattern string."""
-    names = [n for n, _ in vocab.predicates] + [f"P{j}" for j in range(vocab.num_sets)]
+    names = table_names(vocab.predicates, vocab.num_sets)
     tables = tuple((n, ("random", seed + idx)) for idx, n in enumerate(names))
     return Scheme(k1, k2, k, ident, keep1, keep2, result_refs, tables,
                   name=f"random-{seed}")
@@ -193,7 +216,7 @@ def _table_value(scheme: Scheme, pred_name: str, pattern, union_value) -> bool:
 # Glue
 # ---------------------------------------------------------------------------
 
-def glue(m1: Structure, m2: Structure, scheme: Scheme, config: Config = DEFAULT) -> Structure:
+def glue(m1: Structure, m2: Structure, scheme: Scheme) -> Structure:
     """Amalgamate two structures along the scheme.
 
     The parts are treated as disjoint except for identified constants; each
@@ -233,26 +256,22 @@ def glue(m1: Structure, m2: Structure, scheme: Scheme, config: Config = DEFAULT)
         raise HintikkaError("internal: size law violated")
 
     def pattern_of(pred_name, tuple_idx):
-        eq = canonical_eq(tuple_idx)
-        nclasses = max(eq) + 1 if eq else 0
-        class_elem = [None] * nclasses
-        for pos, cls in enumerate(eq):
-            if class_elem[cls] is None:
-                class_elem[cls] = elems[tuple_idx[pos]]
+        class_elem = [elems[i] for i in dict.fromkeys(tuple_idx)]    # by first occurrence
         origins = []
-        for cls in range(nclasses):
-            e1, e2, ref = class_elem[cls]
+        for e1, _, ref in class_elem:
             if ref is not None:
                 origins.append(ref)
             elif e1 is not None:
                 origins.append(("n1",))
             else:
                 origins.append(("n2",))
-        part1 = [class_elem[c][0] for c in range(nclasses) if class_elem[c][0] is not None]
-        part2 = [class_elem[c][1] for c in range(nclasses) if class_elem[c][1] is not None]
-        p1 = _vars_diagram(m1, part1)
-        p2 = _vars_diagram(m2, part2)
-        return (pred_name, eq, tuple(origins), p1, p2)
+        parts = []
+        for side, m in enumerate((m1, m2)):
+            part = [e[side] for e in class_elem if e[side] is not None]
+            part_eq, part_rel, reps = qf_core(m, part)
+            part_sets = tuple(tuple(e in col for e in reps) for col in m.sets)
+            parts.append((len(part), part_eq, part_rel, part_sets))
+        return (pred_name, canonical_eq(tuple_idx), tuple(origins), *parts)
 
     def tuple_value(pred_name, rel1, rel2, tuple_idx):
         infos = [elems[i] for i in tuple_idx]
@@ -287,31 +306,11 @@ def glue(m1: Structure, m2: Structure, scheme: Scheme, config: Config = DEFAULT)
     return Structure(vocab, size, tuple(relations), consts, tuple(sets))
 
 
-def _vars_diagram(m: Structure, elements) -> tuple:
-    """Quantifier-free type of a tuple in m: variables only, no constant slots."""
-    eq = canonical_eq(elements)
-    nclasses = max(eq) + 1 if eq else 0
-    reps = [None] * nclasses
-    for slot, cls in enumerate(eq):
-        if reps[cls] is None:
-            reps[cls] = elements[slot]
-    rel = tuple(
-        tuple(
-            tuple(reps[c] for c in ct) in tuples
-            for ct in itertools.product(range(nclasses), repeat=arity)
-        )
-        for (_, arity), tuples in zip(m.vocab.predicates, m.relations)
-    )
-    sets = tuple(tuple(r in col for r in reps) for col in m.sets)
-    return (len(elements), eq, rel, sets)
-
-
 # ---------------------------------------------------------------------------
 # Transfer (the addition theorem)
 # ---------------------------------------------------------------------------
 
-def transfer(t1: Theory, t2: Theory, scheme: Scheme,
-             interner: Interner = None, config: Config = DEFAULT) -> Theory:
+def transfer(t1: Theory, t2: Theory, scheme: Scheme, interner: Interner = None) -> Theory:
     """F^n(t1, t2, s): the theory of any glue of representatives."""
     interner = t1.interner if interner is None else interner
     if t1.interner is not t2.interner or t1.interner is not interner:
@@ -320,12 +319,11 @@ def transfer(t1: Theory, t2: Theory, scheme: Scheme,
         raise SignatureError("theories have different signatures")
     if t1.k != scheme.k1 or t2.k != scheme.k2:
         raise SignatureError("constant counts do not match scheme")
-    tid = _transfer_id(t1.intern_id, t2.intern_id, scheme, interner, config, 0)
+    tid = _transfer_id(t1.intern_id, t2.intern_id, scheme, interner, 0)
     return Theory(interner, tid)
 
 
-def _transfer_id(i1: int, i2: int, scheme: Scheme, interner: Interner,
-                 config: Config, lift: int) -> int:
+def _transfer_id(i1: int, i2: int, scheme: Scheme, interner: Interner, lift: int) -> int:
     # lift counts the trailing set columns added by depth recursion; tables
     # never see them (the glued structure's relations predate those columns)
     memo_key = (i1, i2, scheme.scheme_id, lift)
@@ -343,7 +341,7 @@ def _transfer_id(i1: int, i2: int, scheme: Scheme, interner: Interner,
         for c1 in r1.payload:
             for c2 in r2.payload:
                 if _compatible(interner.rec(c1), interner.rec(c2), scheme, newest):
-                    children.add(_transfer_id(c1, c2, scheme, interner, config, lift + 1))
+                    children.add(_transfer_id(c1, c2, scheme, interner, lift + 1))
         result = interner.intern_node(r1.depth, r1.vocab_key, r1.m, scheme.k, children)
     interner.transfer_memo[memo_key] = result
     return result
@@ -404,7 +402,7 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
 
     packs = interner.side_packs
     realized = set()
-    for cfg_idx, (res_eq, nclasses, parts, tabled) in enumerate(configs):
+    for cfg_idx, (res_eq, parts, tabled) in enumerate(configs):
         sides = (set(), set())
         for side, part in enumerate(parts):
             for D in projections[side][part[0]]:
@@ -425,12 +423,12 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
             ukey = (ckey, cfg_idx, sig)
             diag = interner.unpacked_diagrams.get(ukey)
             if diag is None:
-                diag = interner.unpacked_diagrams[ukey] = _unpack_sig(
-                    sig, r, res_eq, nclasses, arities, m)
+                diag = interner.unpacked_diagrams[ukey] = unpack_diagram(
+                    r, res_eq, sig, arities)
             realized.add(diag)
 
     if realized:
-        const_diag = _const_restriction(min(realized), r, scheme.k, arities)
+        const_diag = subdiagram(min(realized), list(range(r, r + scheme.k)), arities, new_v=0)
     else:
         # glue of empty parts: only possible with k = 0
         const_diag = (0, (), tuple(() for _ in preds), tuple(() for _ in range(m)))
@@ -466,8 +464,8 @@ def _projections(interner: Interner, tid: int, rec, r: int, arities, kc: int):
 
 def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
     """Per (partition, block-origin) configuration of the r result variables:
-    the result equality type, its class count, per part the recipe that packs
-    a projection, and the tabled predicates with a pattern skeleton per entry.
+    the result equality type, per part the recipe that packs a projection,
+    and the tabled predicates with a pattern skeleton per entry.
 
     Entries of a predicate are its class tuples in atom order; entries of a
     set column are the classes. Tables cover the vocabulary's predicates and
@@ -475,7 +473,7 @@ def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
     stay union, as in glue.
     """
     arities = tuple(a for _, a in preds)
-    names = [name for name, _ in preds] + [f"P{j}" for j in range(base_m)]
+    names = table_names(preds, base_m)
     tabled_pos = [pos for pos, name in enumerate(names)
                   if scheme.table_spec(name)[0] != "union"]
     kept = scheme.kept_refs()
@@ -503,7 +501,7 @@ def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
                 sub_slots = tuple(tuple(slots[side] for _, _, slots in skeletons[pos])
                                   for pos in tabled_pos)
                 parts.append((v, atom_idx, dslot, sub_slots))
-            configs.append((res_eq, nclasses, tuple(parts), tabled))
+            configs.append((res_eq, tuple(parts), tabled))
     return configs
 
 
@@ -631,125 +629,70 @@ def _table_mask(interner: Interner, scheme: Scheme, name, skeletons, subs1, subs
     return mask
 
 
-def _unpack_sig(sig, r, res_eq, nclasses, arities, m):
-    npreds = len(arities)
-    rel_atoms = tuple(
-        tuple(sig[p] >> e & 1 == 1 for e in range(nclasses ** a))
-        for p, a in enumerate(arities)
-    )
-    set_atoms = tuple(
-        tuple(sig[npreds + j] >> c & 1 == 1 for c in range(nclasses))
-        for j in range(m)
-    )
-    return (r, res_eq, rel_atoms, set_atoms)
-
-
-def _const_restriction(diag, r, k, arities):
-    return subdiagram(diag, list(range(r, r + k)), arities, new_v=0)
-
-
 # ---------------------------------------------------------------------------
 # Pattern enumeration and scheme enumeration
 # ---------------------------------------------------------------------------
 
-def _all_var_diagrams(nvars, preds, arities, m):
-    """Every complete diagram over nvars pairwise-distinct variables."""
-    eq = tuple(range(nvars))
-    rel_spaces = [
-        list(itertools.product((False, True), repeat=nvars ** a)) for a in arities
-    ]
-    set_space = list(itertools.product((False, True), repeat=nvars))
-    for rel in itertools.product(*rel_spaces):
-        for sets in itertools.product(set_space, repeat=m):
-            yield (nvars, eq, tuple(rel), tuple(sets))
-
-
-def _pattern_bits(nvars, arities, m) -> int:
-    return sum(nvars ** a for a in arities) + nvars * m
+def _pattern_shapes(vocab: Vocabulary, scheme: Scheme, pred_name: str):
+    """(eq, origins, c1, c2) per pattern shape of one predicate under the
+    scheme's identification/keep configuration: c1 and c2 are the variable
+    counts of the two part types."""
+    arity = 1 if _set_column(pred_name) is not None else dict(vocab.predicates)[pred_name]
+    kept = scheme.kept_refs()
+    for eq in partitions(arity):
+        nclasses = max(eq) + 1 if eq else 0
+        for origins in _block_origins(nclasses, kept):
+            c1 = sum(1 for o in origins if o[0] in IN_P1)
+            c2 = sum(1 for o in origins if o[0] in IN_P2)
+            yield eq, tuple(origins), c1, c2
 
 
 def enumerate_patterns(vocab: Vocabulary, scheme: Scheme, pred_name: str):
     """All formally possible tuple patterns for one predicate under the
     scheme's identification/keep configuration."""
-    preds = vocab.predicates
-    arities = tuple(a for _, a in preds)
+    arities = tuple(a for _, a in vocab.predicates)
     m = vocab.num_sets
-    if pred_name.startswith("P") and pred_name[1:].isdigit():
-        arity = 1
-    else:
-        arity = dict(preds)[pred_name]
-    kept = scheme.kept_refs()
-    for eq in partitions(arity):
-        nclasses = max(eq) + 1 if eq else 0
-        for origins in _block_origins(nclasses, kept):
-            c1 = sum(1 for o in origins if o[0] in ("n1", REF_SHARED, REF_P1))
-            c2 = sum(1 for o in origins if o[0] in ("n2", REF_SHARED, REF_P2))
-            for p1 in _all_var_diagrams(c1, preds, arities, m):
-                for p2 in _all_var_diagrams(c2, preds, arities, m):
-                    yield (pred_name, eq, tuple(origins), p1, p2)
+    for eq, origins, c1, c2 in _pattern_shapes(vocab, scheme, pred_name):
+        for p1 in complete_diagrams(c1, tuple(range(c1)), arities, m):
+            for p2 in complete_diagrams(c2, tuple(range(c2)), arities, m):
+                yield (pred_name, eq, origins, p1, p2)
 
 
 def count_patterns(vocab: Vocabulary, scheme: Scheme, pred_name: str) -> int:
-    preds = vocab.predicates
-    arities = tuple(a for _, a in preds)
+    arities = tuple(a for _, a in vocab.predicates)
     m = vocab.num_sets
-    if pred_name.startswith("P") and pred_name[1:].isdigit():
-        arity = 1
-    else:
-        arity = dict(preds)[pred_name]
-    kept = scheme.kept_refs()
-    total = 0
-    for eq in partitions(arity):
-        nclasses = max(eq) + 1 if eq else 0
-        for origins in _block_origins(nclasses, kept):
-            c1 = sum(1 for o in origins if o[0] in ("n1", REF_SHARED, REF_P1))
-            c2 = sum(1 for o in origins if o[0] in ("n2", REF_SHARED, REF_P2))
-            total += 2 ** (_pattern_bits(c1, arities, m) + _pattern_bits(c2, arities, m))
-    return total
+    return sum(2 ** (diagram_bits(c1, arities, m) + diagram_bits(c2, arities, m))
+               for _, _, c1, c2 in _pattern_shapes(vocab, scheme, pred_name))
 
 
 def pattern_union_value(pattern, vocab: Vocabulary) -> bool:
-    """The plain-union membership the pattern implies."""
+    """The plain-union membership the pattern implies: the atom is true in
+    a part that has every element of the tuple."""
     pred, eq, origins, p1, p2 = pattern
-    preds = vocab.predicates
-    if pred.startswith("P") and pred[1:].isdigit():
-        pred_idx = None
-        set_idx = int(pred[1:])
-    else:
-        pred_idx = [n for n, _ in preds].index(pred)
-        set_idx = None
-    in1 = all(origins[c][0] in ("n1", REF_SHARED, REF_P1) for c in eq)
-    in2 = all(origins[c][0] in ("n2", REF_SHARED, REF_P2) for c in eq)
-    nclasses = max(eq) + 1 if eq else 0
-    slot1 = {}
-    slot2 = {}
-    for c in range(nclasses):
-        o = origins[c]
-        if o[0] in ("n1", REF_SHARED, REF_P1):
-            slot1[c] = len(slot1)
-        if o[0] in ("n2", REF_SHARED, REF_P2):
-            slot2[c] = len(slot2)
-    value = False
-    if in1:
-        ct = tuple(slot1[c] for c in eq)
+    set_idx = _set_column(pred)
+    if set_idx is None:
+        pred_idx = [n for n, _ in vocab.predicates].index(pred)
+    for part, own in ((p1, IN_P1), (p2, IN_P2)):
+        slot = {}
+        for c, o in enumerate(origins):
+            if o[0] in own:
+                slot[c] = len(slot)
+        if not all(c in slot for c in eq):
+            continue
+        ct = tuple(slot[c] for c in eq)
         if set_idx is None:
-            value = p1[2][pred_idx][rel_index(ct, max(len(slot1), 1))]
+            value = part[2][pred_idx][rel_index(ct, max(len(slot), 1))]
         else:
-            value = p1[3][set_idx][ct[0]]
-    if not value and in2:
-        ct = tuple(slot2[c] for c in eq)
-        if set_idx is None:
-            value = p2[2][pred_idx][rel_index(ct, max(len(slot2), 1))]
-        else:
-            value = p2[3][set_idx][ct[0]]
-    return value
+            value = part[3][set_idx][ct[0]]
+        if value:
+            return True
+    return False
 
 
 def table_extension(scheme: Scheme, vocab: Vocabulary) -> dict:
     """The scheme's tables as explicit pattern-key -> value maps."""
     out = {}
-    names = [n for n, _ in vocab.predicates] + [f"P{j}" for j in range(vocab.num_sets)]
-    for name in names:
+    for name in table_names(vocab.predicates, vocab.num_sets):
         values = {}
         for pattern in enumerate_patterns(vocab, scheme, name):
             union = pattern_union_value(pattern, vocab)
@@ -783,7 +726,7 @@ def _iter_configs(k1: int, k2: int, k: int):
 
 
 def count_schemes(vocab: Vocabulary, k1: int, k2: int, k: int) -> int:
-    names = [n for n, _ in vocab.predicates] + [f"P{j}" for j in range(vocab.num_sets)]
+    names = table_names(vocab.predicates, vocab.num_sets)
     total = 0
     for ident, keep1, keep2, result in _iter_configs(k1, k2, k):
         probe = Scheme(k1, k2, k, ident, keep1, keep2, result)
@@ -809,7 +752,7 @@ def enumerate_schemes(vocab: Vocabulary, k1: int, k2: int, k: int,
     if total > budget:
         raise BudgetError("scheme_budget", total, budget)
 
-    names = [n for n, _ in vocab.predicates] + [f"P{j}" for j in range(vocab.num_sets)]
+    names = table_names(vocab.predicates, vocab.num_sets)
     out = []
     for ident, keep1, keep2, result in _iter_configs(k1, k2, k):
         probe = Scheme(k1, k2, k, ident, keep1, keep2, result)

@@ -1,4 +1,12 @@
-"""Canonical quantifier-free diagrams and fast per-structure extraction.
+"""Canonical quantifier-free diagrams: the one module that builds them.
+
+``qf_core`` turns a tuple of elements of a structure into the equality
+type, relation atoms and class representatives of its diagram; Th^0
+(``DiagramEngine``) and glue's pattern part types are read from it.
+``complete_diagrams`` enumerates every syntactically complete diagram of an
+equality type; the formal theory space and the pattern space are built
+from it. ``unpack_diagram`` reads a diagram from packed atom bits, as the
+transfer kernel computes them.
 
 A diagram is a plain nested tuple (v, eq, rel, sets):
 
@@ -52,6 +60,50 @@ def rel_index(class_tuple, nclasses: int) -> int:
     return idx
 
 
+def qf_core(m: Structure, elements) -> tuple:
+    """(eq, rel, reps) of a tuple of elements of m: its diagram without the
+    set columns, and the element representing each class, by first
+    occurrence. Set columns are read from ``reps``."""
+    eq = canonical_eq(elements)
+    reps = tuple(dict.fromkeys(elements))
+    nclasses = len(reps)
+    rel = tuple(
+        tuple(
+            tuple(reps[c] for c in ct) in tuples
+            for ct in itertools.product(range(nclasses), repeat=arity)
+        )
+        for (_, arity), tuples in zip(m.vocab.predicates, m.relations)
+    )
+    return eq, rel, reps
+
+
+def diagram_bits(n: int, arities, m: int) -> int:
+    """Atom count of a complete diagram with n classes: relation atoms plus
+    set-column atoms."""
+    return sum(n ** a for a in arities) + n * m
+
+
+def complete_diagrams(v: int, eq, arities, m: int):
+    """Every complete diagram with v variable slots and equality type eq,
+    relation atoms varying slowest, then set columns. This order decides
+    pattern order and formal-space interning."""
+    n = max(eq) + 1 if eq else 0
+    rel_spaces = [list(itertools.product((False, True), repeat=n ** a)) for a in arities]
+    set_space = list(itertools.product((False, True), repeat=n))
+    for rel in itertools.product(*rel_spaces):
+        for sets in itertools.product(set_space, repeat=m):
+            yield (v, eq, rel, sets)
+
+
+def unpack_diagram(v: int, eq, sig, arities) -> tuple:
+    """The diagram whose atoms are the bits of ``sig``: one int per
+    predicate, then one per set column, bit e for the e-th atom."""
+    n = max(eq) + 1 if eq else 0
+    rel = tuple(_unpack(bits, n ** a) for bits, a in zip(sig, arities))
+    sets = tuple(_unpack(bits, n) for bits in sig[len(arities):])
+    return (v, eq, rel, sets)
+
+
 def subdiagram(diag, slots, arities, new_v=None) -> tuple:
     """Diagram over an arbitrary slot list of ``diag``.
 
@@ -97,37 +149,9 @@ class DiagramEngine:
         self.m = m
         self.r = r
         self.base_masks = tuple(_mask(s) for s in m.sets)
-        self.cores = []          # (eq, rel, reps) per r-tuple
-        for elems in itertools.product(range(m.size), repeat=r):
-            all_elems = elems + m.consts
-            eq = canonical_eq(all_elems)
-            nclasses = max(eq) + 1 if eq else 0
-            reps = [None] * nclasses
-            for slot, cls in enumerate(eq):
-                if reps[cls] is None:
-                    reps[cls] = all_elems[slot]
-            rel = tuple(
-                tuple(
-                    tuple(reps[c] for c in ct) in tuples
-                    for ct in itertools.product(range(nclasses), repeat=arity)
-                )
-                for (_, arity), tuples in zip(m.vocab.predicates, m.relations)
-            )
-            self.cores.append((eq, rel, tuple(reps)))
-        eq0 = canonical_eq(m.consts)
-        n0 = max(eq0) + 1 if eq0 else 0
-        reps0 = [None] * n0
-        for slot, cls in enumerate(eq0):
-            if reps0[cls] is None:
-                reps0[cls] = m.consts[slot]
-        rel0 = tuple(
-            tuple(
-                tuple(reps0[c] for c in ct) in tuples
-                for ct in itertools.product(range(n0), repeat=arity)
-            )
-            for (_, arity), tuples in zip(m.vocab.predicates, m.relations)
-        )
-        self.const_core = (eq0, rel0, tuple(reps0))
+        self.cores = [qf_core(m, elems + m.consts)     # (eq, rel, reps) per r-tuple
+                      for elems in itertools.product(range(m.size), repeat=r)]
+        self.const_core = qf_core(m, m.consts)
 
     # -- packed fast path (used by compute_theory's subset recursion) -------
 

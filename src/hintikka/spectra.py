@@ -20,24 +20,22 @@ from .numbersets import (
 
 
 def induce_system(state: ClosureState):
-    """One label per reachable theory (sorted by digest), one rule per
-    composition fact, base sets from base model sizes."""
-    digests = sorted(state.digest_of(tid) for tid in state.reachable())
-    label_of_digest = {d: i for i, d in enumerate(digests)}
-    label_of = {tid: label_of_digest[state.digest_of(tid)] for tid in state.reachable()}
-    rules = set()
-    for fact in state.facts:
-        rules.add((label_of[fact.t1], label_of[fact.t2], label_of[fact.t], fact.j))
-    base = [set() for _ in digests]
+    """The system of a closure state, built from its digest-level base
+    sizes and facts: every reachable theory is a base theory or the result
+    of a fact, so the labels are its reachable theories."""
+    digest = state.digest_of
+    base = {}
     for tid, sizes in state.base_sizes.items():
-        base[label_of[tid]].update(sizes)
-    sys = QuadrupleSystem(len(digests), tuple(sorted(rules)),
-                          tuple(frozenset(b) for b in base))
-    return sys, tuple(digests)
+        base.setdefault(digest(tid), set()).update(sizes)
+    facts = [(digest(f.t1), digest(f.t2), f.scheme_id, digest(f.t), f.j)
+             for f in state.facts]
+    return induce_system_from_facts(base, facts)
 
 
 def induce_system_from_facts(base, facts):
-    """Same construction from parsed facts-file content (digest level)."""
+    """One label per theory digest (sorted), one rule per composition fact,
+    base sets from base model sizes; ``base`` and ``facts`` are as
+    ``closure.parse_facts`` returns them."""
     digests = set(base)
     for t1, t2, _, t, _ in facts:
         digests.update((t1, t2, t))
@@ -141,7 +139,7 @@ def sentence_spectrum(state: ClosureState, phi, bound: int,
     rr = reach(sys, bound, config=config)
     out = set()
     for tid in sorted(state.reachable()):
-        witness = replay_witness(state, tid, config)
+        witness = replay_witness(state, tid)
         if eval_formula(witness, phi, config=config):
             label = digests.index(state.digest_of(tid))
             out.update(rr.values(label))

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
-from .diagrams import DiagramEngine, partitions, subdiagram
+from .diagrams import DiagramEngine, complete_diagrams, diagram_bits, partitions, subdiagram
 from .errors import BudgetError, HintikkaError, SignatureError
 from .structures import Structure, Vocabulary
 
@@ -236,21 +236,13 @@ def compute_theory(m: Structure, n: int, interner: Interner = None,
 # Formal theory spaces (Claim: TH^{n+1} is the powerset of TH^n one set up)
 # ---------------------------------------------------------------------------
 
-def _diagram_universe(vocab: Vocabulary, r: int, budget: int, config: Config):
+def _diagram_universe(vocab: Vocabulary, r: int, config: Config):
     """Every syntactically complete diagram over r variables + k constants."""
-    k = vocab.num_consts
-    m = vocab.num_sets
     arities = tuple(a for _, a in vocab.predicates)
     diagrams = []
-    for eq in partitions(r + k):
-        n = max(eq) + 1 if eq else 0
-        bits = sum(n ** a for a in arities) + n * m
-        config.check("formal_space", bits, 24)
-        rel_spaces = [list(itertools.product((False, True), repeat=n ** a)) for a in arities]
-        set_space = list(itertools.product((False, True), repeat=n))
-        for rel in itertools.product(*rel_spaces):
-            for sets in itertools.product(set_space, repeat=m):
-                diagrams.append((r, eq, tuple(rel), tuple(sets)))
+    for eq in partitions(r + vocab.num_consts):
+        config.check("formal_space", diagram_bits(max(eq) + 1, arities, vocab.num_sets), 24)
+        diagrams.extend(complete_diagrams(r, eq, arities, vocab.num_sets))
     return diagrams
 
 
@@ -355,7 +347,7 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
     if lb_orbits > budget.bit_length() + 64:
         raise BudgetError("formal_space", f">=2^{lb_orbits}", budget)
 
-    diagrams = _diagram_universe(vocab, r, budget, config)
+    diagrams = _diagram_universe(vocab, r, config)
     closures = _substitution_closure(diagrams, r, arities, k)
 
     # group mutually-substitutable diagrams (permutation orbits) into one unit
@@ -406,40 +398,24 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
     for group in groups:
         idxs = [p for p, o in enumerate(order) if orbit_group[o] == group]
 
-        # count with abort before materializing
-        counter = [0]
-
-        def dfs_count(i, mask):
-            if counter[0] > budget:
-                return
+        def selections(i, mask):
+            """Downward-closed orbit selections of this group, as bitmasks
+            over ``order``; nonempty when k >= 1."""
             if i == len(idxs):
                 if not (mask == 0 and k >= 1):
-                    counter[0] += 1
+                    yield mask
                 return
-            dfs_count(i + 1, mask)
+            yield from selections(i + 1, mask)
             p = idxs[i]
             if req_masks[p] & ~mask == 0:
-                dfs_count(i + 1, mask | (1 << p))
+                yield from selections(i + 1, mask | (1 << p))
 
-        dfs_count(0, 0)
-        count += counter[0]
+        # count with abort before materializing
+        count += sum(1 for _ in itertools.islice(selections(0, 0), budget + 1))
         if count > budget:
             raise BudgetError("formal_space", f">{count}", budget)
 
-        sels = []
-
-        def dfs(i, mask):
-            if i == len(idxs):
-                if not (mask == 0 and k >= 1):
-                    sels.append(mask)
-                return
-            dfs(i + 1, mask)
-            p = idxs[i]
-            if req_masks[p] & ~mask == 0:
-                dfs(i + 1, mask | (1 << p))
-
-        dfs(0, 0)
-        for mask in sels:
+        for mask in selections(0, 0):
             diags = set()
             for p, o in enumerate(order):
                 if mask >> p & 1:
