@@ -76,6 +76,7 @@ from .structures import (
     Structure,
     Vocabulary,
     apply_permutation,
+    enumerate_representatives,
     enumerate_structures,
     enumeration_count,
     incidence_graph,

@@ -13,18 +13,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import selfcheck as _selfcheck_mod
 from .composition import (
-    Scheme,
     enumerate_patterns,
     enumerate_schemes,
     glue,
     parse_scheme,
     pattern_key,
-    plain_union_scheme,
     serialize_scheme,
     table_names,
     transfer,
 )
-from .config import DEFAULT, Config, load_config
+from .config import DEFAULT, load_config
 from .closure import close, parse_facts, write_facts
 from .decomp import decompose, decomposability_profile, find_small_equivalent
 from .errors import BudgetError, HintikkaError
@@ -32,7 +30,6 @@ from .numbersets import (
     find_period,
     parse_system,
     reach,
-    serialize_system,
     verify_certificate,
 )
 from .oracle import eval_formula, parse_formula, spectrum_bruteforce
@@ -184,14 +181,14 @@ def cmd_periodicity(args, config):
         _emit(f"inconclusive label={args.label} scan={args.scan} window={args.window}\n",
               args.out)
         return 1
-    verified = verify_certificate(sys_, cert, config)
+    verified = verify_certificate(sys_, cert)
     _emit(cert.describe() + f" reverified={'yes' if verified else 'NO'}\n", args.out)
     return 0
 
 
 def cmd_system_reach(args, config):
     sys_ = parse_system(_read(args.system))
-    rr = reach(sys_, args.bound, args.slack, config)
+    rr = reach(sys_, args.bound, args.slack)
     lines = [f"reach bound={rr.bound} slack={rr.slack} "
              f"slack_stable={'yes' if rr.slack_stable else 'no'}"]
     for label in range(sys_.m):

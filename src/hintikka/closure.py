@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .composition import Scheme, glue, transfer
+from .composition import glue, transfer
 from .config import DEFAULT, Config
 from .errors import HintikkaError, ParseError
 from .structures import Structure

@@ -37,7 +37,7 @@ from .diagrams import (
 )
 from .errors import BudgetError, HintikkaError, ParseError, SignatureError
 from .structures import Structure, Vocabulary
-from .theory import Interner, Theory, default_interner
+from .theory import Interner, Theory
 
 REF_SHARED = "s"
 REF_P1 = "1"

@@ -181,13 +181,13 @@ def find_small_equivalent(m: Structure, depth: int, size_max: int,
                           interner: Interner = None, config: Config = DEFAULT):
     """Some structure with k < size <= size_max and the same depth-d theory,
     by exhaustive enumeration; None if no candidate exists within the bound."""
-    from .structures import enumerate_structures
+    from .structures import enumerate_representatives
 
     interner = default_interner() if interner is None else interner
     target = compute_theory(m, depth, interner, config)
     k = m.vocab.num_consts
     for size in range(k + 1, size_max + 1):
-        for cand in enumerate_structures(m.vocab, size, config):
+        for cand in enumerate_representatives(m.vocab, size, config):
             if compute_theory(cand, depth, interner, config).intern_id == target.intern_id:
                 return cand
     return None

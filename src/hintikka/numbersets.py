@@ -142,8 +142,7 @@ def _values_upto(bits: int, bound: int) -> tuple:
     return tuple(_bits(bits & ((1 << (bound + 1)) - 1)))
 
 
-def reach(sys: QuadrupleSystem, bound: int, slack: int = None,
-          config: Config = DEFAULT) -> ReachResult:
+def reach(sys: QuadrupleSystem, bound: int, slack: int = None) -> ReachResult:
     """Values <= bound reachable at each label (deterministic).
 
     Saturates over [0, bound + slack]; retries once with doubled slack and
@@ -237,7 +236,7 @@ def validate_tree(sys: QuadrupleSystem, tree: Node):
 
 
 def witness_tree(sys: QuadrupleSystem, label: int, value: int,
-                 bound: int, slack: int = None, config: Config = DEFAULT) -> Node:
+                 bound: int, slack: int = None) -> Node:
     """A derivation tree for a reachable value, rebuilt from the stages of
     the saturation: a value first reached in round r > 0 takes the first
     rule (by index), then the smallest n1, whose two children were both
@@ -307,7 +306,7 @@ def peak_nodes(tree: Node) -> set:
     return out
 
 
-def chain_rank(tree: Node, path=None) -> dict:
+def chain_rank(tree: Node) -> dict:
     """t(nu): the maximum count of peak nodes on a descending chain from nu
     (inclusive) to a strict descendant. Leaves rank 0."""
     peaks = peak_nodes(tree)
@@ -450,7 +449,7 @@ def find_period(sys: QuadrupleSystem, label: int, scan_bound: int = None,
     window = config.window_default if window is None else window
     if scan_bound < 2 * window:
         raise HintikkaError("scan bound must be at least twice the window")
-    rr = reach(sys, scan_bound, config=config)
+    rr = reach(sys, scan_bound)
     vals = set(rr.values(label))
     max_member = max(vals) if vals else None
 
@@ -486,11 +485,12 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
     """Breadth-first over derivation trees by node count, looking for a pump
     whose increment the period divides."""
     budget = [config.pump_tree_cap]
+    bases = [sorted(b) for b in sys.base]
 
     def trees(lab, max_nodes):
         if budget[0] <= 0:
             return
-        for v in sorted(sys.base[lab]):
+        for v in bases[lab]:
             budget[0] -= 1
             yield Node(lab, v)
         if max_nodes < 3:
@@ -523,14 +523,13 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
     return None
 
 
-def verify_certificate(sys: QuadrupleSystem, cert: PeriodicityCertificate,
-                       config: Config = DEFAULT) -> bool:
+def verify_certificate(sys: QuadrupleSystem, cert: PeriodicityCertificate) -> bool:
     """Independent re-check: a fresh saturation (of a copy of ``sys``, so no
     memo filled while the certificate was made is read), exact periodicity
     on the verified range, and (when present) pump validity, increment
     divisibility, and a few pumped members landing back in the reach set."""
     fresh = QuadrupleSystem(sys.m, sys.rules, sys.base)     # empty memo
-    rr = reach(fresh, cert.verified_to, config=config)
+    rr = reach(fresh, cert.verified_to)
     vals = set(rr.values(cert.label))
     for x in range(cert.threshold, cert.verified_to - cert.period + 1):
         if (x in vals) != (x + cert.period in vals):

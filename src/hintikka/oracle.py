@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .config import DEFAULT, Config
-from .errors import BudgetError, HintikkaError, ParseError
+from .errors import HintikkaError, ParseError
 from .structures import Structure, Vocabulary
 
 
@@ -252,11 +252,11 @@ def eval_formula(m: Structure, phi, env=None, config: Config = DEFAULT) -> bool:
 def spectrum_bruteforce(phi, vocab: Vocabulary, max_size: int,
                         config: Config = DEFAULT) -> frozenset:
     """Sizes 1..max_size realized by some model of phi (exhaustive search)."""
-    from .structures import enumerate_structures
+    from .structures import enumerate_representatives
 
     out = set()
     for size in range(1, max_size + 1):
-        for m in enumerate_structures(vocab, size, config):
+        for m in enumerate_representatives(vocab, size, config):
             if eval_formula(m, phi, config=config):
                 out.add(size)
                 break

@@ -17,7 +17,6 @@ from .composition import (
     random_table_scheme,
     transfer,
 )
-from .config import DEFAULT
 from .closure import close, validate_replay
 from .decomp import decompose, naive_decomposable
 from .numbersets import (
@@ -27,7 +26,6 @@ from .numbersets import (
     find_pump,
     iter_nodes,
     pump,
-    reach,
     validate_tree,
     verify_certificate,
     witness_tree,
@@ -104,7 +102,7 @@ def check_theories(seed):
     return run
 
 
-def check_formal(seed):
+def check_formal():
     def run():
         v0 = Vocabulary(())
         sp = enumerate_formal(v0, 0)
@@ -176,7 +174,7 @@ def check_sentences(seed):
     return run
 
 
-def check_closure_spectra(seed):
+def check_closure_spectra():
     def run():
         interner = default_interner()
         v = Vocabulary((("E", 2),))
@@ -197,11 +195,10 @@ def check_closure_spectra(seed):
         for st_, name in ((st, "matching"), (st2, "paths")):
             sysq, digests = induce_system(st_)
             for digest in digests:
-                rep = spectrum(st_, digest, 8)
+                rep = spectrum(st_, digest, 8, induced=(sysq, digests))
                 if rep.certificate is None:
                     ok = False
                     continue
-                label = digests.index(digest)
                 ok &= verify_certificate(sysq, rep.certificate)
                 ok &= audit_gaps(rep.sizes, 2, 0).ok if rep.sizes else True
                 certs.append(f"{name}/{digest[:8]}:{rep.certificate.status}")
@@ -209,7 +206,7 @@ def check_closure_spectra(seed):
     return run
 
 
-def check_numbersets(seed):
+def check_numbersets():
     def run():
         ok = True
         lines = []
@@ -285,11 +282,11 @@ def all_checks(seed: int):
     return [
         ("structures", check_structures(seed)),
         ("theories", check_theories(seed)),
-        ("formal-spaces", check_formal(seed)),
+        ("formal-spaces", check_formal()),
         ("addition-theorem", check_addition(seed)),
         ("sentence-agreement", check_sentences(seed)),
-        ("closure-spectra", check_closure_spectra(seed)),
-        ("numbersets", check_numbersets(seed)),
+        ("closure-spectra", check_closure_spectra()),
+        ("numbersets", check_numbersets()),
         ("decomposability", check_decomp(seed)),
         ("oracle", check_oracle(seed)),
     ]

@@ -67,15 +67,14 @@ class SpectrumReport:
 
 
 def spectrum(state: ClosureState, digest: str, bound: int,
-             config: Config = DEFAULT, with_witnesses: bool = False) -> SpectrumReport:
+             config: Config = DEFAULT, with_witnesses: bool = False,
+             induced=None) -> SpectrumReport:
     """Sizes realized by a reachable theory, with a periodicity certificate
     scanned beyond the bound; finite spectra are reported as such instead of
-    being given an artificial period."""
-    sys, digests = induce_system(state)
-    if digest not in digests:
-        raise HintikkaError(f"unknown theory digest {digest}")
-    label = digests.index(digest)
-    return _spectrum_of_label(sys, label, digest, bound, config, with_witnesses)
+    being given an artificial period. ``induced`` is ``induce_system(state)``
+    when the caller already has it, as for ``spectrum_from_facts``."""
+    sys, digests = induced or induce_system(state)
+    return _spectrum_of_digest(sys, digests, digest, bound, config, with_witnesses)
 
 
 def spectrum_from_facts(base, facts, digest: str, bound: int,
@@ -85,17 +84,18 @@ def spectrum_from_facts(base, facts, digest: str, bound: int,
     when the caller already has it: reports for many digests then share
     one system, and so one saturation per limit."""
     sys, digests = induced or induce_system_from_facts(base, facts)
+    return _spectrum_of_digest(sys, digests, digest, bound, config)
+
+
+def _spectrum_of_digest(sys, digests, digest, bound, config, with_witnesses=False):
     if digest not in digests:
         raise HintikkaError(f"unknown theory digest {digest}")
-    return _spectrum_of_label(sys, digests.index(digest), digest, bound, config)
-
-
-def _spectrum_of_label(sys, label, digest, bound, config, with_witnesses=False):
+    label = digests.index(digest)
     scan = max(config.spectrum_scan, bound, 2 * config.spectrum_window)
-    sizes = reach(sys, bound, config=config).values(label)
+    sizes = reach(sys, bound).values(label)
     cert = find_period(sys, label, scan, config.spectrum_window, config)
     if cert is not None:
-        tail = [v for v in reach(sys, scan, config=config).values(label)
+        tail = [v for v in reach(sys, scan).values(label)
                 if v >= cert.threshold]
         if not tail:
             cert = PeriodicityCertificate(cert.label, cert.threshold, cert.period,
@@ -103,16 +103,16 @@ def _spectrum_of_label(sys, label, digest, bound, config, with_witnesses=False):
     witnesses = None
     if with_witnesses:
         witnesses = {
-            size: witness_tree(sys, label, size, bound, config=config)
+            size: witness_tree(sys, label, size, bound)
             for size in sizes
         }
     return SpectrumReport(digest, bound, sizes, cert, witnesses)
 
 
-def class_spectrum(state: ClosureState, bound: int, config: Config = DEFAULT) -> tuple:
+def class_spectrum(state: ClosureState, bound: int) -> tuple:
     """Union of the per-theory spectra: every size realized by the class."""
     sys, _ = induce_system(state)
-    rr = reach(sys, bound, config=config)
+    rr = reach(sys, bound)
     out = set()
     for label in range(sys.m):
         out.update(rr.values(label))
@@ -136,7 +136,7 @@ def sentence_spectrum(state: ClosureState, phi, bound: int,
         raise HintikkaError(
             f"sentence needs depth {d} but the closure was computed at depth {state.depth}")
     sys, digests = induce_system(state)
-    rr = reach(sys, bound, config=config)
+    rr = reach(sys, bound)
     out = set()
     for tid in sorted(state.reachable()):
         witness = replay_witness(state, tid)

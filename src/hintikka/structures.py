@@ -8,7 +8,7 @@ after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import DEFAULT, Config
 from .errors import HintikkaError, ParseError
@@ -303,6 +303,23 @@ def enumerate_structures(vocab: Vocabulary, size: int, config: Config = DEFAULT)
     predicate, tuples lexicographic). Refuses if the relation-subset space
     exceeds the enumeration budget.
     """
+    yield from _enumerate(vocab, size, config, orderly=False)
+
+
+def enumerate_representatives(vocab: Vocabulary, size: int, config: Config = DEFAULT):
+    """Yield one structure per isomorphism class: the first member of the
+    class in ``enumerate_structures`` order, in that order, under the same
+    budget checks.
+
+    Orderly generation (McKay, J. Algorithms 26, 1998): a structure is
+    yielded when no permutation of the universe maps its enumeration key to
+    a lexicographically smaller one, and a key prefix that some permutation
+    lowers is skipped with everything under it.
+    """
+    yield from _enumerate(vocab, size, config, orderly=True)
+
+
+def _enumerate(vocab, size, config, orderly):
     rel_bits = sum(size ** a for _, a in vocab.predicates)
     config.check("enum_bits", rel_bits, config.enum_bits_max)
     config.check("enum_bits", size * vocab.num_sets, config.enum_bits_max)
@@ -314,13 +331,113 @@ def enumerate_structures(vocab: Vocabulary, size: int, config: Config = DEFAULT)
 
     tuple_lists = [sorted(itertools.product(range(size), repeat=a)) for _, a in vocab.predicates]
     universe = list(range(size))
+    k, s = vocab.num_consts, vocab.num_sets
+    # The key is (consts, set_masks, rel_masks), and enumeration order is its
+    # lexicographic order. Every coordinate is a mask over the tuples of its
+    # arity: constant c is the mask 1 << c, which keeps the order of c.
+    coords = ([(1, [1 << e for e in universe])] * k + [(1, range(2 ** size))] * s
+              + [(a, range(2 ** len(tl))) for (_, a), tl in zip(vocab.predicates, tuple_lists)])
+    if orderly:
+        keys = _orderly_keys(coords, size)
+    else:
+        keys = itertools.product(*(values for _, values in coords))
+    for key in keys:
+        consts = tuple(mask.bit_length() - 1 for mask in key[:k])
+        sets = tuple(frozenset(e for e in universe if mask >> e & 1) for mask in key[k:k + s])
+        rels = tuple(
+            frozenset(t for b, t in enumerate(tl) if mask >> b & 1)
+            for mask, tl in zip(key[k + s:], tuple_lists)
+        )
+        yield Structure(vocab, size, rels, consts, sets)
 
-    for consts in itertools.product(universe, repeat=vocab.num_consts):
-        for set_masks in itertools.product(range(2 ** size), repeat=vocab.num_sets):
-            sets = tuple(frozenset(e for e in universe if mask >> e & 1) for mask in set_masks)
-            for rel_masks in itertools.product(*(range(2 ** len(tl)) for tl in tuple_lists)):
-                rels = tuple(
-                    frozenset(t for b, t in enumerate(tl) if mask >> b & 1)
-                    for mask, tl in zip(rel_masks, tuple_lists)
-                )
-                yield Structure(vocab, size, rels, consts, sets)
+
+def _orderly_keys(coords, size):
+    """The keys over ``coords`` ((arity, values) pairs) in lexicographic
+    order that no permutation of {0..size-1} maps to a smaller key.
+
+    A permutation that maps the prefix before a coordinate higher can never
+    lower the key; one that maps it lower has pruned the prefix already. So
+    each coordinate is checked only against the stabiliser of its prefix.
+    While every coordinate so far is unary, that stabiliser is the product
+    of the symmetric groups of ``cells``, the blocks of elements that the
+    prefix does not tell apart (only blocks of two or more are kept). The
+    first coordinate of higher arity lists the stabiliser's permutations
+    instead; the enum_bits budget on size ** arity keeps the size, and so
+    their number, small.
+    """
+    n = len(coords)
+
+    def rest(i, prefix):
+        for tail in itertools.product(*(values for _, values in coords[i:])):
+            yield prefix + tail
+
+    def by_cells(i, cells, prefix):
+        if not cells:
+            yield from rest(i, prefix)
+            return
+        if i == n:
+            yield prefix
+            return
+        arity, values = coords[i]
+        if arity > 1:
+            maps = [[_mask_map(pi, a, size) for a, _ in coords] for pi in _cell_perms(cells, size)]
+            yield from by_perms(i, maps, prefix)
+            return
+        for v in values:
+            # the least image of v keeps, in each cell, its members lowest
+            if all(not (c & ~v) & ((1 << (v & c).bit_length()) - 1) for c in cells):
+                cells2 = [part for c in cells for part in (c & v, c & ~v) if part & (part - 1)]
+                yield from by_cells(i + 1, cells2, prefix + (v,))
+
+    def by_perms(i, perms, prefix):
+        # perms: per-coordinate image maps of each non-identity permutation
+        # that fixes the prefix
+        if not perms:
+            yield from rest(i, prefix)
+            return
+        if i == n:
+            yield prefix
+            return
+        for v in coords[i][1]:
+            fixing = []
+            for maps in perms:
+                w = _image(maps[i], v)
+                if w < v:
+                    break
+                if w == v:
+                    fixing.append(maps)
+            else:
+                yield from by_perms(i + 1, fixing, prefix + (v,))
+
+    return by_cells(0, [(1 << size) - 1] if size > 1 else [], ())
+
+
+def _cell_perms(cells, size):
+    """Every non-identity permutation of {0..size-1} that maps each cell
+    (a bitmask) onto itself."""
+    blocks = [[e for e in range(size) if c >> e & 1] for c in cells]
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        pi = list(range(size))
+        for block, image in zip(blocks, images):
+            for e, f in zip(block, image):
+                pi[e] = f
+        if pi != list(range(size)):
+            yield pi
+
+
+def _mask_map(pi, arity, size):
+    """Byte tables taking a mask over the arity-tuples of {0..size-1}, in
+    lexicographic order, to the mask of their images under pi."""
+    image = [sum(pi[e] * size ** (arity - 1 - j) for j, e in enumerate(t))
+             for t in itertools.product(range(size), repeat=arity)]
+    return [[sum(1 << bit for j, bit in enumerate(image[lo:lo + 8]) if x >> j & 1)
+             for x in range(1 << len(image[lo:lo + 8]))]
+            for lo in range(0, len(image), 8)]
+
+
+def _image(tables, mask):
+    out = 0
+    for table in tables:
+        out |= table[mask & 255]
+        mask >>= 8
+    return out

@@ -435,7 +435,10 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
 @dataclass(frozen=True)
 class SmallModels:
     """Theories of all models with at most k_star elements, with realized
-    sizes and one smallest witness structure per theory."""
+    sizes and one witness structure per theory: the first structure in
+    enumeration order (smallest size first) that realizes it. One
+    structure per isomorphism class is computed; the first in enumeration
+    order with a given theory is always the first member of its class."""
 
     entries: tuple          # ((theory_id, sorted sizes tuple), ...)
     witnesses: dict = field(compare=False)
@@ -453,7 +456,7 @@ class SmallModels:
 def small_model_theories(vocab: Vocabulary, n: int, k_star: int,
                          interner: Interner = None, config: Config = DEFAULT,
                          include_empty: bool = None) -> SmallModels:
-    from .structures import enumerate_structures
+    from .structures import enumerate_representatives
 
     interner = default_interner() if interner is None else interner
     include_empty = config.include_empty_model if include_empty is None else include_empty
@@ -461,7 +464,7 @@ def small_model_theories(vocab: Vocabulary, n: int, k_star: int,
     witnesses = {}
     lo = 0 if (include_empty and vocab.num_consts == 0) else 1
     for size in range(lo, k_star + 1):
-        for m in enumerate_structures(vocab, size, config):
+        for m in enumerate_representatives(vocab, size, config):
             tid = compute_theory(m, n, interner, config).intern_id
             sizes_by_theory.setdefault(tid, set()).add(size)
             if tid not in witnesses:

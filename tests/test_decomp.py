@@ -126,6 +126,21 @@ def test_small_equivalent_none_for_anchored_path():
     assert find_small_equivalent(path_graph(6, 1, (0,)), 0, 3) is None
 
 
+@pytest.mark.parametrize("m,depth,size_max", [
+    (path_graph(3, 1, (0,)), 0, 3),
+    (path_graph(2), 1, 2),
+    (path_graph(5), 0, 3),
+    (triangle(1, (0,)), 0, 2),
+])
+def test_small_equivalent_matches_labelled_loop(m, depth, size_max):
+    interner = default_interner()
+    target = compute_theory(m, depth, interner).intern_id
+    expected = next((cand for size in range(m.vocab.num_consts + 1, size_max + 1)
+                     for cand in enumerate_structures(m.vocab, size)
+                     if compute_theory(cand, depth, interner).intern_id == target), None)
+    assert find_small_equivalent(m, depth, size_max, interner) == expected
+
+
 def test_small_equivalent_respects_theory():
     m = path_graph(2)
     found = find_small_equivalent(m, 1, 2)

@@ -5,6 +5,8 @@ Claims:
     - incidence graphs have n + C(n,2) nodes and 2*C(n,2) undirected edges
     - permutations preserve size and per-predicate tuple counts
     - enumeration yields the closed-form count, each structure once
+    - the isomorph-free enumeration yields exactly the first member of each
+      isomorphism class, in enumeration order
     - budgets refuse instead of truncating
 """
 
@@ -22,6 +24,7 @@ from hintikka.structures import (
     Structure,
     Vocabulary,
     apply_permutation,
+    enumerate_representatives,
     enumerate_structures,
     enumeration_count,
     incidence_graph,
@@ -164,3 +167,51 @@ def test_empty_universe_rules():
     with pytest.raises(HintikkaError):
         Structure(Vocabulary((("E", 2),), 1), 0, consts=(0,))
     assert list(enumerate_structures(Vocabulary((("E", 2),), 1), 0)) == []
+
+
+def _class_firsts(vocab, size):
+    """First member of each isomorphism class, by brute force over the
+    labelled enumeration and every permutation."""
+    perms = list(itertools.permutations(range(size)))
+    seen, out = set(), []
+    for m in enumerate_structures(vocab, size):
+        label = min(apply_permutation(m, pi).key() for pi in perms)
+        if label not in seen:
+            seen.add(label)
+            out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("vocab,top", [
+    (Vocabulary((("E", 2),)), 3),
+    (Vocabulary((("E", 2),), 2), 3),
+    (Vocabulary((("S", 1), ("E", 2)), 1, 1), 2),
+    (Vocabulary((("E", 2), ("S", 1))), 3),
+    (Vocabulary((("S", 1),), 2, 1), 3),
+    (Vocabulary((("S", 1),), 1, 1), 4),
+    (Vocabulary((("R", 3),)), 2),
+], ids=lambda x: x.sig() + f"-c{x.num_consts}-s{x.num_sets}" if isinstance(x, Vocabulary) else str(x))
+def test_representatives_are_class_firsts(vocab, top):
+    for size in range(top + 1):
+        assert list(enumerate_representatives(vocab, size)) == _class_firsts(vocab, size)
+
+
+def test_representative_counts():
+    graphs = Vocabulary((("E", 2),))
+    # directed graphs with loops up to isomorphism (OEIS A000595)
+    assert [sum(1 for _ in enumerate_representatives(graphs, n)) for n in range(5)] == \
+        [1, 2, 10, 104, 3044]
+    # large unary universes: one class per member count, per equality pattern
+    assert sum(1 for _ in enumerate_representatives(Vocabulary((("S", 1),)), 20)) == 21
+    assert sum(1 for _ in enumerate_representatives(Vocabulary((), 2), 50)) == 2
+
+
+def test_representatives_budget_refusal():
+    for vocab, size in ((Vocabulary((("E", 2),)), 5), (Vocabulary((), 0, 2), 13)):
+        with pytest.raises(BudgetError) as labelled:
+            list(enumerate_structures(vocab, size))
+        with pytest.raises(BudgetError) as orderly:
+            list(enumerate_representatives(vocab, size))
+        assert str(orderly.value) == str(labelled.value)
+        assert orderly.value.budget == labelled.value.budget == "enum_bits"
+    assert list(enumerate_representatives(Vocabulary((("E", 2),), 1), 0)) == []

@@ -7,6 +7,8 @@ Claims:
     - payload of a depth-(n+1) theory has at most 2^size members
     - every realizable theory is a member of the formal space
     - formal spaces obey the powerset law and refuse over budget
+    - small-model tables over class representatives equal those over every
+      labelled structure, intern ids and witnesses included
 """
 
 import random
@@ -16,7 +18,13 @@ import pytest
 from conftest import k2_graph, rand_structure
 from hintikka.config import Config
 from hintikka.errors import BudgetError
-from hintikka.structures import Structure, Vocabulary, apply_permutation, path_graph
+from hintikka.structures import (
+    Structure,
+    Vocabulary,
+    apply_permutation,
+    enumerate_structures,
+    path_graph,
+)
 from hintikka.theory import (
     Interner,
     Theory,
@@ -153,6 +161,26 @@ def test_small_model_theories_with_constant():
     assert len(sm.entries) == 2                      # constant on loop / non-loop
     for tid, _ in sm.entries:
         assert sm.witnesses[tid].size == 1
+
+
+@pytest.mark.parametrize("vocab,depth,k_star", [
+    (Vocabulary((("E", 2),), 2), 0, 3),
+    (Vocabulary((("E", 2),), 1), 1, 2),
+    (Vocabulary((("S", 1), ("E", 2)), 0, 1), 1, 2),
+])
+def test_small_model_theories_match_labelled_loop(vocab, depth, k_star):
+    labelled = Interner()
+    sizes_by_theory, witnesses = {}, {}
+    for size in range(1, k_star + 1):
+        for m in enumerate_structures(vocab, size):
+            tid = compute_theory(m, depth, labelled).intern_id
+            sizes_by_theory.setdefault(tid, set()).add(size)
+            witnesses.setdefault(tid, m)
+    entries = tuple(sorted((tid, tuple(sorted(s))) for tid, s in sizes_by_theory.items()))
+    sm = small_model_theories(vocab, depth, k_star, Interner())
+    assert sm.entries == entries
+    assert {tid: m.key() for tid, m in sm.witnesses.items()} == \
+        {tid: m.key() for tid, m in witnesses.items()}
 
 
 def test_sentence_agreement_identity_and_paths():
