@@ -415,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = load_config(args.config) if args.config else DEFAULT
     try:
+        config = load_config(args.config) if args.config else DEFAULT
         return args.fn(args, config)
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)

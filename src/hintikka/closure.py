@@ -49,12 +49,6 @@ class ClosureState:
     def digest_of(self, tid: int) -> str:
         return self.interner.rec(tid).digest
 
-    def id_by_digest(self, digest: str):
-        for tid in self.reachable():
-            if self.interner.rec(tid).digest == digest:
-                return tid
-        return None
-
 
 def close(base, schemes, depth: int, max_iter: int = 64,
           interner: Interner = None) -> ClosureState:

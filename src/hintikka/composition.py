@@ -385,78 +385,100 @@ def _compatible(rec1, rec2, scheme: Scheme, newest: int) -> bool:
 def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
                    interner: Interner, lift: int) -> int:
     """Depth-0 transfer, one loop for every table kind. Per configuration of
-    the result variables: pack each part's distinct projections, join each
-    distinct pair by OR, replace each tabled predicate's mask by its table
-    values, and unpack each distinct result once."""
+    the result variables: take each part's distinct packed sides from its
+    side table, join each pair by OR, replace each tabled predicate's mask
+    by its table values, and unpack each distinct result once."""
     preds = r1.vocab_key
     arities = tuple(a for _, a in preds)
     m = r1.m
     base_m = m - lift
     r = max([1] + list(arities)) + 1
-    projections = (_projections(interner, i1, r1, r, arities, scheme.k1),
-                   _projections(interner, i2, r2, r, arities, scheme.k2))
     ckey = (scheme.scheme_id, preds, r, base_m)
     configs = interner.scheme_configs.get(ckey)
     if configs is None:
         configs = interner.scheme_configs[ckey] = _scheme_configs(scheme, preds, r, base_m)
+    unpacked = interner.unpacked_diagrams.get(ckey)
+    if unpacked is None:
+        unpacked = interner.unpacked_diagrams.setdefault(ckey, tuple({} for _ in configs))
+    tables = (_side_table(interner, i1, r1, 0, ckey, configs, r, arities, base_m),
+              _side_table(interner, i2, r2, 1, ckey, configs, r, arities, base_m))
 
-    packs = interner.side_packs
     realized = set()
-    for cfg_idx, (res_eq, parts, tabled) in enumerate(configs):
-        sides = (set(), set())
-        for side, part in enumerate(parts):
-            for D in projections[side][part[0]]:
-                key = (ckey, cfg_idx, side, D)
-                packed = packs.get(key)
-                if packed is None:
-                    packed = packs[key] = _pack_side(interner, D, part, arities, base_m)
-                sides[side].add(packed)
-        sigs = set()
-        for masks1, subs1 in sides[0]:
-            for masks2, subs2 in sides[1]:
-                sig = list(map(or_, masks1, masks2))
-                for t, (pos, name, skeletons) in enumerate(tabled):
-                    sig[pos] = _table_mask(interner, scheme, name, skeletons,
-                                           subs1[t], subs2[t], sig[pos])
-                sigs.add(tuple(sig))
-        for sig in sigs:
-            ukey = (ckey, cfg_idx, sig)
-            diag = interner.unpacked_diagrams.get(ukey)
-            if diag is None:
-                diag = interner.unpacked_diagrams[ukey] = unpack_diagram(
-                    r, res_eq, sig, arities)
-            realized.add(diag)
+    for (res_eq, _, tabled), sides1, sides2, memo in zip(configs, *tables, unpacked):
+        for masks1, subs1 in sides1:
+            for masks2, subs2 in sides2:
+                sig = tuple(map(or_, masks1, masks2))
+                if tabled:
+                    sig = list(sig)
+                    for t, (pos, name, skeletons) in enumerate(tabled):
+                        sig[pos] = _table_mask(interner, scheme, name, skeletons,
+                                               subs1[t], subs2[t], sig[pos])
+                    sig = tuple(sig)
+                did = memo.get(sig)
+                if did is None:
+                    did = memo[sig] = interner.diagram_id(
+                        unpack_diagram(r, res_eq, sig, arities))
+                realized.add(did)
 
     if realized:
-        const_diag = subdiagram(min(realized), list(range(r, r + scheme.k)), arities, new_v=0)
+        # every realized diagram restricts to the glue's constant diagram
+        const_diag = subdiagram(interner.diagram(min(realized)),
+                                list(range(r, r + scheme.k)), arities, new_v=0)
     else:
         # glue of empty parts: only possible with k = 0
         const_diag = (0, (), tuple(() for _ in preds), tuple(() for _ in range(m)))
-    return interner.intern_depth0(preds, m, scheme.k, frozenset(realized), const_diag)
+    return interner.intern_depth0(preds, m, scheme.k, realized, const_diag)
 
 
-def _projections(interner: Interner, tid: int, rec, r: int, arities, kc: int):
-    """Realized prefix projections of a depth-0 theory by variable count,
-    variables pairwise distinct and non-constant; per-diagram projection
-    results are shared across theories."""
+def _side_table(interner: Interner, tid: int, rec, side: int, ckey, configs,
+                r: int, arities, base_m: int):
+    """Per config, the distinct packed sides of one part's projections. A
+    table depends only on (theory, configs, side), so it is built once; a
+    pack depends only on (config, side, projection), so theories that share
+    a projection share its pack."""
+    key = (tid, ckey, side)
+    table = interner.side_tables.get(key)
+    if table is None:
+        projections = _projections(interner, tid, rec, r, arities)
+        packs = interner.side_packs
+        table = []
+        for cfg_idx, (_, parts, _) in enumerate(configs):
+            part = parts[side]
+            sides = {}
+            for d in projections[part[0]]:
+                pkey = (ckey, cfg_idx, side, d)
+                packed = packs.get(pkey)
+                if packed is None:
+                    packed = packs[pkey] = _pack_side(interner, d, part, arities, base_m)
+                sides[packed] = None
+            table.append(tuple(sides))
+        table = interner.side_tables[key] = tuple(table)
+    return table
+
+
+def _projections(interner: Interner, tid: int, rec, r: int, arities):
+    """Realized prefix projections of a depth-0 theory by variable count, as
+    diagram ids, variables pairwise distinct and non-constant; per-diagram
+    projection results are shared across theories."""
     key = (tid, r)
     out = interner.theory_projections.get(key)
     if out is not None:
         return out
     dcache = interner.diagram_projections
-    out = {0: (rec.const_diag,)}
+    const_slots = list(range(r, r + rec.k))
+    out = {0: (interner.diagram_id(rec.const_diag),)}
     for v in range(1, r + 1):
         seen = {}
         for d in rec.payload:
-            dkey = (d, v, kc)
+            dkey = (d, v)       # d fixes r and the constant count
             p = dcache.get(dkey)
             if p is None:
-                proj = subdiagram(d, list(range(v)) + list(range(r, r + kc)),
+                proj = subdiagram(interner.diagram(d), list(range(v)) + const_slots,
                                   arities, new_v=v)
-                p = proj if vars_distinct_nonconst(proj) else False
-                dcache[dkey] = p
-            if p is not False and p not in seen:
-                seen[p] = True
+                p = dcache[dkey] = (interner.diagram_id(proj)
+                                    if vars_distinct_nonconst(proj) else -1)
+            if p >= 0:
+                seen[p] = None
         out[v] = tuple(seen)
     interner.theory_projections[key] = out
     return out
@@ -582,32 +604,33 @@ def _build_config(eq_vars, origins_blocks, scheme, r):
     return res_eq, tuple(class_origin), (tuple(d1slot), tuple(d2slot)), (v1, v2)
 
 
-def _pack_side(interner: Interner, diag, part, arities, base_m: int):
+def _pack_side(interner: Interner, did: int, part, arities, base_m: int):
     """One part's share of a config: per predicate and set column a bitmask
     of the entries the part makes true (bit e for entry e), and per tabled
-    predicate the part-projected sub-diagram of each entry.
+    predicate the id of the part-projected sub-diagram of each entry.
 
     Projections have pairwise-distinct slots, so their atoms are indexed by
     slot tuples directly."""
     _, atom_idx, dslot, sub_slots = part
+    diag = interner.diagram(did)
     masks = [sum(1 << e for e, idx in enumerate(idxs) if idx is not None and atoms[idx])
              for idxs, atoms in zip(atom_idx, diag[2])]
     masks += [sum(1 << c for c, slot in enumerate(dslot) if slot is not None and col[slot])
               for col in diag[3]]
-    subs = tuple(tuple(_sub_diagram(interner, diag, slots, base_m, arities)
+    subs = tuple(tuple(_sub_diagram(interner, did, slots, base_m, arities)
                        for slots in entry_slots)
                  for entry_slots in sub_slots)
     return tuple(masks), subs
 
 
-def _sub_diagram(interner: Interner, diag, slots, base_m: int, arities):
-    """A pattern's part type: the diagram of the slots without the set
-    columns added by theory depth."""
-    key = (diag, slots, base_m)
+def _sub_diagram(interner: Interner, did: int, slots, base_m: int, arities) -> int:
+    """A pattern's part type, as a diagram id: the diagram of the slots
+    without the set columns added by theory depth."""
+    key = (did, slots, base_m)
     out = interner.sub_diagrams.get(key)
     if out is None:
-        v, eq, rel, sets = subdiagram(diag, list(slots), arities)
-        out = interner.sub_diagrams[key] = (v, eq, rel, sets[:base_m])
+        v, eq, rel, sets = subdiagram(interner.diagram(did), list(slots), arities)
+        out = interner.sub_diagrams[key] = interner.diagram_id((v, eq, rel, sets[:base_m]))
     return out
 
 
@@ -624,7 +647,8 @@ def _table_mask(interner: Interner, scheme: Scheme, name, skeletons, subs1, subs
         value = memo.get(key)
         if value is None:
             value = memo[key] = _table_value(
-                scheme, name, lambda: (name, peq, porig, sub1, sub2), bit == 1)
+                scheme, name, lambda: (name, peq, porig, interner.diagram(sub1),
+                                       interner.diagram(sub2)), bit == 1)
         mask |= value << e
     return mask
 

@@ -42,7 +42,6 @@ class Config:
     spectrum_scan: int = 96
     spectrum_window: int = 16
 
-    k_star_max: int = 4             # largest supported constant count
     include_empty_model: bool = False
 
     def check(self, budget: str, needed, limit) -> None:

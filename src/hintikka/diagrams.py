@@ -19,6 +19,11 @@ A diagram is a plain nested tuple (v, eq, rel, sets):
 Completeness: every atomic formula over the slot terms has a value; equal
 terms share a class, so atoms are stored once per class tuple. Reindexing
 operations need the predicate arities, which diagrams do not carry.
+
+Theories refer to diagrams by id: ``theory.Interner`` gives each diagram an
+int id on first sight and keeps its tuple once, and depth-0 payloads,
+intern keys and the transfer kernel's memos hold ids. Only a new theory
+sorts its diagrams as tuples, for its digest.
 """
 
 from __future__ import annotations

@@ -130,13 +130,6 @@ class Structure:
             tuple(tuple(sorted(s)) for s in self.sets),
         )
 
-    def with_extra_set(self, members) -> "Structure":
-        return Structure(
-            self.vocab.with_sets(self.vocab.num_sets + 1),
-            self.size, self.relations, self.consts,
-            self.sets + (frozenset(members),),
-        )
-
 
 def serialize_structure(m: Structure) -> str:
     lines = [f"vocab {' '.join(f'{n}/{a}' for n, a in m.vocab.predicates)}".rstrip()]

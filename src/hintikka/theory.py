@@ -38,25 +38,37 @@ class _Rec:
 class Interner:
     """Append-only canonical store; get-or-insert is atomic.
 
-    Depth-0 payloads are (sorted diagram tuple, constant diagram); deeper
-    payloads are sorted tuples of member ids. Digests hash the canonical
-    structural form (member digests, not local ids), so they are stable
-    across runs, platforms, and interner instances.
+    Quantifier-free diagrams are interned to ints in first-seen order
+    (hash-consing), so a diagram is hashed once and then keyed and compared
+    by its id. A depth-0 payload is the sorted tuple of its diagram ids,
+    which is also its intern key; deeper payloads are sorted tuples of
+    member ids. Ids are local to one interner. Digests hash the canonical
+    structural form (diagrams sorted as tuples, member digests, not ids),
+    so they are stable across runs, platforms, and interner instances; a
+    payload is sorted by diagram tuple only when a new theory is built.
+
+    Diagrams share few distinct components (equality types, relation
+    tuples, set columns): the interner keeps one copy of each, with its
+    repr, and a depth-0 digest is streamed from those reprs.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._ids = {}
         self._recs = []
+        self._diagram_ids = {}
+        self._diagrams = []
+        self._parts = {}
+        self._part_reprs = {}       # id of a kept component -> its repr
         self.theory_memo = {}
         self.transfer_memo = {}
-        self._by_digest = {}
         # memos of the depth-0 transfer kernel (composition._transfer_base),
         # keyed by values that only this interner's ids make meaningful
         self.scheme_configs = {}
         self.theory_projections = {}
         self.diagram_projections = {}
         self.side_packs = {}
+        self.side_tables = {}
         self.sub_diagrams = {}
         self.table_values = {}
         self.unpacked_diagrams = {}
@@ -70,15 +82,46 @@ class Interner:
             tid = len(self._recs)
             self._ids[key] = tid
             self._recs.append(rec)
-            self._by_digest.setdefault(rec.digest, tid)
             return tid
 
-    def intern_depth0(self, vocab_key, m, k, realized, const_diag) -> int:
-        payload = tuple(sorted(realized))
+    def diagram_id(self, diag) -> int:
+        """The id of a diagram tuple, assigned on first sight."""
+        with self._lock:
+            did = self._diagram_ids.get(diag)
+            if did is None:
+                v, *parts = diag
+                diag = (v, *map(self._part, parts))
+                did = self._diagram_ids[diag] = len(self._diagrams)
+                self._diagrams.append(diag)
+            return did
+
+    def _part(self, part):
+        """The kept copy of a diagram component. Kept copies live as long as
+        the interner, so no other object takes their id. Equal components
+        have equal reprs: diagrams hold ints in eq and bools elsewhere."""
+        kept = self._parts.get(part)
+        if kept is None:
+            kept = self._parts[part] = part
+            self._part_reprs[id(part)] = repr(part)
+        return kept
+
+    def diagram(self, did: int) -> tuple:
+        return self._diagrams[did]
+
+    def intern_depth0(self, vocab_key, m, k, diagram_ids, const_diag) -> int:
+        """The depth-0 theory realizing the set ``diagram_ids`` (ids from
+        ``diagram_id``) with the constant diagram ``const_diag``."""
+        payload = tuple(sorted(diagram_ids))
         key = (0, vocab_key, m, k, payload, const_diag)
 
         def build():
-            digest = _sha(("t0", vocab_key, m, k, payload, const_diag))
+            # the text is repr(("t0", vocab_key, m, k, sorted diagrams, const_diag))
+            reprs = self._part_reprs
+            items = [f"({v}, {reprs[id(eq)]}, {reprs[id(rel)]}, {reprs[id(sets)]})"
+                     for v, eq, rel, sets in sorted(map(self._diagrams.__getitem__, payload))]
+            text = (f"('t0', {vocab_key!r}, {m!r}, {k!r}, "
+                    f"{_tuple_repr(items)}, {const_diag!r})")
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             return _Rec(0, vocab_key, m, k, payload, const_diag, digest)
 
         return self._insert(key, build)
@@ -102,8 +145,14 @@ class Interner:
     def rec(self, tid: int) -> _Rec:
         return self._recs[tid]
 
-    def by_digest(self, digest: str):
-        return self._by_digest.get(digest)
+    def sizes(self) -> dict:
+        """Length of every table and memo: interned theories, diagrams and
+        their kept components, then each memo by attribute name."""
+        sizes = {"theories": len(self._recs), "diagrams": len(self._diagrams),
+                 "diagram_parts": len(self._parts)}
+        sizes.update((name, len(memo)) for name, memo in vars(self).items()
+                     if not name.startswith("_"))
+        return sizes
 
     def __len__(self):
         return len(self._recs)
@@ -111,6 +160,13 @@ class Interner:
 
 def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode("utf-8")).hexdigest()
+
+
+def _tuple_repr(item_reprs) -> str:
+    """repr of a tuple, from the reprs of its items."""
+    if len(item_reprs) == 1:
+        return f"({item_reprs[0]},)"
+    return "(" + ", ".join(item_reprs) + ")"
 
 
 def restrict_const_diag(const_diag, m: int):
@@ -155,7 +211,12 @@ class Theory:
 
     @property
     def payload(self):
-        return self._rec.payload
+        """Depth 0: the realized diagrams, sorted as tuples; deeper: the
+        sorted member ids."""
+        rec = self._rec
+        if rec.depth == 0:
+            return tuple(sorted(self.interner.diagram(d) for d in rec.payload))
+        return rec.payload
 
     @property
     def digest(self):
@@ -208,12 +269,19 @@ def compute_theory(m: Structure, n: int, interner: Interner = None,
     base_m = vocab.num_sets
     all_masks = tuple(range(2 ** m.size))
     local_cache = {}
+    diagram_ids = {}    # engine-local id -> interner diagram id
+
+    def diagram_id(lid):
+        did = diagram_ids.get(lid)
+        if did is None:
+            did = diagram_ids[lid] = interner.diagram_id(engine.resolve_local(lid))
+        return did
 
     def intern_local(ids, cid, m_eff):
         key = (ids, cid)
         tid = local_cache.get(key)
         if tid is None:
-            realized = frozenset(engine.resolve_local(l) for l in ids)
+            realized = {diagram_id(l) for l in ids}
             cdiag = engine.resolve_local(cid)
             tid = interner.intern_depth0(vocab_key, m_eff, k, realized, cdiag)
             local_cache[key] = tid
@@ -339,13 +407,21 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
     k = vocab.num_consts
     arities = tuple(a for _, a in vocab.predicates)
 
-    # cheap lower bound before materializing anything: all-distinct diagrams
-    # are maximal, so each orbit of them doubles the downset count
-    full_n = r + k
-    full_bits = sum(full_n ** a for a in arities) + full_n * vocab.num_sets
-    lb_orbits = (2 ** full_bits) // math.factorial(r)
-    if lb_orbits > budget.bit_length() + 64:
-        raise BudgetError("formal_space", f">=2^{lb_orbits}", budget)
+    # Refuse before materializing anything once a cheap lower bound on the
+    # count exceeds the budget. A diagram is full when its r + k slots are
+    # pairwise distinct. Substitution images of a full diagram are its own
+    # permutations, and those of any other diagram repeat a slot, so no
+    # other orbit requires a full orbit: distinct sets of full orbits close
+    # to distinct selections. A constant group whose k constants are
+    # distinct holds 2^(full_bits - const_bits) full diagrams, in orbits of
+    # at most r! members; with L orbits it alone has at least 2^L - 1
+    # nonempty selections, which exceeds the budget once
+    # L >= (budget + 1).bit_length().
+    full_bits = diagram_bits(r + k, arities, vocab.num_sets)
+    const_bits = diagram_bits(k, arities, vocab.num_sets)
+    lb_orbits = 2 ** (full_bits - const_bits) // math.factorial(r)
+    if lb_orbits >= (budget + 1).bit_length():
+        raise BudgetError("formal_space", f">=2^{lb_orbits}-1", budget)
 
     diagrams = _diagram_universe(vocab, r, config)
     closures = _substitution_closure(diagrams, r, arities, k)
@@ -415,13 +491,14 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
         if count > budget:
             raise BudgetError("formal_space", f">{count}", budget)
 
+        orbit_ids = {p: [interner.diagram_id(diagrams[i]) for i in orbits[order[p]]]
+                     for p in idxs}
         for mask in selections(0, 0):
-            diags = set()
-            for p, o in enumerate(order):
+            realized = set()
+            for p in idxs:
                 if mask >> p & 1:
-                    for i in orbits[o]:
-                        diags.add(diagrams[i])
-            tid = interner.intern_depth0(vk, mm, k, frozenset(diags), group)
+                    realized.update(orbit_ids[p])
+            tid = interner.intern_depth0(vk, mm, k, realized, group)
             member_ids.add(tid)
 
     return FormalTheorySpace(vocab, 0, count, base_ids=frozenset(member_ids),
@@ -442,15 +519,6 @@ class SmallModels:
 
     entries: tuple          # ((theory_id, sorted sizes tuple), ...)
     witnesses: dict = field(compare=False)
-
-    def sizes_of(self, tid):
-        for t, sizes in self.entries:
-            if t == tid:
-                return sizes
-        return ()
-
-    def theory_ids(self):
-        return tuple(t for t, _ in self.entries)
 
 
 def small_model_theories(vocab: Vocabulary, n: int, k_star: int,

@@ -197,6 +197,15 @@ def test_domain_error_exit_code(files, capsys, tmp_path):
     assert code == 1
 
 
+def test_unknown_config_key_exit_code(files, capsys, tmp_path):
+    # removed fields such as k_star_max are unknown keys: exit 1, no traceback
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("k_star_max=4\n", encoding="utf-8")
+    code = run(["--config", str(cfg), "theory", "--model", files["p3.struct"], "--depth", "0"])
+    assert code == 1
+    assert "unknown config key 'k_star_max'" in capsys.readouterr().err
+
+
 def test_budget_exit_code(files, capsys):
     code = run(["theory", "--model", files["p3.struct"], "--depth", "4"])
     assert code == 2

@@ -182,6 +182,32 @@ def test_transfer_vocabularies_share_interner():
             assert lhs.intern_id == compute_theory(glue(m1, m2, s), 0, interner).intern_id
 
 
+def test_transfer_digest_independent_of_diagram_ids():
+    # a warmed interner has assigned diagram ids in another order than a
+    # fresh one; transfers must still give the same digests, each equal to
+    # the theory of the glue computed in an interner of its own
+    rng = random.Random(23)
+    warmed = Interner()
+    warm_vocab = Vocabulary((("S", 1), ("E", 2)), 1, 1)
+    for _ in range(8):
+        compute_theory(rand_structure(warm_vocab, 3, rng), 1, warmed)
+    v = Vocabulary((("S", 1), ("E", 2)), 1)
+    differ = False
+    for trial in range(4):
+        m1, m2 = rand_structure(v, rng.randint(1, 3), rng), rand_structure(v, 2, rng)
+        for s in _scheme_samples(rng, v, 1, 1, 300 + trial):
+            for n in (0, 1):
+                fresh = Interner()
+                lhs = transfer(compute_theory(m1, n, fresh), compute_theory(m2, n, fresh), s)
+                rhs = transfer(compute_theory(m1, n, warmed), compute_theory(m2, n, warmed), s)
+                oracle = compute_theory(glue(m1, m2, s), n, Interner())
+                assert lhs.digest == rhs.digest == oracle.digest
+                if n == 0:
+                    differ |= any(fresh.diagram_id(d) != warmed.diagram_id(d)
+                                  for d in lhs.payload)
+    assert differ
+
+
 def test_transfer_depth2():
     rng = random.Random(17)
     interner = default_interner()

@@ -5,18 +5,27 @@ Claims:
     - long paths share theories; short ones do not
     - theories are isomorphism-invariant and digests are structural
     - payload of a depth-(n+1) theory has at most 2^size members
+    - a depth-0 digest hashes the diagrams sorted as tuples, whatever ids
+      the interner gave them
+    - a fresh interner starts with every table empty, and work in it leaves
+      the default interner alone
     - every realizable theory is a member of the formal space
     - formal spaces obey the powerset law and refuse over budget
     - small-model tables over class representatives equal those over every
       labelled structure, intern ids and witnesses included
 """
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import k2_graph, rand_structure
+from hintikka.composition import disjoint_union_scheme, transfer
 from hintikka.config import Config
+from hintikka.diagrams import partitions
 from hintikka.errors import BudgetError
 from hintikka.structures import (
     Structure,
@@ -88,6 +97,64 @@ def test_intern_id_equality_iff_structural():
     assert (t1.intern_id == t2.intern_id) == (t1.digest == t2.digest)
     t3 = compute_theory(path_graph(3), 0, itn)
     assert t3.intern_id != t1.intern_id and t3.digest != t1.digest
+
+
+# diagrams of S/1, E/2 with one constant and one set column, over 3 variables
+VOCAB_KEY = (("S", 1), ("E", 2))
+EQS = tuple(partitions(4))
+
+
+@st.composite
+def diagrams(draw, v=3, eqs=EQS):
+    eq = draw(st.sampled_from(eqs))
+    n = max(eq) + 1
+    bits = lambda width: tuple(draw(st.lists(st.booleans(), min_size=width, max_size=width)))
+    return (v, eq, (bits(n), bits(n * n)), (bits(n),))
+
+
+MANY = tuple(sorted({(3, eq, ((i % 2 == 0,) * n, (i % 3 == 0,) * n * n), ((i > 6,) * n,))
+                     for i, eq in enumerate(EQS) for n in [max(eq) + 1]}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(picked=st.lists(diagrams(), max_size=30), others=st.lists(diagrams(), max_size=10),
+       const_diag=diagrams(v=0, eqs=((0,),)), seed=st.integers(0, 2 ** 32))
+@example(picked=[], others=list(MANY), const_diag=(0, (0,), ((True,), (False,)), ((False,),)),
+         seed=0)
+@example(picked=[MANY[3]], others=list(MANY), const_diag=(0, (0,), ((True,), (False,)),
+                                                         ((False,),)), seed=1)
+@example(picked=list(MANY), others=[], const_diag=(0, (0,), ((False,), (True,)), ((True,),)),
+         seed=2)
+def test_depth0_digest_is_sorted_diagram_repr(picked, others, const_diag, seed):
+    # ids are given in a shuffled order, unrelated to the order of the tuples
+    interner = Interner()
+    warm = picked + others
+    random.Random(seed).shuffle(warm)
+    for d in warm:
+        interner.diagram_id(d)
+    tid = interner.intern_depth0(VOCAB_KEY, 1, 1, {interner.diagram_id(d) for d in picked},
+                                 const_diag)
+    t = Theory(interner, tid)
+    diagrams = tuple(sorted(set(picked)))
+    canonical = ("t0", VOCAB_KEY, 1, 1, diagrams, const_diag)
+    assert t.digest == hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
+    assert t.payload == diagrams
+
+
+def test_fresh_interner_sizes():
+    before = default_interner().sizes()
+    fresh = Interner()
+    sizes = fresh.sizes()
+    assert {"theories", "diagrams", "theory_memo", "transfer_memo", "side_tables"} <= set(sizes)
+    assert set(sizes.values()) == {0}
+    t = compute_theory(path_graph(3), 1, fresh)
+    transfer(t, t, disjoint_union_scheme())
+    enumerate_formal(Vocabulary(()), 0, interner=fresh)
+    grown = fresh.sizes()
+    assert grown.keys() == sizes.keys()
+    assert all(grown[name] > 0 for name in ("theories", "diagrams", "theory_memo",
+                                            "transfer_memo", "side_tables"))
+    assert default_interner().sizes() == before
 
 
 def test_payload_bound():
