@@ -114,27 +114,29 @@ def test_closure_spectrum_pipeline(files, capsys, tmp_path):
     assert code == 0 and out.count("spectrum t=") >= 8
 
 
+def _fresh_run(*argv):
+    """stdout of the CLI run in a fresh interpreter, where no earlier test
+    has moved the intern order; the command must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hintikka.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "hintikka.cli", *argv], env=env,
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_spectrum_whole_file_golden(tmp_path):
     """Whole-file spectrum output of the depth-0 disjoint-union closure over
     all graphs of size at most 1, pinned byte for byte: 17 digests, one
     system. Each command runs in a fresh interpreter, since the line order
     of a facts file follows the intern order of the process's interner."""
-    env = dict(os.environ, PYTHONPATH=str(Path(hintikka.__file__).resolve().parent.parent))
-
-    def module_run(*argv):
-        done = subprocess.run([sys.executable, "-m", "hintikka.cli", *argv], env=env,
-                              capture_output=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        return done.stdout
-
     facts = tmp_path / "du.facts"
     scheme_path = tmp_path / "du.scm"
     scheme_path.write_text("scheme k1=0 k2=0 k=0\n")
-    module_run("closure", "--vocab", "E/2", "--depth", "0", "--scheme", str(scheme_path),
+    _fresh_run("closure", "--vocab", "E/2", "--depth", "0", "--scheme", str(scheme_path),
                "--small-models", "1", "--facts-out", str(facts))
     assert hashlib.sha256(facts.read_bytes()).hexdigest() == (
         "19b8aefb284eaba4d6c57eb3765ac01bc5dad1b84d43dc360127878d7c8c8cf8")
-    out = module_run("spectrum", "--facts", str(facts), "--bound", "16")
+    out = _fresh_run("spectrum", "--facts", str(facts), "--bound", "16")
     assert out.count(b"spectrum t=") == 17
     assert hashlib.sha256(out).hexdigest() == (
         "bd20abbfcd3a99bb4867efee030b085dc87517f931ea5e516c7e9525b6c79e2b")
@@ -218,3 +220,13 @@ def test_selfcheck_deterministic_across_jobs(files, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_selfcheck_golden():
+    """selfcheck stdout pinned byte for byte: it carries the closure-spectra
+    and numbersets certificates (pump witnesses included, one of them
+    empirical), which depend on where the pump search stops."""
+    out = _fresh_run("--jobs", "1", "selfcheck", "--seed", "2024")
+    assert out.endswith(b"selfcheck ok checks=9 failures=0\n")
+    assert hashlib.sha256(out).hexdigest() == (
+        "7d7aa02b382fd473a9a18972d5908c58da749607f4f27379421bfdbfcdb23d8d")
