@@ -36,6 +36,9 @@ class Config:
     # number-set engine
     scan_default: int = 200
     window_default: int = 16
+    # pump search: trees yielded at any level of the enumeration, repeated
+    # inner enumerations included; a replayed list counts the same
+    # (numbersets._search_pump)
     pump_tree_cap: int = 100_000
 
     # spectra

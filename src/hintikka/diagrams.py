@@ -161,30 +161,35 @@ class DiagramEngine:
     # -- packed fast path (used by compute_theory's subset recursion) -------
 
     def _prepare_packed(self):
-        """Per core and per subset mask, the class-membership bits packed
-        into one int; feasible only for small universes."""
-        nmasks = 2 ** self.m.size
-        table_ok = nmasks <= 4096
+        """Per core, its shape id and the class-membership bits of the
+        structure's own set columns packed into one int each."""
         shapes = {}
         core_shape = []
         base_sig = []
-        packed = []
         for eq, rel, reps in self.cores:
             shape = (eq, rel)
             sid = shapes.setdefault(shape, len(shapes))
             core_shape.append(sid)
             base_sig.append(tuple(_pack(mask, reps) for mask in self.base_masks))
-            packed.append([_pack(u, reps) for u in range(nmasks)] if table_ok else None)
         self._shapes = {v: k for k, v in shapes.items()}
         self._core_shape = core_shape
         self._core_reps = [reps for _, _, reps in self.cores]
         self._base_sig = base_sig
-        self._packed = packed if table_ok else None
-        eq0, rel0, reps0 = self.const_core
-        self._const_base = tuple(_pack(mask, reps0) for mask in self.base_masks)
-        self._const_packed = [_pack(u, reps0) for u in range(nmasks)] if table_ok else None
+        self._const_base = tuple(_pack(mask, self.const_core[2]) for mask in self.base_masks)
+        self._rows = None
         self._local = {}
         self._local_list = []
+
+    def _subset_rows(self):
+        """Per core, then for the constant core, the packed class bits of
+        every subset mask; feasible only for small universes (None
+        otherwise). Built on the first call with extra set columns, since a
+        depth-0 theory reads none of it."""
+        nmasks = 2 ** self.m.size
+        if self._rows is None and nmasks <= 4096:
+            self._rows = [[_pack(u, reps) for u in range(nmasks)]
+                          for reps in self._core_reps + [self.const_core[2]]]
+        return self._rows
 
     def th0_local(self, extra_masks: tuple):
         """Realized r-diagrams and the constant diagram under the given extra
@@ -199,22 +204,23 @@ class DiagramEngine:
         local_list = self._local_list
         realized = set()
         add = realized.add
-        packed = self._packed
+        rows = self._subset_rows() if extra_masks else None
         for idx, sid in enumerate(self._core_shape):
-            if packed is not None:
-                row = packed[idx]
-                key = (sid, self._base_sig[idx] + tuple(row[u] for u in extra_masks))
+            if rows is not None:
+                row = rows[idx]
+                sig = tuple(row[u] for u in extra_masks)
             else:
                 reps = self._core_reps[idx]
-                key = (sid, self._base_sig[idx] + tuple(_pack(u, reps) for u in extra_masks))
+                sig = tuple(_pack(u, reps) for u in extra_masks)
+            key = (sid, self._base_sig[idx] + sig)
             lid = local.get(key)
             if lid is None:
                 lid = len(local_list)
                 local[key] = lid
                 local_list.append(key)
             add(lid)
-        if self._const_packed is not None:
-            csig = tuple(self._const_packed[u] for u in extra_masks)
+        if rows is not None:
+            csig = tuple(rows[-1][u] for u in extra_masks)
         else:
             csig = tuple(_pack(u, self.const_core[2]) for u in extra_masks)
         const_key = ("c", self._const_base + csig)

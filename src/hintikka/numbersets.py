@@ -483,21 +483,101 @@ def _normalize_threshold(t0: int, vals: set, max_member) -> int:
 def _search_pump(sys: QuadrupleSystem, label: int, period: int,
                  scan_bound: int, config: Config):
     """Breadth-first over derivation trees by node count, looking for a pump
-    whose increment the period divides."""
+    whose increment the period divides.
+
+    ``trees(lab, n)`` yields the trees of at most n nodes at ``lab``: the
+    base leaves, then per rule (by index) and per split of the n - 1 child
+    nodes, every left tree against every right tree, skipping negative
+    values; a tree of fewer than n nodes comes again under each larger
+    split. ``pump_tree_cap`` counts every tree yielded at any level, repeats
+    from these nested enumerations included, and the search stops once it
+    is spent, so the count decides which pumps are found.
+
+    Within one search, ``trees(lab, n)`` is replayed from a list of all its
+    trees, built once, whenever the remaining budget covers its full cost
+    (computed beforehand without building a tree). The replay spends the
+    budget at the same points, so the search finds what a plain enumeration
+    finds. Only a call the budget may cut short runs the enumeration, whose
+    inner calls again replay where they can. A list is built only when its
+    cost fits the budget, so lists hold at most ``pump_tree_cap`` trees.
+    """
     budget = [config.pump_tree_cap]
     bases = [sorted(b) for b in sys.base]
+    producers = [[] for _ in range(sys.m)]
+    for idx, (l1, l2, l3, j) in enumerate(sys.rules):
+        producers[l3].append((idx, l1, l2, j))
+    stats = {}
+    lists = {}
+
+    def stat(lab, n):
+        """(budget spent, value histogram, tree count) of ``trees(lab, n)``
+        run to the end without a cut, computed without building a tree."""
+        key = (lab, n)
+        if key not in stats:
+            spent = len(bases[lab])
+            hist = dict.fromkeys(bases[lab], 1)
+            for idx, l1, l2, j in producers[lab] if n >= 3 else ():
+                for a in range(1, n - 1, 2):
+                    c1, h1, k1 = stat(l1, a)
+                    c2, h2, _ = stat(l2, n - 1 - a)
+                    spent += c1 + k1 * c2
+                    for v1, x1 in h1.items():
+                        for v2, x2 in h2.items():
+                            value = v1 + v2 - j
+                            if value >= 0:
+                                spent += x1 * x2
+                                hist[value] = hist.get(value, 0) + x1 * x2
+            stats[key] = (spent, hist, sum(hist.values()))
+        return stats[key]
+
+    def full(lab, n):
+        """(trees, budget spent before each, budget spent after the last)
+        of ``trees(lab, n)`` run to the end, built from the children's
+        lists."""
+        key = (lab, n)
+        if key not in lists:
+            items = [Node(lab, v) for v in bases[lab]]
+            gaps = [1] * len(items)
+            owed = 0
+            for idx, l1, l2, j in producers[lab] if n >= 3 else ():
+                for a in range(1, n - 1, 2):
+                    left, left_gaps, left_tail = full(l1, a)
+                    if not left:
+                        owed += left_tail
+                        continue
+                    right, right_gaps, right_tail = full(l2, n - 1 - a)
+                    for lt, lg in zip(left, left_gaps):
+                        owed += lg
+                        for rt, rg in zip(right, right_gaps):
+                            owed += rg
+                            value = lt.value + rt.value - j
+                            if value >= 0:
+                                items.append(Node(lab, value, idx, lt, rt))
+                                gaps.append(owed + 1)
+                                owed = 0
+                        owed += right_tail
+                    owed += left_tail
+            lists[key] = (items, gaps, owed)
+        return lists[key]
 
     def trees(lab, max_nodes):
         if budget[0] <= 0:
+            return
+        if budget[0] >= stat(lab, max_nodes)[0]:
+            # subtract, never assign: the consumer spends budget between
+            # two yields too
+            items, gaps, tail = full(lab, max_nodes)
+            for tree, gap in zip(items, gaps):
+                budget[0] -= gap
+                yield tree
+            budget[0] -= tail
             return
         for v in bases[lab]:
             budget[0] -= 1
             yield Node(lab, v)
         if max_nodes < 3:
             return
-        for idx, (l1, l2, l3, j) in enumerate(sys.rules):
-            if l3 != lab:
-                continue
+        for idx, l1, l2, j in producers[lab]:
             for left_nodes in range(1, max_nodes - 1, 2):
                 right_nodes = max_nodes - 1 - left_nodes
                 for lt in trees(l1, left_nodes):

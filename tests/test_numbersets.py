@@ -8,11 +8,12 @@ the certificates use.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated
 from hintikka import numbersets
+from hintikka.config import Config
 from hintikka.errors import HintikkaError, ParseError
 from hintikka.numbersets import (
     Node,
@@ -223,10 +224,11 @@ def naive_fixpoint(sysq, limit):
 
 
 @st.composite
-def small_systems(draw):
+def small_systems(draw, max_rules=6):
     m = draw(st.integers(min_value=1, max_value=3))
     label = st.integers(min_value=0, max_value=m - 1)
-    rules = draw(st.lists(st.tuples(label, label, label, st.integers(0, 3)), max_size=6))
+    rules = draw(st.lists(st.tuples(label, label, label, st.integers(0, 3)),
+                          max_size=max_rules))
     base = draw(st.lists(st.frozensets(st.integers(0, 8), max_size=3),
                          min_size=m, max_size=m))
     return QuadrupleSystem(m, tuple(rules), tuple(base))
@@ -287,6 +289,77 @@ def test_verify_certificate_saturates_afresh(monkeypatch):
     tampered = PeriodicityCertificate(cert.label, 17, cert.period, cert.verified_to,
                                       cert.status, cert.pump)
     assert not verify_certificate(sysq, tampered)
+
+
+def reference_search_pump(sysq, label, period, scan_bound, config):
+    """The pump search as one plain generator that enumerates every subtree
+    again at each call, with no lists and no costs: the reference the
+    memoized ``numbersets._search_pump`` must match, stopping point included."""
+    budget = [config.pump_tree_cap]
+    bases = [sorted(b) for b in sysq.base]
+
+    def trees(lab, max_nodes):
+        if budget[0] <= 0:
+            return
+        for v in bases[lab]:
+            budget[0] -= 1
+            yield Node(lab, v)
+        if max_nodes < 3:
+            return
+        for idx, (l1, l2, l3, j) in enumerate(sysq.rules):
+            if l3 != lab:
+                continue
+            for left_nodes in range(1, max_nodes - 1, 2):
+                right_nodes = max_nodes - 1 - left_nodes
+                for lt in trees(l1, left_nodes):
+                    for rt in trees(l2, right_nodes):
+                        if budget[0] <= 0:
+                            return
+                        value = lt.value + rt.value - j
+                        if value < 0:
+                            continue
+                        budget[0] -= 1
+                        yield Node(lab, value, idx, lt, rt)
+
+    value_cap = (2 ** sysq.m) * sysq.max_base + sysq.max_j
+    for max_nodes in (1, 3, 5, 7, 9, 11):
+        for tree in trees(label, max_nodes):
+            if tree.value > max(value_cap, scan_bound):
+                continue
+            pair = find_pump(tree)
+            if pair is not None and pair.delta % period == 0:
+                return numbersets.PumpWitness(tree, pair)
+        if budget[0] <= 0:
+            break
+    return None
+
+
+# a replay that set the budget to (budget at entry - spent so far) instead of
+# subtracting would find a pump here: it forgets what the consumer spent
+# between two yields
+@example(QuadrupleSystem(1, ((0, 0, 0, 0),), (frozenset({0, 1}),)), 0, 1, 9, 16)
+@given(small_systems(max_rules=5), st.integers(0, 2), st.integers(1, 3),
+       st.integers(1, 2000), st.sampled_from((8, 16, 32)))
+@settings(max_examples=600, deadline=None)
+def test_search_pump_matches_reference(sysq, label, period, cap, scan_bound):
+    """Same witness (or None) as the plain enumeration, on small systems and
+    caps small enough that many searches are cut short."""
+    label %= sysq.m
+    config = Config(pump_tree_cap=cap)
+    assert numbersets._search_pump(sysq, label, period, scan_bound, config) == (
+        reference_search_pump(sysq, label, period, scan_bound, config))
+
+
+def test_search_pump_cap_boundary():
+    """``pump_tree_cap`` counts every tree yielded at any level: at cap 14 the
+    14th tree counted is 8 = 5 + 5 - 2, whose root and left leaf make a
+    pump; at cap 13 the search stops one tree short of it."""
+    sysq = QuadrupleSystem(1, ((0, 0, 0, 2),), (frozenset({2, 5}),))
+    search = numbersets._search_pump
+    assert search(sysq, 0, 1, 32, Config(pump_tree_cap=13)) is None
+    found = search(sysq, 0, 1, 32, Config(pump_tree_cap=14))
+    assert found.pair == PumpPair(low=(0,), high=(), delta=3)
+    assert found.tree == Node(0, 8, 0, Node(0, 5), Node(0, 5))
 
 
 SYSTEM_TEXT = serialize_system(QuadrupleSystem(
