@@ -516,7 +516,7 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
         if key not in stats:
             spent = len(bases[lab])
             hist = dict.fromkeys(bases[lab], 1)
-            for idx, l1, l2, j in producers[lab] if n >= 3 else ():
+            for idx, l1, l2, j in producers[lab]:
                 for a in range(1, n - 1, 2):
                     c1, h1, k1 = stat(l1, a)
                     c2, h2, _ = stat(l2, n - 1 - a)
@@ -539,13 +539,13 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
             items = [Node(lab, v) for v in bases[lab]]
             gaps = [1] * len(items)
             owed = 0
-            for idx, l1, l2, j in producers[lab] if n >= 3 else ():
+            for idx, l1, l2, j in producers[lab]:
                 for a in range(1, n - 1, 2):
                     left, left_gaps, left_tail = full(l1, a)
-                    if not left:
-                        owed += left_tail
-                        continue
-                    right, right_gaps, right_tail = full(l2, n - 1 - a)
+                    # the right enumeration runs, and so fits the budget,
+                    # only under a left tree
+                    right, right_gaps, right_tail = (
+                        full(l2, n - 1 - a) if left else ((), (), 0))
                     for lt, lg in zip(left, left_gaps):
                         owed += lg
                         for rt, rg in zip(right, right_gaps):
