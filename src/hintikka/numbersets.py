@@ -497,7 +497,10 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
     trees, built once, whenever the remaining budget covers its full cost
     (computed beforehand without building a tree). The replay spends the
     budget at the same points, so the search finds what a plain enumeration
-    finds. Only a call the budget may cut short runs the enumeration, whose
+    finds: once the budget is spent, a replay may yield trees a cut
+    enumeration would not, but only to enumerations that can yield nothing
+    more, so the search itself then receives at most base leaves, which hold
+    no pump. Only a call the budget may cut short runs the enumeration, whose
     inner calls again replay where they can. A list is built only when its
     cost fits the budget, so lists hold at most ``pump_tree_cap`` trees.
     """
