@@ -836,7 +836,7 @@ def parse_scheme(text: str) -> Scheme:
 
     header = None
     ident = []
-    drop1, drop2 = set(), set()
+    drop1, drop2 = {}, {}      # dropped constant index -> line number
     result = {}
     defaults = {}
     randoms = {}
@@ -856,9 +856,9 @@ def parse_scheme(text: str) -> Scheme:
                     i, j = item.split("~")
                     ident.append((int(i), int(j)))
             elif parts[0] == "drop1":
-                drop1.update(int(x) for x in parts[1:])
+                drop1.update((int(x), lineno) for x in parts[1:])
             elif parts[0] == "drop2":
-                drop2.update(int(x) for x in parts[1:])
+                drop2.update((int(x), lineno) for x in parts[1:])
             elif parts[0] == "result":
                 for item in parts[1:]:
                     c, ref = item.split("=", 1)
@@ -869,6 +869,9 @@ def parse_scheme(text: str) -> Scheme:
                 rest = stripped.split(None, 2)[2]
                 if rest.startswith("default="):
                     val = rest.split("=", 1)[1].strip()
+                    if val not in ("union", "true", "false"):
+                        raise ParseError(f"table default must be union, true or false, "
+                                         f"got {val!r}", lineno)
                     defaults[name] = val
                 elif rest.startswith("random="):
                     randoms[name] = int(rest.split("=", 1)[1])
@@ -887,6 +890,10 @@ def parse_scheme(text: str) -> Scheme:
     if header is None:
         raise ParseError("missing 'scheme' header line")
     k1, k2, k = header
+    for drops, count in ((drop1, k1), (drop2, k2)):
+        for i, lineno in drops.items():
+            if not 0 <= i < count:
+                raise ParseError(f"dropped constant {i} out of range 0..{count - 1}", lineno)
     keep1 = tuple(i not in drop1 for i in range(k1))
     keep2 = tuple(j not in drop2 for j in range(k2))
     matched1 = dict(ident)
@@ -931,4 +938,7 @@ def parse_scheme(text: str) -> Scheme:
         else:
             dval = "union" if default == "union" else (default == "true")
             tables.append((name, ("map", dval, over)))
-    return Scheme(k1, k2, k, tuple(ident), keep1, keep2, tuple(refs), tuple(tables))
+    try:
+        return Scheme(k1, k2, k, tuple(ident), keep1, keep2, tuple(refs), tuple(tables))
+    except SignatureError as exc:
+        raise ParseError(str(exc))

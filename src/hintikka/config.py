@@ -54,6 +54,8 @@ class Config:
 
 DEFAULT = Config()
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 def load_config(path, base: Config = DEFAULT) -> Config:
     """Read key=value lines (comments with '#') into a Config."""
@@ -71,7 +73,7 @@ def load_config(path, base: Config = DEFAULT) -> Config:
                 raise ParseError(f"unknown config key {key!r}", lineno)
             kind = fields[key]
             try:
-                overrides[key] = kind(value) if kind is not bool else value.lower() in ("1", "true", "yes")
-            except ValueError as exc:
+                overrides[key] = _BOOLEANS[value.lower()] if kind is bool else kind(value)
+            except (KeyError, ValueError) as exc:
                 raise ParseError(f"bad value for {key}: {exc}", lineno)
     return replace(base, **overrides)

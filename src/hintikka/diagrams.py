@@ -21,9 +21,10 @@ terms share a class, so atoms are stored once per class tuple. Reindexing
 operations need the predicate arities, which diagrams do not carry.
 
 Theories refer to diagrams by id: ``theory.Interner`` gives each diagram an
-int id on first sight and keeps its tuple once, and depth-0 payloads,
-intern keys and the transfer kernel's memos hold ids. Only a new theory
-sorts its diagrams as tuples, for its digest.
+int id on first sight and keeps its tuple once. There is one id space:
+``DiagramEngine`` returns the interner's ids, and depth-0 payloads, intern
+keys and the transfer kernel's memos hold them. Only a new theory sorts
+its diagrams as tuples, for its digest.
 """
 
 from __future__ import annotations
@@ -144,101 +145,61 @@ def vars_distinct_nonconst(diag) -> bool:
 
 
 class DiagramEngine:
-    """Precomputes the set-independent part of every r-tuple diagram of a
-    structure so that Th^0 under varying set expansions is cheap.
-
-    Set columns are passed as bitmasks over the universe.
+    """Th^0 of one structure under extra set columns, as ids of the
+    interner it is given. Each r-tuple (followed by the constants) is a row,
+    and the constants alone are one more row, with v = 0. A row's diagram is
+    its set-independent shape (v, eq, rel) plus the packed class bits of
+    every set column (bitmasks over the universe); each distinct (shape,
+    set bits) key is interned once per engine.
     """
 
-    def __init__(self, m: Structure, r: int):
+    def __init__(self, m: Structure, r: int, interner):
         self.m = m
-        self.r = r
-        self.base_masks = tuple(_mask(s) for s in m.sets)
-        self.cores = [qf_core(m, elems + m.consts)     # (eq, rel, reps) per r-tuple
-                      for elems in itertools.product(range(m.size), repeat=r)]
-        self.const_core = qf_core(m, m.consts)
-
-    # -- packed fast path (used by compute_theory's subset recursion) -------
-
-    def _prepare_packed(self):
-        """Per core, its shape id and the class-membership bits of the
-        structure's own set columns packed into one int each."""
-        shapes = {}
-        core_shape = []
-        base_sig = []
-        for eq, rel, reps in self.cores:
-            shape = (eq, rel)
-            sid = shapes.setdefault(shape, len(shapes))
-            core_shape.append(sid)
-            base_sig.append(tuple(_pack(mask, reps) for mask in self.base_masks))
-        self._shapes = {v: k for k, v in shapes.items()}
-        self._core_shape = core_shape
-        self._core_reps = [reps for _, _, reps in self.cores]
-        self._base_sig = base_sig
-        self._const_base = tuple(_pack(mask, self.const_core[2]) for mask in self.base_masks)
-        self._rows = None
-        self._local = {}
-        self._local_list = []
+        self.interner = interner
+        base_masks = tuple(sum(1 << e for e in s) for s in m.sets)
+        shapes = {}                 # (v, eq, rel) -> shape index
+        self._rows = []             # per row: (shape index, base set bits, reps)
+        tuples = [(r, elems + m.consts)
+                  for elems in itertools.product(range(m.size), repeat=r)]
+        for v, elems in tuples + [(0, m.consts)]:
+            eq, rel, reps = qf_core(m, elems)
+            sid = shapes.setdefault((v, eq, rel), len(shapes))
+            self._rows.append((sid, tuple(_pack(mask, reps) for mask in base_masks), reps))
+        self._shapes = list(shapes)
+        self._ids = {}              # (shape index, set bits) -> diagram id
+        self._subset_table = None
 
     def _subset_rows(self):
-        """Per core, then for the constant core, the packed class bits of
-        every subset mask; feasible only for small universes (None
-        otherwise). Built on the first call with extra set columns, since a
-        depth-0 theory reads none of it."""
+        """Per row, the packed class bits of every subset mask; feasible
+        only for small universes (None otherwise). Built on the first call
+        with extra set columns, since a depth-0 theory reads none of it."""
         nmasks = 2 ** self.m.size
-        if self._rows is None and nmasks <= 4096:
-            self._rows = [[_pack(u, reps) for u in range(nmasks)]
-                          for reps in self._core_reps + [self.const_core[2]]]
-        return self._rows
+        if self._subset_table is None and nmasks <= 4096:
+            self._subset_table = [[_pack(u, reps) for u in range(nmasks)]
+                                  for _, _, reps in self._rows]
+        return self._subset_table
 
     def th0_local(self, extra_masks: tuple):
-        """Realized r-diagrams and the constant diagram under the given extra
-        set columns, as engine-local ids (cheap to hash).
-
-        Use resolve_local to convert them back into canonical diagram tuples
-        when interning.
-        """
-        if not hasattr(self, "_core_shape"):
-            self._prepare_packed()
-        local = self._local
-        local_list = self._local_list
-        realized = set()
-        add = realized.add
-        rows = self._subset_rows() if extra_masks else None
-        for idx, sid in enumerate(self._core_shape):
-            if rows is not None:
-                row = rows[idx]
-                sig = tuple(row[u] for u in extra_masks)
+        """The ids of the realized r-diagrams and the id of the constant
+        diagram, under the given extra set columns."""
+        ids = self._ids
+        table = self._subset_rows() if extra_masks else None
+        out = []
+        for idx, (sid, base, reps) in enumerate(self._rows):
+            if table is not None:
+                row = table[idx]
+                key = (sid, base + tuple(row[u] for u in extra_masks))
             else:
-                reps = self._core_reps[idx]
-                sig = tuple(_pack(u, reps) for u in extra_masks)
-            key = (sid, self._base_sig[idx] + sig)
-            lid = local.get(key)
-            if lid is None:
-                lid = len(local_list)
-                local[key] = lid
-                local_list.append(key)
-            add(lid)
-        if rows is not None:
-            csig = tuple(rows[-1][u] for u in extra_masks)
-        else:
-            csig = tuple(_pack(u, self.const_core[2]) for u in extra_masks)
-        const_key = ("c", self._const_base + csig)
-        cid = local.get(const_key)
-        if cid is None:
-            cid = len(local_list)
-            local[const_key] = cid
-            local_list.append(const_key)
-        return frozenset(realized), cid
-
-    def resolve_local(self, lid: int):
-        key = self._local_list[lid]
-        if key[0] == "c":
-            eq0, rel0, reps0 = self.const_core
-            return (0, eq0, rel0, tuple(_unpack(sig, len(reps0)) for sig in key[1]))
-        eq, rel = self._shapes[key[0]]
-        nclasses = max(eq) + 1 if eq else 0
-        return (self.r, eq, rel, tuple(_unpack(sig, nclasses) for sig in key[1]))
+                key = (sid, base + tuple(_pack(u, reps) for u in extra_masks))
+            did = ids.get(key)
+            if did is None:
+                v, eq, rel = self._shapes[sid]
+                n = max(eq) + 1 if eq else 0
+                did = ids[key] = self.interner.diagram_id(
+                    (v, eq, rel, tuple(_unpack(bits, n) for bits in key[1])))
+            out.append(did)
+        cid = out.pop()
+        return frozenset(out), cid
 
 
 def _pack(mask: int, reps) -> int:
@@ -250,10 +211,3 @@ def _pack(mask: int, reps) -> int:
 
 def _unpack(sig: int, width: int) -> tuple:
     return tuple(sig >> i & 1 == 1 for i in range(width))
-
-
-def _mask(elems) -> int:
-    mask = 0
-    for e in elems:
-        mask |= 1 << e
-    return mask

@@ -40,12 +40,14 @@ class Interner:
 
     Quantifier-free diagrams are interned to ints in first-seen order
     (hash-consing), so a diagram is hashed once and then keyed and compared
-    by its id. A depth-0 payload is the sorted tuple of its diagram ids,
-    which is also its intern key; deeper payloads are sorted tuples of
-    member ids. Ids are local to one interner. Digests hash the canonical
-    structural form (diagrams sorted as tuples, member digests, not ids),
-    so they are stable across runs, platforms, and interner instances; a
-    payload is sorted by diagram tuple only when a new theory is built.
+    by its id. These ids are the only name a diagram has: ``DiagramEngine``
+    (Th^0) and the transfer kernel take them from here. A depth-0 payload
+    is the sorted tuple of its diagram ids, which is also its intern key;
+    deeper payloads are sorted tuples of member ids. Ids are local to one
+    interner. Digests hash the canonical structural form (diagrams sorted
+    as tuples, member digests, not ids), so they are stable across runs,
+    platforms, and interner instances; a payload is sorted by diagram tuple
+    only when a new theory is built.
 
     Diagrams share few distinct components (equality types, relation
     tuples, set columns): the interner keeps one copy of each, with its
@@ -263,35 +265,23 @@ def compute_theory(m: Structure, n: int, interner: Interner = None,
 
     vocab = m.vocab
     r = vocab.arity + 1
-    engine = DiagramEngine(m, r)
+    engine = DiagramEngine(m, r, interner)
     vocab_key = vocab.key()
     k = vocab.num_consts
     base_m = vocab.num_sets
     all_masks = tuple(range(2 ** m.size))
-    local_cache = {}
-    diagram_ids = {}    # engine-local id -> interner diagram id
-
-    def diagram_id(lid):
-        did = diagram_ids.get(lid)
-        if did is None:
-            did = diagram_ids[lid] = interner.diagram_id(engine.resolve_local(lid))
-        return did
-
-    def intern_local(ids, cid, m_eff):
-        key = (ids, cid)
-        tid = local_cache.get(key)
-        if tid is None:
-            realized = {diagram_id(l) for l in ids}
-            cdiag = engine.resolve_local(cid)
-            tid = interner.intern_depth0(vocab_key, m_eff, k, realized, cdiag)
-            local_cache[key] = tid
-        return tid
+    depth0 = {}     # (diagram ids, constant-diagram id) -> theory id
 
     def rec(extra, depth):
         m_eff = base_m + len(extra)
         if depth == 0:
-            ids, cid = engine.th0_local(extra)
-            return intern_local(ids, cid, m_eff)
+            key = engine.th0_local(extra)
+            tid = depth0.get(key)
+            if tid is None:
+                ids, cid = key
+                tid = depth0[key] = interner.intern_depth0(
+                    vocab_key, m_eff, k, ids, interner.diagram(cid))
+            return tid
         children = {rec(extra + (u,), depth - 1) for u in all_masks}
         return interner.intern_node(depth, vocab_key, m_eff, k, children)
 

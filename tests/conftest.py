@@ -48,6 +48,8 @@ def matching_graph(pairs):
 FUZZ_ALPHABET = tuple(" =:,()#-/~.\n0123456789abstx") + (
     "rule", "base", "labels", "fact", "t=", "size=", "j=", "vocab", "size",
     "consts", "sets", "const", "rel", "set", "E/2",
+    "scheme", "k1=", "k2=", "k=", "ident", "drop1", "drop2", "result", "table",
+    "default=", "random=", "pattern", "union", "true", "false", '"', "1.", "2.",
 )
 
 

@@ -208,6 +208,15 @@ def test_unknown_config_key_exit_code(files, capsys, tmp_path):
     assert "unknown config key 'k_star_max'" in capsys.readouterr().err
 
 
+def test_bad_config_boolean_exit_code(files, capsys, tmp_path):
+    # a boolean is one of 1/0/true/false/yes/no; anything else is refused
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("include_empty_model=maybe\n", encoding="utf-8")
+    code = run(["--config", str(cfg), "theory", "--model", files["p3.struct"], "--depth", "0"])
+    assert code == 1
+    assert "line 1: bad value for include_empty_model" in capsys.readouterr().err
+
+
 def test_budget_exit_code(files, capsys):
     code = run(["theory", "--model", files["p3.struct"], "--depth", "4"])
     assert code == 2
@@ -222,11 +231,14 @@ def test_selfcheck_deterministic_across_jobs(files, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_selfcheck_golden():
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_selfcheck_golden(jobs):
     """selfcheck stdout pinned byte for byte: it carries the closure-spectra
     and numbersets certificates (pump witnesses included, one of them
-    empirical), which depend on where the pump search stops."""
-    out = _fresh_run("--jobs", "1", "selfcheck", "--seed", "2024")
+    empirical), which depend on where the pump search stops. With four
+    jobs the checks share the default interner across threads from a cold
+    start, and the output is the same."""
+    out = _fresh_run("--jobs", jobs, "selfcheck", "--seed", "2024")
     assert out.endswith(b"selfcheck ok checks=9 failures=0\n")
     assert hashlib.sha256(out).hexdigest() == (
         "7d7aa02b382fd473a9a18972d5908c58da749607f4f27379421bfdbfcdb23d8d")

@@ -8,8 +8,9 @@ computation on the glued structure is the oracle throughout.
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import k2_graph, rand_structure, triangle
+from conftest import k2_graph, mutated, rand_structure, triangle
 from hintikka.composition import (
     Scheme,
     count_patterns,
@@ -27,7 +28,7 @@ from hintikka.composition import (
     table_extension,
     transfer,
 )
-from hintikka.errors import BudgetError, SignatureError
+from hintikka.errors import BudgetError, ParseError, SignatureError
 from hintikka.structures import Structure, Vocabulary, path_graph
 from hintikka.theory import Interner, compute_theory, default_interner
 
@@ -318,3 +319,40 @@ def test_scheme_validation():
         Scheme(1, 1, 1, (), (False,), (True,), (("1", 0),))  # result ref dropped
     with pytest.raises(SignatureError):
         Scheme(0, 0, 1, (), (), (), (("1", 0),))          # ref out of range
+
+
+@pytest.mark.parametrize("text, line", [
+    ("scheme k1=1 k2=1 k=0\ndrop1 7\n", 2),
+    ("scheme k1=1 k2=2 k=0\ndrop2 2\n", 2),
+    ("drop1 -1\nscheme k1=1 k2=1 k=0\n", 1),
+    ("scheme k1=0 k2=0 k=0\ntable E default=maybe\n", 2),
+    ("scheme k1=1 k2=1 k=0\nident 0~5\n", None),          # Scheme refusals
+    ("scheme k1=1 k2=1 k=1\nresult 0=1.0\ndrop1 0\n", None),
+], ids=["drop1-range", "drop2-range", "drop-before-header", "table-default",
+        "ident-range", "result-dropped"])
+def test_parse_scheme_refusals(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_scheme(text)
+    assert info.value.line == line
+
+
+SCHEME_TEXT = (
+    "scheme k1=2 k2=2 k=2\n"
+    "ident 1~0\n"
+    "drop1 0\n"
+    "result 0=1.1 1=2.1\n"
+    "table E default=union\n"
+    'table E pattern "p" = 1\n'
+    "table S default=false\n"
+    "table P0 random=7\n"
+)
+
+
+@given(mutated(SCHEME_TEXT))
+@settings(max_examples=300, deadline=None)
+def test_parse_scheme_mutation_fuzz(text):
+    """Any input either parses or raises ParseError."""
+    try:
+        parse_scheme(text)
+    except ParseError:
+        pass

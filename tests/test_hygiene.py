@@ -4,6 +4,9 @@ Claims:
     - no module under src/hintikka imports a name it never reads (the
       package ``__init__`` re-exports its imports, and ``__future__``
       imports are directives, so both are exempt)
+    - every private function, method or class under src/hintikka (a name
+      with a leading underscore, dunders exempt) is read somewhere in the
+      package
 """
 
 import ast
@@ -38,3 +41,47 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree) -> list:
+    """(line, name) of every function, method or class named with a leading
+    underscore, dunders excluded."""
+    return [(node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def names_read(tree) -> set:
+    """Every name or attribute the module reads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            read.add(node.attr)
+    return read
+
+
+def dead_private_helpers(sources: dict) -> list:
+    """(module, line, name) of each private definition that no module of
+    ``sources`` (module name -> source text) reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(names_read, trees.values()))
+    return sorted((name, line, defined) for name, tree in trees.items()
+                  for line, defined in private_definitions(tree) if defined not in read)
+
+
+def test_scan_finds_a_dead_private_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _dead():\n    pass\n",
+        "b.py": ("from a import _used\nclass _C:\n    def __init__(self):\n"
+                 "        self._slot = _used()\n    def _unread(self):\n        pass\n"
+                 "_C()\n"),
+    }
+    assert dead_private_helpers(sources) == [("a.py", 3, "_dead"), ("b.py", 5, "_unread")]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert dead_private_helpers(sources) == []

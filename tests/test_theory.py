@@ -9,6 +9,8 @@ Claims:
       the interner gave them
     - a fresh interner starts with every table empty, and work in it leaves
       the default interner alone
+    - Th^0 from the diagram engine equals a brute-force build, one diagram
+      per tuple, on the subset-table path and on the per-mask path
     - every realizable theory is a member of the formal space
     - formal spaces obey the powerset law and refuse over budget
     - small-model tables over class representatives equal those over every
@@ -16,6 +18,7 @@ Claims:
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 from conftest import k2_graph, rand_structure
 from hintikka.composition import disjoint_union_scheme, transfer
 from hintikka.config import Config
-from hintikka.diagrams import partitions
+from hintikka.diagrams import DiagramEngine, partitions, qf_core
 from hintikka.errors import BudgetError
 from hintikka.structures import (
     Structure,
@@ -155,6 +158,53 @@ def test_fresh_interner_sizes():
     assert all(grown[name] > 0 for name in ("theories", "diagrams", "theory_memo",
                                             "transfer_memo", "side_tables"))
     assert default_interner().sizes() == before
+
+
+def _brute_th0(m, r, interner, extra_masks):
+    """Th^0 of m with extra set columns, one diagram per tuple: the qf core
+    of the r-tuple and the constants, plus its class bits in every set."""
+    columns = list(m.sets) + [{e for e in range(m.size) if u >> e & 1} for u in extra_masks]
+
+    def diagram_id(v, elems):
+        eq, rel, reps = qf_core(m, elems)
+        return interner.diagram_id(
+            (v, eq, rel, tuple(tuple(e in col for e in reps) for col in columns)))
+
+    ids = {diagram_id(r, elems + m.consts)
+           for elems in itertools.product(range(m.size), repeat=r)}
+    return frozenset(ids), diagram_id(0, m.consts)
+
+
+def _th0_cases():
+    rng = random.Random(8)
+    for case in range(24):
+        size, k, num_sets = 1 + case % 4, case % 3, case // 3 % 2
+        vocab = Vocabulary((("E", 2), ("S", 1)), k, num_sets)
+        m = rand_structure(Vocabulary(vocab.predicates, 0, num_sets), size, rng)
+        consts = tuple(rng.randrange(size) for _ in range(k))
+        if k == 2 and case % 2:
+            consts = (consts[0], consts[0])     # two constants naming one element
+        yield Structure(vocab, size, m.relations, consts, m.sets)
+    for vocab in (Vocabulary(()), Vocabulary((("S", 1),), 1, 1)):
+        yield rand_structure(vocab, 13, rng)     # 2^13 masks: the per-mask path
+
+
+def test_th0_matches_brute_force():
+    interner = Interner()
+    rng = random.Random(9)
+    table_path = mask_path = 0
+    for m in _th0_cases():
+        r = m.vocab.arity + 1
+        engine = DiagramEngine(m, r, interner)
+        full = 2 ** m.size - 1
+        for extra in ((), (0,), (full,), (rng.randint(0, full),),
+                      (rng.randint(0, full), rng.randint(0, full)), (), (full, 0, 1)):
+            assert engine.th0_local(extra) == _brute_th0(m, r, interner, extra)
+        if engine._subset_rows() is None:
+            mask_path += 1
+        else:
+            table_path += 1
+    assert table_path == 24 and mask_path == 2
 
 
 def test_payload_bound():
