@@ -385,39 +385,32 @@ def _compatible(rec1, rec2, scheme: Scheme, newest: int) -> bool:
 def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
                    interner: Interner, lift: int) -> int:
     """Depth-0 transfer, one loop for every table kind. Per configuration of
-    the result variables: take each part's distinct packed sides from its
-    side table, join each pair by OR, replace each tabled predicate's mask
-    by its table values, and unpack each distinct result once."""
+    the result variables, each part's side table lists the pack ids of its
+    distinct packed sides; the configuration's join table maps a pair of
+    pack ids to the result diagram id, and only a pair seen for the first
+    time is joined (``_join``)."""
     preds = r1.vocab_key
     arities = tuple(a for _, a in preds)
     m = r1.m
     base_m = m - lift
     r = max([1] + list(arities)) + 1
     ckey = (scheme.scheme_id, preds, r, base_m)
-    configs = interner.scheme_configs.get(ckey)
-    if configs is None:
-        configs = interner.scheme_configs[ckey] = _scheme_configs(scheme, preds, r, base_m)
-    unpacked = interner.unpacked_diagrams.get(ckey)
-    if unpacked is None:
-        unpacked = interner.unpacked_diagrams.setdefault(ckey, tuple({} for _ in configs))
-    tables = (_side_table(interner, i1, r1, 0, ckey, configs, r, arities, base_m),
-              _side_table(interner, i2, r2, 1, ckey, configs, r, arities, base_m))
+    memos = interner.config_memos.get(ckey)
+    if memos is None:
+        # threads that share the interner must share one memo per key
+        memos = interner.config_memos.setdefault(ckey, _scheme_configs(scheme, preds, r, base_m))
+    tables = (_side_table(interner, i1, r1, 0, ckey, memos, r, arities, base_m),
+              _side_table(interner, i2, r2, 1, ckey, memos, r, arities, base_m))
 
     realized = set()
-    for (res_eq, _, tabled), sides1, sides2, memo in zip(configs, *tables, unpacked):
-        for masks1, subs1 in sides1:
-            for masks2, subs2 in sides2:
-                sig = tuple(map(or_, masks1, masks2))
-                if tabled:
-                    sig = list(sig)
-                    for t, (pos, name, skeletons) in enumerate(tabled):
-                        sig[pos] = _table_mask(interner, scheme, name, skeletons,
-                                               subs1[t], subs2[t], sig[pos])
-                    sig = tuple(sig)
-                did = memo.get(sig)
+    for memo, xs, ys in zip(memos, *tables):
+        joins = memo.joins
+        for x in xs:
+            row = joins[x]
+            for y in ys:
+                did = row.get(y)
                 if did is None:
-                    did = memo[sig] = interner.diagram_id(
-                        unpack_diagram(r, res_eq, sig, arities))
+                    did = row[y] = _join(interner, scheme, memo, x, y, r, arities)
                 realized.add(did)
 
     if realized:
@@ -430,28 +423,64 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
     return interner.intern_depth0(preds, m, scheme.k, realized, const_diag)
 
 
-def _side_table(interner: Interner, tid: int, rec, side: int, ckey, configs,
+class _ConfigMemo:
+    """The kernel's memo for one configuration of one scheme config key.
+
+    Per side: ``pack_of`` maps a projection's diagram id to its pack id,
+    ``pack_ids`` gives each distinct packed side one id, and ``packs`` lists
+    the packed sides by id. ``joins`` holds, per side-1 pack id, a dict from
+    side-2 pack id to the result diagram id."""
+
+    __slots__ = ("res_eq", "parts", "tabled", "pack_of", "pack_ids", "packs", "joins")
+
+    def __init__(self, res_eq, parts, tabled):
+        self.res_eq, self.parts, self.tabled = res_eq, parts, tabled
+        self.pack_of, self.pack_ids, self.packs = ({}, {}), ({}, {}), ([], [])
+        self.joins = []
+
+
+def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
+          r: int, arities) -> int:
+    """The result diagram id of the packed sides x and y: OR their masks,
+    replace each tabled predicate's mask by its table values, unpack."""
+    masks1, subs1 = memo.packs[0][x]
+    masks2, subs2 = memo.packs[1][y]
+    sig = list(map(or_, masks1, masks2))
+    for t, (pos, name, skeletons) in enumerate(memo.tabled):
+        sig[pos] = _table_mask(interner, scheme, name, skeletons, subs1[t], subs2[t], sig[pos])
+    return interner.diagram_id(unpack_diagram(r, memo.res_eq, sig, arities))
+
+
+def _side_table(interner: Interner, tid: int, rec, side: int, ckey, memos,
                 r: int, arities, base_m: int):
-    """Per config, the distinct packed sides of one part's projections. A
-    table depends only on (theory, configs, side), so it is built once; a
-    pack depends only on (config, side, projection), so theories that share
-    a projection share its pack."""
+    """Per config, the pack ids of one part's distinct packed sides. A table
+    depends only on (theory, config key, side), so it is built once; a pack
+    depends only on (config, side, projection), so theories that share a
+    projection share its pack id, and projections that pack alike share
+    one id."""
     key = (tid, ckey, side)
     table = interner.side_tables.get(key)
     if table is None:
         projections = _projections(interner, tid, rec, r, arities)
-        packs = interner.side_packs
         table = []
-        for cfg_idx, (_, parts, _) in enumerate(configs):
-            part = parts[side]
-            sides = {}
+        for memo in memos:
+            part = memo.parts[side]
+            pack_of, pack_ids, packs = memo.pack_of[side], memo.pack_ids[side], memo.packs[side]
+            ids = {}
             for d in projections[part[0]]:
-                pkey = (ckey, cfg_idx, side, d)
-                packed = packs.get(pkey)
-                if packed is None:
-                    packed = packs[pkey] = _pack_side(interner, d, part, arities, base_m)
-                sides[packed] = None
-            table.append(tuple(sides))
+                x = pack_of.get(d)
+                if x is None:
+                    packed = _pack_side(interner, d, part, arities, base_m)
+                    with interner._lock:    # one id per pack, also across threads
+                        x = pack_ids.get(packed)
+                        if x is None:
+                            x = pack_ids[packed] = len(packs)
+                            packs.append(packed)
+                            if side == 0:
+                                memo.joins.append({})
+                    pack_of[d] = x
+                ids[x] = None
+            table.append(tuple(ids))
         table = interner.side_tables[key] = tuple(table)
     return table
 
@@ -485,9 +514,11 @@ def _projections(interner: Interner, tid: int, rec, r: int, arities):
 
 
 def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
-    """Per (partition, block-origin) configuration of the r result variables:
-    the result equality type, per part the recipe that packs a projection,
-    and the tabled predicates with a pattern skeleton per entry.
+    """One ``_ConfigMemo`` per (partition, block-origin) configuration of
+    the r result variables: the result equality type, per part the recipe
+    that packs a projection, and the tabled predicates with a pattern
+    skeleton per entry. Configurations with equal class origins and slots
+    share one recipe.
 
     Entries of a predicate are its class tuples in atom order; entries of a
     set column are the classes. Tables cover the vocabulary's predicates and
@@ -500,36 +531,50 @@ def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
                   if scheme.table_spec(name)[0] != "union"]
     kept = scheme.kept_refs()
     configs = []
+    recipes = {}
+    pool = {}       # one copy of each skeleton pattern
     for eq_vars in partitions(r):
         nblocks = max(eq_vars) + 1 if eq_vars else 0
         for origins_blocks in _block_origins(nblocks, kept):
             res_eq, class_origin, dslots, nvars = _build_config(
                 eq_vars, origins_blocks, scheme, r)
-            nclasses = max(res_eq) + 1 if res_eq else 0
-            entries = [tuple(itertools.product(range(nclasses), repeat=a)) for a in arities]
-            entries += [tuple((c,) for c in range(nclasses))] * base_m
-            skeletons = {pos: tuple(_pattern_skeleton(ct, class_origin, dslots)
-                                    for ct in entries[pos]) for pos in tabled_pos}
-            tabled = tuple(
-                (pos, names[pos], tuple((peq, porig) for peq, porig, _ in skeletons[pos]))
-                for pos in tabled_pos)
-            parts = []
-            for side, (v, dslot, kc) in enumerate(zip(nvars, dslots, (scheme.k1, scheme.k2))):
-                atom_idx = tuple(
-                    tuple(rel_index(tuple(dslot[c] for c in ct), v + kc)
-                          if all(dslot[c] is not None for c in ct) else None
-                          for ct in cts)
-                    for cts in entries[:len(arities)])
-                sub_slots = tuple(tuple(slots[side] for _, _, slots in skeletons[pos])
-                                  for pos in tabled_pos)
-                parts.append((v, atom_idx, dslot, sub_slots))
-            configs.append((res_eq, tuple(parts), tabled))
-    return configs
+            recipe = recipes.get((class_origin, dslots))
+            if recipe is None:
+                recipe = recipes[class_origin, dslots] = _config_recipe(
+                    scheme, arities, names, tabled_pos, base_m, class_origin, dslots, nvars, pool)
+            configs.append(_ConfigMemo(res_eq, *recipe))
+    return tuple(configs)
 
 
-def _pattern_skeleton(ct, class_origin, dslots):
-    """Config-constant part of an entry's pattern: equalities, origins, and
-    per part the projection slots feeding its sub-diagram."""
+def _config_recipe(scheme: Scheme, arities, names, tabled_pos, base_m: int,
+                   class_origin, dslots, nvars, pool: dict):
+    """Per part the recipe that packs a projection, and the tabled
+    predicates with a pattern skeleton per entry: all that a configuration
+    reads of its class origins and slots."""
+    nclasses = len(class_origin)
+    entries = [tuple(itertools.product(range(nclasses), repeat=a)) for a in arities]
+    entries += [tuple((c,) for c in range(nclasses))] * base_m
+    skeletons = {pos: tuple(_pattern_skeleton(ct, class_origin, dslots, pool)
+                            for ct in entries[pos]) for pos in tabled_pos}
+    tabled = tuple((pos, names[pos], tuple(pattern for pattern, _ in skeletons[pos]))
+                   for pos in tabled_pos)
+    parts = []
+    for side, (v, dslot, kc) in enumerate(zip(nvars, dslots, (scheme.k1, scheme.k2))):
+        atom_idx = tuple(
+            tuple(rel_index(tuple(dslot[c] for c in ct), v + kc)
+                  if all(dslot[c] is not None for c in ct) else None
+                  for ct in cts)
+            for cts in entries[:len(arities)])
+        sub_slots = tuple(tuple(slots[side] for _, slots in skeletons[pos])
+                          for pos in tabled_pos)
+        parts.append((v, atom_idx, dslot, sub_slots))
+    return tuple(parts), tabled
+
+
+def _pattern_skeleton(ct, class_origin, dslots, pool: dict):
+    """Config-constant part of an entry's pattern: its (equalities, origins),
+    one copy per ``pool``, and per part the projection slots feeding its
+    sub-diagram."""
     peq = canonical_eq(ct)
     pcls = []
     for pos, c in enumerate(peq):
@@ -537,7 +582,8 @@ def _pattern_skeleton(ct, class_origin, dslots):
             pcls.append(ct[pos])
     porig = tuple(class_origin[c] for c in pcls)
     slots = tuple(tuple(dslot[c] for c in pcls if dslot[c] is not None) for dslot in dslots)
-    return (peq, porig, slots)
+    pattern = (peq, porig)
+    return pool.setdefault(pattern, pattern), slots
 
 
 def _block_origins(nblocks, kept_refs):
@@ -849,8 +895,15 @@ def parse_scheme(text: str) -> Scheme:
         parts = stripped.split()
         try:
             if parts[0] == "scheme":
-                fields = dict(p.split("=", 1) for p in parts[1:])
-                header = (int(fields["k1"]), int(fields["k2"]), int(fields["k"]))
+                if header is not None:
+                    raise ParseError("second 'scheme' header line", lineno)
+                fields = {}
+                for item in parts[1:]:
+                    key, val = item.split("=", 1)
+                    if key not in ("k1", "k2", "k"):
+                        raise ParseError(f"unknown header field {key!r}", lineno)
+                    _set_once(fields, key, int(val), f"header field {key!r}", lineno)
+                header = (fields["k1"], fields["k2"], fields["k"])
             elif parts[0] == "ident":
                 for item in parts[1:]:
                     i, j = item.split("~")
@@ -863,7 +916,7 @@ def parse_scheme(text: str) -> Scheme:
                 for item in parts[1:]:
                     c, ref = item.split("=", 1)
                     part, idx = ref.split(".")
-                    result[int(c)] = (part, int(idx))
+                    _set_once(result, int(c), (part, int(idx)), f"result constant {c}", lineno)
             elif parts[0] == "table":
                 name = parts[1]
                 rest = stripped.split(None, 2)[2]
@@ -872,9 +925,10 @@ def parse_scheme(text: str) -> Scheme:
                     if val not in ("union", "true", "false"):
                         raise ParseError(f"table default must be union, true or false, "
                                          f"got {val!r}", lineno)
-                    defaults[name] = val
+                    _set_once(defaults, name, val, f"table {name} default=", lineno)
                 elif rest.startswith("random="):
-                    randoms[name] = int(rest.split("=", 1)[1])
+                    _set_once(randoms, name, int(rest.split("=", 1)[1]),
+                              f"table {name} random=", lineno)
                 elif rest.startswith("pattern"):
                     match = _re.match(r'pattern\s+"(.*)"\s*=\s*([01])\s*$', rest)
                     if not match:
@@ -942,3 +996,10 @@ def parse_scheme(text: str) -> Scheme:
         return Scheme(k1, k2, k, tuple(ident), keep1, keep2, tuple(refs), tuple(tables))
     except SignatureError as exc:
         raise ParseError(str(exc))
+
+
+def _set_once(values: dict, key, value, what: str, lineno: int):
+    """``values[key] = value``, refusing a key that the file gave before."""
+    if key in values:
+        raise ParseError(f"{what} given twice", lineno)
+    values[key] = value

@@ -138,10 +138,6 @@ def _saturate(sys: QuadrupleSystem, limit: int):
     return done
 
 
-def _values_upto(bits: int, bound: int) -> tuple:
-    return tuple(_bits(bits & ((1 << (bound + 1)) - 1)))
-
-
 def reach(sys: QuadrupleSystem, bound: int, slack: int = None) -> ReachResult:
     """Values <= bound reachable at each label (deterministic).
 
@@ -152,10 +148,10 @@ def reach(sys: QuadrupleSystem, bound: int, slack: int = None) -> ReachResult:
         raise HintikkaError("bound must be a natural number")
     slack = sys.default_slack() if slack is None else slack
     members, _ = _saturate(sys, bound + slack)
-    first = tuple(_values_upto(ms, bound) for ms in members)
     members2, _ = _saturate(sys, bound + 2 * slack)
-    second = tuple(_values_upto(ms, bound) for ms in members2)
-    return ReachResult(second, bound, slack, first == second)
+    low = (1 << (bound + 1)) - 1
+    stable = all(a & low == b & low for a, b in zip(members, members2))
+    return ReachResult(tuple(tuple(_bits(ms & low)) for ms in members2), bound, slack, stable)
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,15 @@ class Interner:
         self.theory_memo = {}
         self.transfer_memo = {}
         # memos of the depth-0 transfer kernel (composition._transfer_base),
-        # keyed by values that only this interner's ids make meaningful
-        self.scheme_configs = {}
+        # keyed by values that only this interner's ids make meaningful:
+        # config_memos holds, per scheme config key, one memo per
+        # configuration (its recipe, its pack ids and its join table)
+        self.config_memos = {}
         self.theory_projections = {}
         self.diagram_projections = {}
-        self.side_packs = {}
         self.side_tables = {}
         self.sub_diagrams = {}
         self.table_values = {}
-        self.unpacked_diagrams = {}
 
     def _insert(self, key, rec_builder):
         with self._lock:

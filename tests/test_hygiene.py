@@ -7,6 +7,10 @@ Claims:
     - every private function, method or class under src/hintikka (a name
       with a leading underscore, dunders exempt) is read somewhere in the
       package
+    - every public attribute that ``Interner.__init__`` declares (its
+      tables and memos) is read somewhere in the package outside the
+      ``Interner`` class, so a memo that was folded into another cannot
+      linger
 """
 
 import ast
@@ -85,3 +89,39 @@ def test_scan_finds_a_dead_private_helper():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert dead_private_helpers(sources) == []
+
+
+def unread_interner_attributes(sources: dict) -> list:
+    """(line, name) of each public attribute that ``Interner.__init__`` in
+    ``theory.py`` assigns and that no module of ``sources`` reads outside
+    the ``Interner`` class (``sizes()`` reads them all through ``vars``)."""
+    read = set()
+    declared = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Interner":
+                if name == "theory.py":
+                    init = next(f for f in node.body
+                                if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+                    declared += [(t.lineno, t.attr) for t in ast.walk(init)
+                                 if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                                 and not t.attr.startswith("_")]
+                node.body = []
+        read |= names_read(tree)
+    return [(line, attr) for line, attr in declared if attr not in read]
+
+
+def test_scan_finds_an_unread_interner_attribute():
+    sources = {
+        "theory.py": ("class Interner:\n    def __init__(self):\n        self._lock = None\n"
+                      "        self.used = {}\n        self.unused = {}\n"
+                      "    def size(self):\n        return len(self.unused)\n"),
+        "kernel.py": "def f(interner):\n    return interner.used.get(1)\n",
+    }
+    assert unread_interner_attributes(sources) == [(5, "unused")]
+
+
+def test_no_unread_interner_attributes():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_interner_attributes(sources) == []
