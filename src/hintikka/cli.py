@@ -3,13 +3,14 @@
 Exit codes: 0 success, 1 domain error, 2 budget refusal. All output is
 deterministic given the same inputs, config, and seeds (including under
 --jobs > 1); identifiers printed are stable digests, never process-local.
+``--jobs N`` runs selfcheck's checks in N worker processes, each with its
+own interner; every other command runs in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import selfcheck as _selfcheck_mod
 from .composition import (
@@ -265,18 +266,18 @@ def cmd_oracle_spectrum(args, config):
 
 def cmd_selfcheck(args, config):
     checks = _selfcheck_mod.all_checks(args.seed)
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [(idx, fn()) for idx, (name, fn) in enumerate(checks)]
+    if args.jobs == 1:
+        results = [fn() for _, fn in checks]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(idx, pool.submit(fn)) for idx, (name, fn) in enumerate(checks)]
-            results = [(idx, f.result()) for idx, f in futures]
+        # imported here: the pool module would cost every other command
+        # start-up time and memory
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(checks))) as pool:
+            futures = [pool.submit(fn) for _, fn in checks]
+            results = [f.result() for f in futures]
     lines = []
     failures = 0
-    for idx, _ in sorted(results, key=lambda kv: kv[0]):
-        name = checks[idx][0]
-        ok, detail = results[idx][1] if isinstance(results[idx][1], tuple) else (True, [])
+    for (name, _), (ok, detail) in zip(checks, results):
         status = "ok" if ok else "FAIL"
         if not ok:
             failures += 1
@@ -288,13 +289,20 @@ def cmd_selfcheck(args, config):
     return 0 if failures == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hintikka",
         description="Depth-n monadic theories, gluing, closure, spectra, and "
                     "periodicity certificates for finite relational structures.")
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes for selfcheck")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

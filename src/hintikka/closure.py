@@ -210,23 +210,35 @@ def write_facts(state: ClosureState) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LINE_FIELDS = {"base": ("t", "size", "k"), "fact": ("t1", "t2", "scheme", "t", "j")}
+
+
 def parse_facts(text: str):
-    """Parse base/fact lines into (base: digest -> sizes, facts list)."""
+    """Parse base/fact lines into (base: digest -> sizes, facts list),
+    refusing a field that the line kind does not have or that it repeats."""
     base = {}
     facts = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        kind, *items = line.split()
+        if kind not in _LINE_FIELDS:
+            raise ParseError(f"unknown line kind: {line!r}", lineno)
         try:
-            fields = dict(part.split("=", 1) for part in line.split()[1:])
-            if line.startswith("base "):
+            fields = {}
+            for item in items:
+                key, val = item.split("=", 1)
+                if key not in _LINE_FIELDS[kind]:
+                    raise ParseError(f"unknown {kind} field {key!r}", lineno)
+                if key in fields:
+                    raise ParseError(f"{kind} field {key!r} given twice", lineno)
+                fields[key] = val
+            if kind == "base":
                 base.setdefault(fields["t"], set()).add(int(fields["size"]))
-            elif line.startswith("fact "):
+            else:
                 facts.append((fields["t1"], fields["t2"], fields["scheme"],
                               fields["t"], int(fields["j"])))
-            else:
-                raise ParseError(f"unknown line kind: {line!r}", lineno)
         except (KeyError, ValueError):
             raise ParseError(f"malformed line: {line!r}", lineno)
     return base, facts

@@ -397,8 +397,7 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
     ckey = (scheme.scheme_id, preds, r, base_m)
     memos = interner.config_memos.get(ckey)
     if memos is None:
-        # threads that share the interner must share one memo per key
-        memos = interner.config_memos.setdefault(ckey, _scheme_configs(scheme, preds, r, base_m))
+        memos = interner.config_memos[ckey] = _scheme_configs(scheme, preds, r, base_m)
     tables = (_side_table(interner, i1, r1, 0, ckey, memos, r, arities, base_m),
               _side_table(interner, i2, r2, 1, ckey, memos, r, arities, base_m))
 
@@ -471,13 +470,12 @@ def _side_table(interner: Interner, tid: int, rec, side: int, ckey, memos,
                 x = pack_of.get(d)
                 if x is None:
                     packed = _pack_side(interner, d, part, arities, base_m)
-                    with interner._lock:    # one id per pack, also across threads
-                        x = pack_ids.get(packed)
-                        if x is None:
-                            x = pack_ids[packed] = len(packs)
-                            packs.append(packed)
-                            if side == 0:
-                                memo.joins.append({})
+                    x = pack_ids.get(packed)
+                    if x is None:
+                        x = pack_ids[packed] = len(packs)
+                        packs.append(packed)
+                        if side == 0:
+                            memo.joins.append({})
                     pack_of[d] = x
                 ids[x] = None
             table.append(tuple(ids))
@@ -920,6 +918,10 @@ def parse_scheme(text: str) -> Scheme:
             elif parts[0] == "table":
                 name = parts[1]
                 rest = stripped.split(None, 2)[2]
+                if (rest.startswith("random=") and (name in defaults or name in overrides)
+                        or rest.startswith(("default=", "pattern")) and name in randoms):
+                    raise ParseError(f"table {name}: random= mixed with default= or "
+                                     f"pattern lines", lineno)
                 if rest.startswith("default="):
                     val = rest.split("=", 1)[1].strip()
                     if val not in ("union", "true", "false"):

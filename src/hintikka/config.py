@@ -34,8 +34,6 @@ class Config:
     decomp_k_max: int = 3
 
     # number-set engine
-    scan_default: int = 200
-    window_default: int = 16
     # pump search: trees yielded at any level of the enumeration, repeated
     # inner enumerations included; a replayed list counts the same
     # (numbersets._search_pump)

@@ -430,8 +430,8 @@ class PeriodicityCertificate:
         return line
 
 
-def find_period(sys: QuadrupleSystem, label: int, scan_bound: int = None,
-                window: int = None, config: Config = DEFAULT):
+def find_period(sys: QuadrupleSystem, label: int, scan_bound: int,
+                window: int, config: Config = DEFAULT):
     """Smallest (period, threshold) making membership periodic on the scan
     range, or None when inconclusive.
 
@@ -441,8 +441,6 @@ def find_period(sys: QuadrupleSystem, label: int, scan_bound: int = None,
     certified-progression when a derivation-tree pump with increment a
     multiple of the period exists within budget, else empirical.
     """
-    scan_bound = config.scan_default if scan_bound is None else scan_bound
-    window = config.window_default if window is None else window
     if scan_bound < 2 * window:
         raise HintikkaError("scan bound must be at least twice the window")
     rr = reach(sys, scan_bound)
@@ -647,6 +645,10 @@ def parse_system(text: str) -> QuadrupleSystem:
         parts = line.split()
         try:
             if parts[0] == "labels":
+                if m is not None:
+                    raise ParseError("second 'labels' line", lineno)
+                if len(parts) != 2:
+                    raise ParseError("expected 'labels <m>'", lineno)
                 m = int(parts[1])
             elif parts[0] == "rule":
                 if len(parts) != 5:

@@ -166,21 +166,6 @@ def _is_fo_block(phi, r: int) -> bool:
     return nvars <= r and quantifier_depth(phi) == 0
 
 
-def free_fo_vars(phi, bound=frozenset()):
-    if isinstance(phi, Rel):
-        return {t.name for t in phi.terms if isinstance(t, Var)} - bound
-    if isinstance(phi, Eq):
-        return {t.name for t in (phi.left, phi.right) if isinstance(t, Var)} - bound
-    if isinstance(phi, InSet):
-        return ({phi.term.name} if isinstance(phi.term, Var) else set()) - bound
-    if isinstance(phi, (ExistsFO, ForallFO)):
-        return free_fo_vars(phi.body, bound | {phi.var})
-    out = set()
-    for c in _children(phi):
-        out |= free_fo_vars(c, bound)
-    return out
-
-
 def eval_formula(m: Structure, phi, env=None, config: Config = DEFAULT) -> bool:
     """Standard MSO satisfaction by exhaustive assignment enumeration."""
     sd = set_depth(phi)

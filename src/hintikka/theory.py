@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
@@ -36,7 +35,7 @@ class _Rec:
 
 
 class Interner:
-    """Append-only canonical store; get-or-insert is atomic.
+    """Append-only canonical store for one thread.
 
     Quantifier-free diagrams are interned to ints in first-seen order
     (hash-consing), so a diagram is hashed once and then keyed and compared
@@ -52,10 +51,12 @@ class Interner:
     Diagrams share few distinct components (equality types, relation
     tuples, set columns): the interner keeps one copy of each, with its
     repr, and a depth-0 digest is streamed from those reprs.
+
+    Nothing here is locked. Parallel work runs in worker processes, each
+    with an interner of its own (``selfcheck --jobs``).
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._ids = {}
         self._recs = []
         self._diagram_ids = {}
@@ -76,26 +77,22 @@ class Interner:
         self.table_values = {}
 
     def _insert(self, key, rec_builder):
-        with self._lock:
-            tid = self._ids.get(key)
-            if tid is not None:
-                return tid
+        tid = self._ids.get(key)
+        if tid is None:
             rec = rec_builder()
-            tid = len(self._recs)
-            self._ids[key] = tid
+            tid = self._ids[key] = len(self._recs)
             self._recs.append(rec)
-            return tid
+        return tid
 
     def diagram_id(self, diag) -> int:
         """The id of a diagram tuple, assigned on first sight."""
-        with self._lock:
-            did = self._diagram_ids.get(diag)
-            if did is None:
-                v, *parts = diag
-                diag = (v, *map(self._part, parts))
-                did = self._diagram_ids[diag] = len(self._diagrams)
-                self._diagrams.append(diag)
-            return did
+        did = self._diagram_ids.get(diag)
+        if did is None:
+            v, *parts = diag
+            diag = (v, *map(self._part, parts))
+            did = self._diagram_ids[diag] = len(self._diagrams)
+            self._diagrams.append(diag)
+        return did
 
     def _part(self, part):
         """The kept copy of a diagram component. Kept copies live as long as
@@ -512,15 +509,13 @@ class SmallModels:
 
 
 def small_model_theories(vocab: Vocabulary, n: int, k_star: int,
-                         interner: Interner = None, config: Config = DEFAULT,
-                         include_empty: bool = None) -> SmallModels:
+                         interner: Interner = None, config: Config = DEFAULT) -> SmallModels:
     from .structures import enumerate_representatives
 
     interner = default_interner() if interner is None else interner
-    include_empty = config.include_empty_model if include_empty is None else include_empty
     sizes_by_theory = {}
     witnesses = {}
-    lo = 0 if (include_empty and vocab.num_consts == 0) else 1
+    lo = 0 if (config.include_empty_model and vocab.num_consts == 0) else 1
     for size in range(lo, k_star + 1):
         for m in enumerate_representatives(vocab, size, config):
             tid = compute_theory(m, n, interner, config).intern_id

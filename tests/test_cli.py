@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hintikka
+from hintikka import selfcheck
 from hintikka.cli import run
 from hintikka.composition import plain_union_scheme, serialize_scheme
 from hintikka.numbersets import QuadrupleSystem, serialize_system
@@ -202,10 +203,12 @@ def test_domain_error_exit_code(files, capsys, tmp_path):
 def test_unknown_config_key_exit_code(files, capsys, tmp_path):
     # removed fields such as k_star_max are unknown keys: exit 1, no traceback
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("k_star_max=4\n", encoding="utf-8")
-    code = run(["--config", str(cfg), "theory", "--model", files["p3.struct"], "--depth", "0"])
-    assert code == 1
-    assert "unknown config key 'k_star_max'" in capsys.readouterr().err
+    for key in ("k_star_max", "scan_default"):
+        cfg.write_text(f"{key}=4\n", encoding="utf-8")
+        code = run(["--config", str(cfg), "theory", "--model", files["p3.struct"],
+                    "--depth", "0"])
+        assert code == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
 def test_bad_config_boolean_exit_code(files, capsys, tmp_path):
@@ -231,14 +234,54 @@ def test_selfcheck_deterministic_across_jobs(files, capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("jobs", ["1", "4"])
+@pytest.mark.parametrize("jobs", ["1", "2", "4"])
 def test_selfcheck_golden(jobs):
     """selfcheck stdout pinned byte for byte: it carries the closure-spectra
     and numbersets certificates (pump witnesses included, one of them
-    empirical), which depend on where the pump search stops. With four
-    jobs the checks share the default interner across threads from a cold
-    start, and the output is the same."""
+    empirical), which depend on where the pump search stops. With two or
+    four jobs the checks run in worker processes, each from a cold interner
+    of its own, and the output is the same."""
     out = _fresh_run("--jobs", jobs, "selfcheck", "--seed", "2024")
     assert out.endswith(b"selfcheck ok checks=9 failures=0\n")
     assert hashlib.sha256(out).hexdigest() == (
         "7d7aa02b382fd473a9a18972d5908c58da749607f4f27379421bfdbfcdb23d8d")
+
+
+# module level, so that worker processes can unpickle them
+def _passing_check():
+    return True, ["fine"]
+
+
+def _failing_check():
+    return False, ["planted failure"]
+
+
+def _malformed_check():
+    return True     # not an (ok, detail lines) pair
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_selfcheck_reports_failing_check(jobs, capsys, monkeypatch):
+    monkeypatch.setattr(selfcheck, "all_checks", lambda seed: [
+        ("planted", _failing_check), ("fine", _passing_check)])
+    code, out = _capture(capsys, ["--jobs", jobs, "selfcheck"])
+    assert code == 1
+    assert out == ("check planted: FAIL\n  planted failure\ncheck fine: ok\n  fine\n"
+                   "selfcheck FAILED checks=2 failures=1\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_selfcheck_refuses_malformed_check_result(jobs, capsys, monkeypatch):
+    # a result that is not an (ok, detail lines) pair is an error, never "ok"
+    monkeypatch.setattr(selfcheck, "all_checks", lambda seed: [
+        ("fine", _passing_check), ("malformed", _malformed_check)])
+    with pytest.raises(TypeError):
+        run(["--jobs", jobs, "selfcheck"])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_jobs_must_be_positive(jobs, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["--jobs", jobs, "selfcheck"])
+    assert info.value.code == 2
+    assert "--jobs: expected a positive integer" in capsys.readouterr().err

@@ -175,6 +175,11 @@ FACTS_TEXT = ("base t=aa size=2\nbase t=bb size=3\n"
     "fact t1=aa t2=bb scheme=s t=aa j\n",
     "base t=aa\n",
     "fact t1=aa t2=bb scheme=s t=aa j=x\n",
+    "base t=a size=2 size=3\n",                           # repeated field
+    "fact t1=aa t2=bb scheme=s t=aa t=bb j=1\n",
+    "base t=a size=2 bogus=1\n",                          # field of no line kind
+    "base t=a size=2 j=0\n",                              # a fact field on a base line
+    "fact t1=aa t2=bb scheme=s t=aa j=1 size=2\n",        # a base field on a fact line
 ])
 def test_parse_facts_refusals(text):
     with pytest.raises(ParseError):

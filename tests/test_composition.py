@@ -6,8 +6,6 @@ computation on the glued structure is the oracle throughout.
 """
 
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -238,51 +236,14 @@ def test_config_memo_sharing():
         memos = [memo for ms in interner.config_memos.values() for memo in ms]
         for memo in memos:
             for side in (0, 1):
-                assert len(set(memo.packs[side])) == len(memo.packs[side])
+                packs = memo.packs[side]
+                assert len(set(packs)) == len(packs)
+                # pack ids are dense and in order of first sight
+                assert [memo.pack_ids[side][p] for p in packs] == list(range(len(packs)))
+            assert len(memo.joins) == len(memo.packs[0])
         # on the chain scheme, distinct projections of P2 and P3 pack alike
         assert any(len(memo.pack_of[side]) > len(memo.packs[side])
                    for memo in memos for side in (0, 1))
-
-
-def test_config_memo_threads():
-    # selfcheck --jobs shares one interner across threads: pack ids handed
-    # out concurrently must stay one per distinct pack, or joins go wrong
-    v = Vocabulary((("S", 1), ("E", 2)), 1)
-    rng = random.Random(37)
-    prf = random_table_scheme(v, 1, 1, 1, 91, ((0, 0),), result_refs=(("s", 0, 0),))
-    pairs = [(rand_structure(v, 3, rng), rand_structure(v, 2, rng)) for _ in range(6)]
-    expected = [compute_theory(glue(m1, m2, prf), 0, Interner()).digest for m1, m2 in pairs]
-    for _ in range(12):      # the race window is narrow: try it repeatedly
-        interner = Interner()
-        theories = [(compute_theory(m1, 0, interner), compute_theory(m2, 0, interner))
-                    for m1, m2 in pairs]
-        results, errors = {}, []
-
-        def work(k):
-            try:
-                for i in range(len(pairs)):     # all threads race on the same packs
-                    results[k, i] = transfer(*theories[i], prf).digest
-            except Exception as exc:        # reported by the assertion below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads) and errors == []
-        assert all(results[k, i] == expected[i] for k, i in results) and len(results) == 24
-        for memos in interner.config_memos.values():
-            for memo in memos:
-                for side in (0, 1):
-                    packs = memo.packs[side]
-                    assert [memo.pack_ids[side][p] for p in packs] == list(range(len(packs)))
-                assert len(memo.joins) == len(memo.packs[0])
 
 
 def test_transfer_depth2():
@@ -410,10 +371,13 @@ def test_scheme_validation():
     ("scheme k1=1 k2=1 k=1\nresult 0=1.0 0=2.0\n", 2),
     ("scheme k1=0 k2=0 k=0\ntable E default=true\ntable E default=false\n", 3),
     ("scheme k1=0 k2=0 k=0\ntable E random=1\n\ntable E random=2\n", 4),
+    ("scheme k1=0 k2=0 k=0\ntable E default=true\ntable E random=3\n", 3),
+    ("scheme k1=0 k2=0 k=0\ntable E random=3\ntable E pattern \"x\"=1\n", 3),
 ], ids=["drop1-range", "drop2-range", "drop-before-header", "table-default",
         "ident-range", "result-dropped", "second-header", "header-field-twice",
         "unknown-header-field", "result-twice", "table-default-twice",
-        "table-random-twice"])
+        "table-random-twice", "table-random-after-default",
+        "table-pattern-after-random"])
 def test_parse_scheme_refusals(text, line):
     with pytest.raises(ParseError) as info:
         parse_scheme(text)

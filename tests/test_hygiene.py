@@ -11,6 +11,9 @@ Claims:
       tables and memos) is read somewhere in the package outside the
       ``Interner`` class, so a memo that was folded into another cannot
       linger
+    - every public module-level function or class under src/hintikka that
+      the package ``__init__`` does not export is read somewhere in the
+      package outside its own definition
 """
 
 import ast
@@ -125,3 +128,40 @@ def test_scan_finds_an_unread_interner_attribute():
 def test_no_unread_interner_attributes():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_interner_attributes(sources) == []
+
+
+def unread_unexported_definitions(sources: dict) -> list:
+    """(module, line, name) of each public module-level function or class
+    of ``sources`` (module name -> source text) that ``__init__.py`` does
+    not import and that no top-level statement other than its own
+    definition reads."""
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse(sources["__init__.py"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    defined = []
+    for name, source in sources.items():
+        if name == "__init__.py":
+            continue
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not own.startswith("_") and own not in exported:
+                defined.append((name, stmt.lineno, own))
+            read |= names_read(stmt) - {own}
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_scan_finds_an_unread_unexported_definition():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def exported():\n    return helper()\ndef helper():\n    pass\n"
+                 "def dead(n):\n    return dead(n - 1)\nclass Unused:\n    pass\n"),
+        "b.py": "import a\nclass Kept:\n    pass\nKEPT = Kept()\n",
+    }
+    assert unread_unexported_definitions(sources) == [("a.py", 5, "dead"), ("a.py", 7, "Unused")]
+
+
+def test_no_unread_unexported_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_unexported_definitions(sources) == []

@@ -371,6 +371,9 @@ SYSTEM_TEXT = serialize_system(QuadrupleSystem(
     "labels 1\nrule 0 0 0 1 5\n",
     "labels 1\nbase 3: 1\n",
     "labels -1\n",
+    "labels 1\nlabels 2\n",           # a second labels line
+    "labels 2 9\n",                    # too many fields
+    "labels\nrule 0 0 0 1\n",          # too few fields
 ])
 def test_parse_system_refusals(text):
     with pytest.raises(ParseError):
