@@ -35,7 +35,6 @@ from .decomp import (
 )
 from .errors import BudgetError, HintikkaError, ParseError, SignatureError
 from .numbersets import (
-    DerivationTree,
     PeriodicityCertificate,
     PumpPair,
     QuadrupleSystem,

@@ -72,7 +72,7 @@ def _vocab_from_args(args) -> Vocabulary:
 def cmd_theory(args, config):
     m = _load_model(args.model)
     t = compute_theory(m, args.depth, config=config)
-    out = t.dump() if args.dump else t.dump().splitlines()[0] + "\n"
+    out = t.dump() if args.dump else t.dump().partition("\n")[0] + "\n"
     _emit(out, args.out)
     return 0
 

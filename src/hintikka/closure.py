@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from .composition import glue, transfer
 from .config import DEFAULT, Config
-from .errors import HintikkaError, ParseError
+from .errors import HintikkaError
+from .lineformat import LineReader
 from .structures import Structure
 from .theory import Interner, Theory, compute_theory, default_interner
 
@@ -210,35 +211,20 @@ def write_facts(state: ClosureState) -> str:
     return "\n".join(lines) + "\n"
 
 
-_LINE_FIELDS = {"base": ("t", "size", "k"), "fact": ("t1", "t2", "scheme", "t", "j")}
-
-
 def parse_facts(text: str):
-    """Parse base/fact lines into (base: digest -> sizes, facts list),
-    refusing a field that the line kind does not have or that it repeats."""
+    """Parse base/fact lines into (base: digest -> sizes, facts list); a
+    base line's ``k`` is optional."""
     base = {}
     facts = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *items = line.split()
-        if kind not in _LINE_FIELDS:
-            raise ParseError(f"unknown line kind: {line!r}", lineno)
-        try:
-            fields = {}
-            for item in items:
-                key, val = item.split("=", 1)
-                if key not in _LINE_FIELDS[kind]:
-                    raise ParseError(f"unknown {kind} field {key!r}", lineno)
-                if key in fields:
-                    raise ParseError(f"{kind} field {key!r} given twice", lineno)
-                fields[key] = val
-            if kind == "base":
-                base.setdefault(fields["t"], set()).add(int(fields["size"]))
-            else:
-                facts.append((fields["t1"], fields["t2"], fields["scheme"],
-                              fields["t"], int(fields["j"])))
-        except (KeyError, ValueError):
-            raise ParseError(f"malformed line: {line!r}", lineno)
+    reader = LineReader(text, keywords=("base", "fact"))
+    for kind, *items in reader:
+        if kind == "base":
+            fields = reader.fields(items, ("t", "size"), "base field", ("k",))
+            base.setdefault(fields["t"], set()).add(reader.integer(fields["size"], "size"))
+            if "k" in fields:
+                reader.integer(fields["k"], "k")
+        else:
+            fields = reader.fields(items, ("t1", "t2", "scheme", "t", "j"), "fact field")
+            facts.append((fields["t1"], fields["t2"], fields["scheme"], fields["t"],
+                          reader.integer(fields["j"], "j")))
     return base, facts

@@ -36,6 +36,7 @@ from .diagrams import (
     vars_distinct_nonconst,
 )
 from .errors import BudgetError, HintikkaError, ParseError, SignatureError
+from .lineformat import LineReader
 from .structures import Structure, Vocabulary
 from .theory import Interner, Theory
 
@@ -876,132 +877,79 @@ def serialize_scheme(scheme: Scheme) -> str:
 
 
 def parse_scheme(text: str) -> Scheme:
-    import re as _re
-
-    header = None
+    reader = LineReader(text, ("scheme",), ("ident", "drop1", "drop2", "result", "table"))
     ident = []
-    drop1, drop2 = {}, {}      # dropped constant index -> line number
+    drops = {"drop1": set(), "drop2": set()}
     result = {}
     defaults = {}
     randoms = {}
     overrides = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip()
-        stripped = line.split("#", 1)[0].strip() if '"' not in line else line.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        try:
-            if parts[0] == "scheme":
-                if header is not None:
-                    raise ParseError("second 'scheme' header line", lineno)
-                fields = {}
-                for item in parts[1:]:
-                    key, val = item.split("=", 1)
-                    if key not in ("k1", "k2", "k"):
-                        raise ParseError(f"unknown header field {key!r}", lineno)
-                    _set_once(fields, key, int(val), f"header field {key!r}", lineno)
-                header = (fields["k1"], fields["k2"], fields["k"])
-            elif parts[0] == "ident":
-                for item in parts[1:]:
+    modes = {}      # table name -> whether its lines are random=
+    with reader:
+        header = reader.fields(reader.header("scheme"), ("k1", "k2", "k"), "header field")
+        k1, k2, k = (reader.integer(header[key], key) for key in ("k1", "k2", "k"))
+        for kw, *args in reader:
+            if kw == "ident":
+                for item in args:
                     i, j = item.split("~")
                     ident.append((int(i), int(j)))
-            elif parts[0] == "drop1":
-                drop1.update((int(x), lineno) for x in parts[1:])
-            elif parts[0] == "drop2":
-                drop2.update((int(x), lineno) for x in parts[1:])
-            elif parts[0] == "result":
-                for item in parts[1:]:
-                    c, ref = item.split("=", 1)
+            elif kw in drops:
+                count = k1 if kw == "drop1" else k2
+                drops[kw].update(reader.integer(x, "dropped constant", 0, count - 1)
+                                 for x in args)
+            elif kw == "result":
+                for item in args:
+                    c, ref = item.split("=")
+                    c = reader.integer(c, "result constant", 0, k - 1)
+                    reader.once(("result", c), f"result constant {c}")
                     part, idx = ref.split(".")
-                    _set_once(result, int(c), (part, int(idx)), f"result constant {c}", lineno)
-            elif parts[0] == "table":
-                name = parts[1]
-                rest = stripped.split(None, 2)[2]
-                if (rest.startswith("random=") and (name in defaults or name in overrides)
-                        or rest.startswith(("default=", "pattern")) and name in randoms):
-                    raise ParseError(f"table {name}: random= mixed with default= or "
-                                     f"pattern lines", lineno)
-                if rest.startswith("default="):
-                    val = rest.split("=", 1)[1].strip()
-                    if val not in ("union", "true", "false"):
-                        raise ParseError(f"table default must be union, true or false, "
-                                         f"got {val!r}", lineno)
-                    _set_once(defaults, name, val, f"table {name} default=", lineno)
-                elif rest.startswith("random="):
-                    _set_once(randoms, name, int(rest.split("=", 1)[1]),
-                              f"table {name} random=", lineno)
-                elif rest.startswith("pattern"):
-                    match = _re.match(r'pattern\s+"(.*)"\s*=\s*([01])\s*$', rest)
-                    if not match:
-                        raise ParseError(f"malformed table override: {line!r}", lineno)
-                    overrides.setdefault(name, []).append(
-                        (match.group(1), match.group(2) == "1"))
-                else:
-                    raise ParseError(f"malformed table line: {line!r}", lineno)
+                    if part not in ("1", "2"):
+                        raise reader.error("result reference must be 1.<i> or 2.<j>")
+                    result[c] = (part, int(idx))
             else:
-                raise ParseError(f"unknown keyword {parts[0]!r}", lineno)
-        except (ValueError, IndexError, KeyError):
-            raise ParseError(f"malformed line: {line!r}", lineno)
-    if header is None:
-        raise ParseError("missing 'scheme' header line")
-    k1, k2, k = header
-    for drops, count in ((drop1, k1), (drop2, k2)):
-        for i, lineno in drops.items():
-            if not 0 <= i < count:
-                raise ParseError(f"dropped constant {i} out of range 0..{count - 1}", lineno)
-    keep1 = tuple(i not in drop1 for i in range(k1))
-    keep2 = tuple(j not in drop2 for j in range(k2))
-    matched1 = dict(ident)
-    matched2 = {j: i for i, j in ident}
-    # identified pairs dropped jointly if either side is dropped
-    keep1 = tuple(
-        keep1[i] and (i not in matched1 or matched1[i] not in drop2)
-        for i in range(k1))
-    keep2 = tuple(
-        keep2[j] and (j not in matched2 or matched2[j] not in drop1)
-        for j in range(k2))
-
+                name = args[0]
+                if args[1] == "pattern":
+                    kind, key, value = "pattern", f"pattern {args[2]}", "".join(args[3:])
+                else:
+                    kind, _, value = "".join(args[1:]).partition("=")
+                    key = kind + "="
+                if modes.setdefault(name, kind == "random") != (kind == "random"):
+                    raise reader.error(f"table {name}: random= mixed with default= or "
+                                       f"pattern lines")
+                reader.once((name, key), f"table {name} {key}")
+                if kind == "pattern" and args[2][0] == '"' and value in ("=0", "=1"):
+                    overrides.setdefault(name, []).append((args[2][1:-1], value == "=1"))
+                elif kind == "random":
+                    randoms[name] = int(value)
+                elif kind == "default":
+                    defaults[name] = {"union": "union", "true": True, "false": False}[value]
+                else:
+                    raise reader.error("expected 'table <P> default=union|true|false', "
+                                       "'random=<seed>' or 'pattern \"<key>\" = 0|1'")
+    drop1, drop2 = drops["drop1"], drops["drop2"]
+    matched1, matched2 = dict(ident), {j: i for i, j in ident}
+    # identified pairs are dropped jointly if either side is dropped
+    keep1 = tuple(i not in drop1 and matched1.get(i) not in drop2 for i in range(k1))
+    keep2 = tuple(j not in drop2 and matched2.get(j) not in drop1 for j in range(k2))
+    if len(result) != k:
+        raise ParseError(f"expected {k} result constants, got {len(result)}")
     refs = []
-    for c in range(len(result)):
-        if c not in result:
-            raise ParseError(f"missing result constant {c}")
-        part, idx = result[c]
+    for part, idx in (result[c] for c in range(k)):
         if part == "1":
-            refs.append((REF_SHARED, idx, matched1[idx]) if idx in matched1
-                        else (REF_P1, idx))
-        elif part == "2":
-            refs.append((REF_SHARED, matched2[idx], idx) if idx in matched2
-                        else (REF_P2, idx))
+            refs.append((REF_SHARED, idx, matched1[idx]) if idx in matched1 else (REF_P1, idx))
         else:
-            raise ParseError(f"result reference must be 1.<i> or 2.<j>")
-    if len(refs) != k:
-        raise ParseError(f"expected {k} result constants, got {len(refs)}")
-
+            refs.append((REF_SHARED, matched2[idx], idx) if idx in matched2 else (REF_P2, idx))
     tables = []
-    names = set(defaults) | set(randoms) | set(overrides)
-    for name in sorted(names):
+    for name in sorted(modes):
+        default, over = defaults.get(name, "union"), tuple(sorted(overrides.get(name, ())))
         if name in randoms:
             tables.append((name, ("random", randoms[name])))
-            continue
-        default = defaults.get(name, "union")
-        over = tuple(sorted(overrides.get(name, ())))
-        if not over:
-            if default == "union":
-                tables.append((name, ("union",)))
-            else:
-                tables.append((name, ("const", default == "true")))
+        elif over:
+            tables.append((name, ("map", default, over)))
         else:
-            dval = "union" if default == "union" else (default == "true")
-            tables.append((name, ("map", dval, over)))
+            tables.append((name, ("union",) if default == "union" else ("const", default)))
     try:
         return Scheme(k1, k2, k, tuple(ident), keep1, keep2, tuple(refs), tuple(tables))
     except SignatureError as exc:
         raise ParseError(str(exc))
 
-
-def _set_once(values: dict, key, value, what: str, lineno: int):
-    """``values[key] = value``, refusing a key that the file gave before."""
-    if key in values:
-        raise ParseError(f"{what} given twice", lineno)
-    values[key] = value

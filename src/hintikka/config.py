@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError
+from .lineformat import LineReader
 
 
 @dataclass(frozen=True)
@@ -56,22 +57,21 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "
 
 
 def load_config(path, base: Config = DEFAULT) -> Config:
-    """Read key=value lines (comments with '#') into a Config."""
-    overrides = {}
-    fields = {f: type(getattr(base, f)) for f in base.__dataclass_fields__}
+    """Read ``key = value`` lines into a Config; every int is non-negative."""
+    kinds = {f: type(getattr(base, f)) for f in base.__dataclass_fields__}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", lineno)
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in fields:
-                raise ParseError(f"unknown config key {key!r}", lineno)
-            kind = fields[key]
-            try:
-                overrides[key] = _BOOLEANS[value.lower()] if kind is bool else kind(value)
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bad value for {key}: {exc}", lineno)
+        reader = LineReader(fh.read())
+    overrides = {}
+    for tokens in reader:
+        key, eq, value = " ".join(tokens).partition("=")
+        item = key.rstrip() + eq + value.lstrip()
+        [(key, value)] = reader.fields([item], (), "config key", kinds).items()
+        reader.once(key, f"config key {key!r}")
+        if kinds[key] is not bool:
+            overrides[key] = reader.integer(value, key)
+        elif value.lower() in _BOOLEANS:
+            overrides[key] = _BOOLEANS[value.lower()]
+        else:
+            raise reader.error(f"bad value for {key}: expected one of "
+                               f"{', '.join(_BOOLEANS)}, got {value!r}")
     return replace(base, **overrides)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
 from .errors import HintikkaError, ParseError
+from .lineformat import LineReader
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,6 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         return self.rule is None
-
-
-DerivationTree = Node       # public name for a whole witness tree
 
 
 @dataclass(frozen=True)
@@ -635,36 +633,18 @@ def verify_certificate(sys: QuadrupleSystem, cert: PeriodicityCertificate) -> bo
 # ---------------------------------------------------------------------------
 
 def parse_system(text: str) -> QuadrupleSystem:
-    m = None
+    reader = LineReader(text, ("labels",), ("rule", "base"))
     rules = []
-    base = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "labels":
-                if m is not None:
-                    raise ParseError("second 'labels' line", lineno)
-                if len(parts) != 2:
-                    raise ParseError("expected 'labels <m>'", lineno)
-                m = int(parts[1])
-            elif parts[0] == "rule":
-                if len(parts) != 5:
-                    raise ParseError("expected 'rule <l1> <l2> <l3> <j>'", lineno)
-                rules.append(tuple(int(x) for x in parts[1:]))
-            elif parts[0] == "base":
-                label = int(parts[1].rstrip(":"))
-                base.setdefault(label, set()).update(int(x) for x in parts[2:])
+    with reader:
+        m = reader.number("labels")
+        base = {}
+        for kw, *args in reader:
+            if kw == "rule":
+                l1, l2, l3, j = map(int, args)
+                rules.append((l1, l2, l3, j))
             else:
-                raise ParseError(f"unknown keyword {parts[0]!r}", lineno)
-        except (ValueError, IndexError):
-            raise ParseError(f"malformed line: {line!r}", lineno)
-    if m is None:
-        raise ParseError("missing 'labels' line")
-    if any(not 0 <= label < m for label in base):
-        raise ParseError(f"base label out of range 0..{m - 1}")
+                label = reader.integer(args[0].rstrip(":"), "base label", 0, m - 1)
+                base.setdefault(label, set()).update(map(int, args[1:]))
     try:
         return QuadrupleSystem(m, tuple(rules),
                                tuple(frozenset(base.get(l, ())) for l in range(m)))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT, Config
 from .errors import HintikkaError, ParseError
+from .lineformat import LineReader
 
 
 @dataclass(frozen=True)
@@ -150,90 +151,50 @@ def serialize_structure(m: Structure) -> str:
 
 def parse_structure(text: str) -> Structure:
     """Parse the line-oriented structure grammar (see serialize_structure)."""
-    preds = None
-    num_consts = num_sets = size = None
-    const_lines, rel_lines, set_lines = [], [], []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0]
+    reader = LineReader(text, ("vocab", "consts", "sets", "size"), ("const", "rel", "set"))
+    with reader:
+        size = reader.number("size")
+        num_consts, num_sets = reader.number("consts", 0), reader.number("sets", 0)
+        sig = " ".join(reader.header("vocab"))
         try:
-            if kw == "vocab":
-                preds = parse_vocab_sig(" ".join(parts[1:]))
-            elif kw == "consts":
-                num_consts = int(parts[1])
-            elif kw == "sets":
-                num_sets = int(parts[1])
-            elif kw == "size":
-                size = int(parts[1])
-            elif kw == "const":
-                if len(parts) != 4 or parts[2] != "=":
-                    raise ParseError("expected 'const <i> = <element>'", lineno)
-                const_lines.append((lineno, int(parts[1]), int(parts[3])))
-            elif kw == "rel":
-                rel_lines.append((lineno, line))
-            elif kw == "set":
-                set_lines.append((lineno, line))
+            vocab = Vocabulary(parse_vocab_sig(sig), num_consts, num_sets)
+        except HintikkaError as exc:
+            raise reader.error(str(exc))
+        consts = {}
+        relations = [set() for _ in vocab.predicates]
+        sets = [set() for _ in range(vocab.num_sets)]
+        names = [name for name, _ in vocab.predicates]
+        for kw, *args in reader:
+            if kw == "const":
+                index, eq, element = args
+                if eq != "=":
+                    raise reader.error("expected 'const <i> = <element>'")
+                i = reader.integer(index, "constant index", 0, vocab.num_consts - 1)
+                reader.once(("const", i), f"constant {i}")
+                consts[i] = int(element)
+                continue
+            head, _, body = " ".join(args).partition(":")
+            if kw == "rel":
+                name = head.strip()
+                if name not in names:
+                    raise reader.error(f"unknown relation {name!r}")
+                idx = names.index(name)
+                arity = vocab.predicates[idx][1]
+                for token in body.split():
+                    if not (token.startswith("(") and token.endswith(")")):
+                        raise reader.error(f"expected (e,...,e), got {token!r}")
+                    tup = tuple(int(x) for x in token[1:-1].split(",") if x != "")
+                    if len(tup) != arity:
+                        raise reader.error(f"arity mismatch for {name}: {token}")
+                    relations[idx].add(tup)
             else:
-                raise ParseError(f"unknown keyword {kw!r}", lineno)
-        except (ValueError, IndexError):
-            raise ParseError(f"malformed line: {raw.strip()!r}", lineno)
-    if preds is None:
-        raise ParseError("missing 'vocab' line")
-    if size is None:
-        raise ParseError("missing 'size' line")
-    try:
-        vocab = Vocabulary(preds, num_consts or 0, num_sets or 0)
-    except HintikkaError as exc:
-        raise ParseError(str(exc))
-
-    consts = [None] * vocab.num_consts
-    for lineno, i, e in const_lines:
-        if not (0 <= i < vocab.num_consts):
-            raise ParseError(f"constant index {i} out of range", lineno)
-        consts[i] = e
-    if any(c is None for c in consts):
+                j = reader.integer(head.strip(), "set index", 0, vocab.num_sets - 1)
+                sets[j].update(int(x) for x in body.split())
+    if len(consts) != vocab.num_consts:
         raise ParseError("missing 'const' line for some constant")
-
-    relations = [set() for _ in vocab.predicates]
-    for lineno, line in rel_lines:
-        head, _, body = line.partition(":")
-        try:
-            _, name = head.split()
-            idx = vocab.pred_index(name)
-        except ValueError:
-            raise ParseError("expected 'rel <name>: (e,...,e) ...'", lineno)
-        except HintikkaError:
-            raise ParseError(f"unknown relation {name!r}", lineno)
-        arity = vocab.predicates[idx][1]
-        for token in body.split():
-            if not (token.startswith("(") and token.endswith(")")):
-                raise ParseError(f"expected (e,...,e), got {token!r}", lineno)
-            try:
-                tup = tuple(int(x) for x in token[1:-1].split(",") if x != "")
-            except ValueError:
-                raise ParseError(f"bad tuple {token!r}", lineno)
-            if len(tup) != arity:
-                raise ParseError(f"arity mismatch for {name}: {token}", lineno)
-            relations[idx].add(tup)
-
-    sets = [set() for _ in range(vocab.num_sets)]
-    for lineno, line in set_lines:
-        head, _, body = line.partition(":")
-        try:
-            _, j = head.split()
-            j = int(j)
-            elems = [int(x) for x in body.split()]
-        except ValueError:
-            raise ParseError("expected 'set <index>: <element> ...'", lineno)
-        if not (0 <= j < vocab.num_sets):
-            raise ParseError(f"set index {j} out of range", lineno)
-        sets[j].update(elems)
-
     try:
-        return Structure(vocab, size, tuple(relations), tuple(consts), tuple(sets))
+        return Structure(vocab, size, tuple(relations),
+                         tuple(consts[i] for i in range(vocab.num_consts)), tuple(sets))
     except HintikkaError as exc:
         raise ParseError(str(exc))
 

@@ -220,6 +220,43 @@ def test_bad_config_boolean_exit_code(files, capsys, tmp_path):
     assert "line 1: bad value for include_empty_model" in capsys.readouterr().err
 
 
+P2_TEXT = serialize_structure(path_graph(2))
+# (file text, command with {} for the file's path, line refused)
+LEAKS = {
+    "structure-size-twice": (P2_TEXT + "size 3\n", "theory --model {} --depth 0", 6),
+    "structure-const-twice": ("vocab E/2\nconsts 1\nsize 2\nconst 0 = 1\nconst 0 = 0\n",
+                              "theory --model {} --depth 0", 5),
+    "structure-trailing-token": ("vocab E/2\nsize 2 7\n", "theory --model {} --depth 0", 2),
+    "scheme-pattern-twice": ('scheme k1=0 k2=0 k=0\ntable E pattern "x"=1\n'
+                             'table E pattern "x"=0\n',
+                             "pattern-dump --vocab E/2 --scheme {}", 3),
+    "facts-k-not-int": ("base t=a size=2 k=zz\n", "spectrum --facts {} --bound 4", 1),
+    "facts-size-negative": ("base t=a size=-2\n", "spectrum --facts {} --bound 4", 1),
+    "config-key-twice": ("n_max = 2\nn_max = 5\n",
+                         "--config {} theory --model P3 --depth 0", 2),
+}
+
+
+@pytest.mark.parametrize("leak", LEAKS)
+def test_malformed_input_refused_with_its_line(leak, files, capsys, tmp_path):
+    text, command, line = LEAKS[leak]
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [files["p3.struct"] if arg == "P3" else arg.format(path) for arg in command.split()]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and "Traceback" not in err
+
+
+def test_scheme_with_trailing_comment(files, capsys, tmp_path):
+    scheme = tmp_path / "commented.scm"
+    scheme.write_text('scheme k1=0 k2=0 k=0  # disjoint union\n'
+                      'table E pattern "p" = 1  # note\n', encoding="utf-8")
+    code, out = _capture(capsys, ["glue", "--left", files["p3.struct"],
+                                  "--right", files["p3.struct"], "--scheme", str(scheme)])
+    assert code == 0 and out.splitlines()[3] == "size 6"
+
+
 def test_budget_exit_code(files, capsys):
     code = run(["theory", "--model", files["p3.struct"], "--depth", "4"])
     assert code == 2

@@ -186,6 +186,24 @@ def test_parse_facts_refusals(text):
         parse_facts(text)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("base t=aa size=2 k=0\nbase t=a size=2 k=zz\n", 2),
+    ("base t=a size=-2\n", 1),
+    ("base t=a size=2 k=-1\n", 1),
+    ("base t=aa size=2\nfact t1=aa t2=aa scheme=s t=aa j=-1\n", 2),
+    ('base t="a size=2\n', 1),
+], ids=["k-not-int", "size-negative", "k-negative", "j-negative", "unterminated-quote"])
+def test_parse_facts_refusals_name_the_line(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_facts(text)
+    assert info.value.line == line
+
+
+def test_parse_facts_k_is_optional():
+    assert parse_facts("base t=aa size=2 k=1  # k given\nbase t=aa size=3\n") == \
+        ({"aa": {2, 3}}, [])
+
+
 @given(mutated(FACTS_TEXT))
 @settings(max_examples=300, deadline=None)
 def test_parse_facts_mutation_fuzz(text):

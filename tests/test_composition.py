@@ -9,6 +9,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import k2_graph, mutated, rand_structure, triangle
 from hintikka.composition import (
@@ -382,6 +383,59 @@ def test_parse_scheme_refusals(text, line):
     with pytest.raises(ParseError) as info:
         parse_scheme(text)
     assert info.value.line == line
+
+
+def test_parse_scheme_refuses_a_repeated_pattern():
+    text = 'scheme k1=0 k2=0 k=0\ntable E pattern "x"=1\ntable E pattern "x"=0\n'
+    with pytest.raises(ParseError) as info:
+        parse_scheme(text)
+    assert info.value.line == 3
+
+
+def test_parse_scheme_trailing_comments():
+    """A comment may follow any line, a quoted pattern included, and a '#'
+    inside the quotes belongs to the pattern."""
+    text = ('scheme k1=0 k2=0 k=0  # no constants\n'
+            'table E pattern "p" = 1  # note\n'
+            'table E pattern "q#r" = 0 # "quoted" note\n'
+            'table S default=true # constant\n')
+    assert parse_scheme(text).tables == (
+        ("E", ("map", "union", (("p", True), ("q#r", False)))), ("S", ("const", True)))
+
+
+# pattern keys: any text without a double quote or a line break
+PATTERN_KEYS = st.text(alphabet=" #=~.:|,;[]abxy01", max_size=8)
+TABLE_SPECS = st.one_of(
+    st.just(("union",)),
+    st.tuples(st.just("const"), st.booleans()),
+    st.tuples(st.just("map"), st.sampled_from(("union", False, True)),
+              st.dictionaries(PATTERN_KEYS, st.booleans(), min_size=1, max_size=3)
+              .map(lambda d: tuple(sorted(d.items())))),
+    st.tuples(st.just("random"), st.integers(-50, 50)),
+)
+
+
+@st.composite
+def schemes(draw):
+    k1, k2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    partners = draw(st.permutations(list(range(k2)) + [None] * k1))[:k1]
+    ident = tuple((i, j) for i, j in enumerate(partners) if j is not None)
+    keep1 = [draw(st.booleans()) for _ in range(k1)]
+    keep2 = [draw(st.booleans()) for _ in range(k2)]
+    for i, j in ident:
+        keep2[j] = keep1[i]
+    kept = Scheme(k1, k2, 0, ident, tuple(keep1), tuple(keep2)).kept_refs()
+    refs = draw(st.permutations(kept))[:draw(st.integers(0, len(kept)))]
+    tables = draw(st.dictionaries(st.sampled_from(("E", "S", "P0")), TABLE_SPECS, max_size=3))
+    return Scheme(k1, k2, len(refs), ident, tuple(keep1), tuple(keep2), tuple(refs),
+                  tuple(tables.items()))
+
+
+@given(schemes())
+@settings(max_examples=200, deadline=None)
+def test_scheme_roundtrip_property(scheme):
+    parsed = parse_scheme(serialize_scheme(scheme))
+    assert parsed == scheme and parsed.scheme_id == scheme.scheme_id
 
 
 SCHEME_TEXT = (

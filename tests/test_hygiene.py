@@ -14,6 +14,9 @@ Claims:
     - every public module-level function or class under src/hintikka that
       the package ``__init__`` does not export is read somewhere in the
       package outside its own definition
+    - no module under src/hintikka but the line reader (``lineformat.py``)
+      calls ``.splitlines()`` or passes ``"#"`` to a string method, so input
+      lines are split and comments stripped in one place
 """
 
 import ast
@@ -165,3 +168,28 @@ def test_scan_finds_an_unread_unexported_definition():
 def test_no_unread_unexported_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_unexported_definitions(sources) == []
+
+
+READER = "lineformat.py"
+
+
+def private_line_readers(source: str) -> list:
+    """(line, method) of each ``.splitlines()`` call and each call given the
+    comment mark ``"#"``: the ways a module would split or strip input text
+    on its own instead of through the line reader."""
+    return sorted((node.lineno, node.func.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and (node.func.attr == "splitlines"
+                       or any(isinstance(arg, ast.Constant) and arg.value == "#"
+                              for arg in node.args)))
+
+
+def test_scan_finds_a_private_line_reader():
+    source = ("def parse(text):\n    for raw in text.splitlines():\n"
+              "        line = raw.split('#', 1)[0]\n        key = line.partition('=')\n")
+    assert private_line_readers(source) == [(2, "splitlines"), (3, "split")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != READER], ids=lambda p: p.name)
+def test_only_the_line_reader_splits_input_lines(path):
+    assert private_line_readers(path.read_text(encoding="utf-8")) == []

@@ -362,6 +362,21 @@ def test_search_pump_cap_boundary():
     assert found.tree == Node(0, 8, 0, Node(0, 5), Node(0, 5))
 
 
+@given(small_systems())
+@settings(max_examples=100, deadline=None)
+def test_system_roundtrip_property(sysq):
+    assert parse_system(serialize_system(sysq)) == sysq
+
+
+def test_parse_system_headers_first():
+    """The labels line may stand anywhere; a base label out of range is
+    refused at its own line."""
+    assert parse_system("rule 0 0 0 1 # deficit one\nbase 0: 2\nlabels 1\n") == COFIN2
+    with pytest.raises(ParseError) as info:
+        parse_system("labels 1\nbase 0: 2\nbase 3: 1\n")
+    assert info.value.line == 3
+
+
 SYSTEM_TEXT = serialize_system(QuadrupleSystem(
     2, ((0, 1, 0, 2), (1, 1, 1, 0)), (frozenset({1}), frozenset({2, 5}))))
 

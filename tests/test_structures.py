@@ -67,6 +67,34 @@ def test_parse_malformed_rel_and_set_lines(text):
         parse_structure(text)
 
 
+P2_TEXT = serialize_structure(path_graph(2))
+
+
+@pytest.mark.parametrize("text, line", [
+    (P2_TEXT + "size 3\n", 6),
+    ("vocab S/1\n" + P2_TEXT, 2),
+    ("vocab E/2\nconsts 1\nconsts 1\nsize 2\nconst 0 = 0\n", 3),
+    ("vocab E/2\nsets 0\nsize 2\nsets 0\n", 4),
+    ("vocab E/2\nconsts 1\nsize 2\nconst 0 = 1\nconst 0 = 0\n", 5),
+    ("vocab E/2\nsize 2 7\n", 2),
+    ("vocab E/2\nsize -2\n", 2),
+    ('vocab E/2\nsize 2\nrel E: "(0,1)\n', 3),
+    ("size 2\nvocab E/x\n", 2),
+    ("size 2\nvocab E/2 E/2\n", 2),
+], ids=["size-twice", "vocab-twice", "consts-twice", "sets-twice", "const-twice",
+        "size-trailing-token", "size-negative", "unterminated-quote", "vocab-arity",
+        "vocab-duplicate-name"])
+def test_parse_structure_refusals(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_structure(text)
+    assert info.value.line == line
+
+
+def test_parse_structure_comments():
+    text = "# a path\nvocab E/2  # graphs\nsize 2 # two elements\n\nrel E: (0,1) (1,0)\n"
+    assert parse_structure(text) == path_graph(2)
+
+
 STRUCTURE_TEXT = serialize_structure(Structure(
     Vocabulary((("E", 2), ("S", 1)), 1, 1), 3,
     (frozenset({(0, 1), (1, 2)}), frozenset({(2,)})), (1,), (frozenset({0, 2}),)))
