@@ -176,7 +176,7 @@ def cmd_spectrum(args, config):
 
 
 def cmd_periodicity(args, config):
-    sys_ = parse_system(_read(args.system))
+    sys_ = parse_system(_read(args.system), config)
     cert = find_period(sys_, args.label, args.scan, args.window, config)
     if cert is None:
         _emit(f"inconclusive label={args.label} scan={args.scan} window={args.window}\n",
@@ -188,7 +188,7 @@ def cmd_periodicity(args, config):
 
 
 def cmd_system_reach(args, config):
-    sys_ = parse_system(_read(args.system))
+    sys_ = parse_system(_read(args.system), config)
     rr = reach(sys_, args.bound, args.slack)
     lines = [f"reach bound={rr.bound} slack={rr.slack} "
              f"slack_stable={'yes' if rr.slack_stable else 'no'}"]

@@ -487,15 +487,17 @@ def _side_table(interner: Interner, tid: int, rec, side: int, ckey, memos,
 def _projections(interner: Interner, tid: int, rec, r: int, arities):
     """Realized prefix projections of a depth-0 theory by variable count, as
     diagram ids, variables pairwise distinct and non-constant; per-diagram
-    projection results are shared across theories."""
+    projection results are shared across theories. A realized diagram has
+    r variable slots, so its r-variable projection is itself."""
     key = (tid, r)
     out = interner.theory_projections.get(key)
     if out is not None:
         return out
     dcache = interner.diagram_projections
     const_slots = list(range(r, r + rec.k))
-    out = {0: (interner.diagram_id(rec.const_diag),)}
-    for v in range(1, r + 1):
+    out = {0: (interner.diagram_id(rec.const_diag),),
+           r: tuple(d for d in rec.payload if vars_distinct_nonconst(interner.diagram(d)))}
+    for v in range(1, r):
         seen = {}
         for d in rec.payload:
             dkey = (d, v)       # d fixes r and the constant count
@@ -892,7 +894,11 @@ def parse_scheme(text: str) -> Scheme:
             if kw == "ident":
                 for item in args:
                     i, j = item.split("~")
-                    ident.append((int(i), int(j)))
+                    i = reader.integer(i, "identified constant of part 1", 0, k1 - 1)
+                    j = reader.integer(j, "identified constant of part 2", 0, k2 - 1)
+                    reader.once(("1", i), f"identified constant 1.{i}")
+                    reader.once(("2", j), f"identified constant 2.{j}")
+                    ident.append((i, j))
             elif kw in drops:
                 count = k1 if kw == "drop1" else k2
                 drops[kw].update(reader.integer(x, "dropped constant", 0, count - 1)
@@ -905,7 +911,8 @@ def parse_scheme(text: str) -> Scheme:
                     part, idx = ref.split(".")
                     if part not in ("1", "2"):
                         raise reader.error("result reference must be 1.<i> or 2.<j>")
-                    result[c] = (part, int(idx))
+                    count = k1 if part == "1" else k2
+                    result[c] = (part, reader.integer(idx, "result reference", 0, count - 1))
             else:
                 name = args[0]
                 if args[1] == "pattern":

@@ -35,6 +35,9 @@ class Config:
     decomp_k_max: int = 3
 
     # number-set engine
+    # label count of a parsed quadruple system, checked before any
+    # per-label set is built (numbersets.parse_system)
+    system_labels_max: int = 2 ** 16
     # pump search: trees yielded at any level of the enumeration, repeated
     # inner enumerations included; a replayed list counts the same
     # (numbersets._search_pump)

@@ -23,8 +23,9 @@ operations need the predicate arities, which diagrams do not carry.
 Theories refer to diagrams by id: ``theory.Interner`` gives each diagram an
 int id on first sight and keeps its tuple once. There is one id space:
 ``DiagramEngine`` returns the interner's ids, and depth-0 payloads, intern
-keys and the transfer kernel's memos hold them. Only a new theory sorts
-its diagrams as tuples, for its digest.
+keys and the transfer kernel's memos hold them. Diagrams are sorted as
+tuples only for digests, when one is first read: once per batch of new
+depth-0 theories, over the union of their diagrams.
 """
 
 from __future__ import annotations

@@ -632,19 +632,25 @@ def verify_certificate(sys: QuadrupleSystem, cert: PeriodicityCertificate) -> bo
 # File formats
 # ---------------------------------------------------------------------------
 
-def parse_system(text: str) -> QuadrupleSystem:
+def parse_system(text: str, config: Config = DEFAULT) -> QuadrupleSystem:
+    """Read a quadruple system (see serialize_system). Labels, deficits and
+    base values are checked at their own line; a label count above
+    ``config.system_labels_max`` is refused before anything is built."""
     reader = LineReader(text, ("labels",), ("rule", "base"))
     rules = []
     with reader:
         m = reader.number("labels")
+        config.check("system_labels", m, config.system_labels_max)
         base = {}
         for kw, *args in reader:
             if kw == "rule":
-                l1, l2, l3, j = map(int, args)
-                rules.append((l1, l2, l3, j))
+                l1, l2, l3, j = args
+                rules.append(tuple(reader.integer(x, "rule label", 0, m - 1) for x in (l1, l2, l3))
+                             + (reader.integer(j, "rule deficit"),))
             else:
                 label = reader.integer(args[0].rstrip(":"), "base label", 0, m - 1)
-                base.setdefault(label, set()).update(map(int, args[1:]))
+                base.setdefault(label, set()).update(
+                    reader.integer(x, "base value") for x in args[1:])
     try:
         return QuadrupleSystem(m, tuple(rules),
                                tuple(frozenset(base.get(l, ())) for l in range(m)))

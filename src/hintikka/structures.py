@@ -171,7 +171,7 @@ def parse_structure(text: str) -> Structure:
                     raise reader.error("expected 'const <i> = <element>'")
                 i = reader.integer(index, "constant index", 0, vocab.num_consts - 1)
                 reader.once(("const", i), f"constant {i}")
-                consts[i] = int(element)
+                consts[i] = reader.integer(element, f"constant {i}", 0, size - 1)
                 continue
             head, _, body = " ".join(args).partition(":")
             if kw == "rel":
@@ -186,10 +186,13 @@ def parse_structure(text: str) -> Structure:
                     tup = tuple(int(x) for x in token[1:-1].split(",") if x != "")
                     if len(tup) != arity:
                         raise reader.error(f"arity mismatch for {name}: {token}")
+                    if not all(0 <= e < size for e in tup):
+                        raise reader.error(f"out-of-range element in {name}: {tup}")
                     relations[idx].add(tup)
             else:
                 j = reader.integer(head.strip(), "set index", 0, vocab.num_sets - 1)
-                sets[j].update(int(x) for x in body.split())
+                sets[j].update(reader.integer(x, f"element of set {j}", 0, size - 1)
+                               for x in body.split())
     if len(consts) != vocab.num_consts:
         raise ParseError("missing 'const' line for some constant")
     try:

@@ -22,16 +22,34 @@ from .structures import Structure, Vocabulary
 
 
 class _Rec:
-    __slots__ = ("depth", "vocab_key", "m", "k", "payload", "const_diag", "digest")
+    """One interned theory. Its digest is made on the first read: a node's
+    from the digests of its members, a depth-0 record's in one batch with
+    every other depth-0 record of its interner not yet digested."""
 
-    def __init__(self, depth, vocab_key, m, k, payload, const_diag, digest):
+    __slots__ = ("depth", "vocab_key", "m", "k", "payload", "const_diag", "_digest",
+                 "_interner")
+
+    def __init__(self, interner, depth, vocab_key, m, k, payload, const_diag):
+        self._interner = interner
         self.depth = depth
         self.vocab_key = vocab_key
         self.m = m
         self.k = k
         self.payload = payload
         self.const_diag = const_diag
-        self.digest = digest
+        self._digest = None
+
+    @property
+    def digest(self) -> str:
+        if self._digest is None:
+            if self.depth == 0:
+                self._interner._digest_pending()
+            else:
+                recs = self._interner._recs
+                child_digests = tuple(sorted(recs[c].digest for c in self.payload))
+                self._digest = _sha(("t", self.depth, self.vocab_key, self.m, self.k,
+                                     child_digests))
+        return self._digest
 
 
 class Interner:
@@ -45,12 +63,15 @@ class Interner:
     deeper payloads are sorted tuples of member ids. Ids are local to one
     interner. Digests hash the canonical structural form (diagrams sorted
     as tuples, member digests, not ids), so they are stable across runs,
-    platforms, and interner instances; a payload is sorted by diagram tuple
-    only when a new theory is built.
+    platforms, and interner instances.
 
-    Diagrams share few distinct components (equality types, relation
-    tuples, set columns): the interner keeps one copy of each, with its
-    repr, and a depth-0 digest is streamed from those reprs.
+    Digests are made when first read, never at interning. A new depth-0
+    record waits on a pending list; the first read of any depth-0 digest
+    digests every pending record in one batch (``_digest_pending``), which
+    sorts the union of their diagrams as tuples once. Diagrams share few
+    distinct components (equality types, relation tuples, set columns):
+    the interner keeps one copy of each, with its repr, and a diagram's
+    text in a digest is joined from those reprs.
 
     Nothing here is locked. Parallel work runs in worker processes, each
     with an interner of its own (``selfcheck --jobs``).
@@ -59,6 +80,7 @@ class Interner:
     def __init__(self):
         self._ids = {}
         self._recs = []
+        self._pending = []          # depth-0 records not yet digested
         self._diagram_ids = {}
         self._diagrams = []
         self._parts = {}
@@ -114,30 +136,44 @@ class Interner:
         key = (0, vocab_key, m, k, payload, const_diag)
 
         def build():
-            # the text is repr(("t0", vocab_key, m, k, sorted diagrams, const_diag))
-            reprs = self._part_reprs
-            items = [f"({v}, {reprs[id(eq)]}, {reprs[id(rel)]}, {reprs[id(sets)]})"
-                     for v, eq, rel, sets in sorted(map(self._diagrams.__getitem__, payload))]
-            text = (f"('t0', {vocab_key!r}, {m!r}, {k!r}, "
-                    f"{_tuple_repr(items)}, {const_diag!r})")
-            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            return _Rec(0, vocab_key, m, k, payload, const_diag, digest)
+            rec = _Rec(self, 0, vocab_key, m, k, payload, const_diag)
+            self._pending.append(rec)
+            return rec
 
         return self._insert(key, build)
+
+    def _digest_pending(self) -> None:
+        """Digest every pending depth-0 record. The text of a record is
+        repr(("t0", vocab_key, m, k, sorted diagrams, const_diag)). The
+        union of the pending payloads is sorted as tuples once and each of
+        its diagrams formatted once; a record lists its diagrams by their
+        positions in that order, an int sort."""
+        pending = self._pending
+        union = sorted(set().union(*(rec.payload for rec in pending)),
+                       key=self._diagrams.__getitem__)
+        position = dict(zip(union, range(len(union))))
+        reprs = self._part_reprs
+        texts = [f"({v}, {reprs[id(eq)]}, {reprs[id(rel)]}, {reprs[id(sets)]})"
+                 for v, eq, rel, sets in map(self._diagrams.__getitem__, union)]
+        for rec in pending:
+            items = list(map(texts.__getitem__,
+                             sorted(map(position.__getitem__, rec.payload))))
+            text = (f"('t0', {rec.vocab_key!r}, {rec.m!r}, {rec.k!r}, "
+                    f"{_tuple_repr(items)}, {rec.const_diag!r})")
+            rec._digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        self._pending = []
 
     def intern_node(self, depth, vocab_key, m, k, child_ids) -> int:
         payload = tuple(sorted(set(child_ids)))
         key = (depth, vocab_key, m, k, payload)
 
         def build():
-            child_digests = tuple(sorted(self._recs[c].digest for c in payload))
-            digest = _sha(("t", depth, vocab_key, m, k, child_digests))
             const_diag = None
             if payload:
                 inner = self._recs[payload[0]].const_diag
                 if inner is not None:
                     const_diag = restrict_const_diag(inner, m)
-            return _Rec(depth, vocab_key, m, k, payload, const_diag, digest)
+            return _Rec(self, depth, vocab_key, m, k, payload, const_diag)
 
         return self._insert(key, build)
 

@@ -234,6 +234,12 @@ LEAKS = {
     "facts-size-negative": ("base t=a size=-2\n", "spectrum --facts {} --bound 4", 1),
     "config-key-twice": ("n_max = 2\nn_max = 5\n",
                          "--config {} theory --model P3 --depth 0", 2),
+    "structure-element-out-of-range": ("vocab E/2\nsize 2\nrel E: (0,1) (0,9)\n",
+                                       "theory --model {} --depth 0", 3),
+    "system-rule-label-out-of-range": ("labels 1\nbase 0: 2\nrule 0 0 5 1\n",
+                                       "system-reach --system {} --bound 4", 3),
+    "scheme-ident-out-of-range": ("scheme k1=1 k2=1 k=0\nident 0~5\n",
+                                  "pattern-dump --vocab E/2 --scheme {}", 2),
 }
 
 
@@ -260,6 +266,20 @@ def test_scheme_with_trailing_comment(files, capsys, tmp_path):
 def test_budget_exit_code(files, capsys):
     code = run(["theory", "--model", files["p3.struct"], "--depth", "4"])
     assert code == 2
+
+
+def test_system_label_budget_exit_code(files, capsys, tmp_path):
+    system = tmp_path / "huge.qs"
+    system.write_text("labels 3000000\n", encoding="utf-8")
+    assert run(["system-reach", "--system", str(system), "--bound", "4"]) == 2
+    assert "budget 'system_labels' exceeded" in capsys.readouterr().err
+    config = tmp_path / "small.cfg"
+    config.write_text("system_labels_max = 1\n", encoding="utf-8")
+    assert run(["--config", str(config), "periodicity", "--system", files["evens.qs"],
+                "--label", "0", "--scan", "40", "--window", "8"]) == 0
+    system.write_text("labels 2\n", encoding="utf-8")
+    assert run(["--config", str(config), "system-reach", "--system", str(system),
+                "--bound", "4"]) == 2
 
 
 def test_selfcheck_deterministic_across_jobs(files, capsys):

@@ -364,8 +364,8 @@ def test_scheme_validation():
     ("scheme k1=1 k2=2 k=0\ndrop2 2\n", 2),
     ("drop1 -1\nscheme k1=1 k2=1 k=0\n", 1),
     ("scheme k1=0 k2=0 k=0\ntable E default=maybe\n", 2),
-    ("scheme k1=1 k2=1 k=0\nident 0~5\n", None),          # Scheme refusals
-    ("scheme k1=1 k2=1 k=1\nresult 0=1.0\ndrop1 0\n", None),
+    ("scheme k1=1 k2=1 k=0\nident 0~5\n", 2),
+    ("scheme k1=1 k2=1 k=1\nresult 0=1.0\ndrop1 0\n", None),    # a Scheme refusal
     ("scheme k1=0 k2=0 k=0\nscheme k1=0 k2=0 k=0\n", 2),
     ("scheme k1=0 k2=0 k=0 k=1\n", 1),
     ("scheme k1=0 k2=0 k=0 extra=3\n", 1),

@@ -6,6 +6,7 @@ the certificates use.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import mutated
 from hintikka import numbersets
 from hintikka.config import Config
-from hintikka.errors import HintikkaError, ParseError
+from hintikka.errors import BudgetError, HintikkaError, ParseError
 from hintikka.numbersets import (
     Node,
     PeriodicityCertificate,
@@ -393,6 +394,24 @@ SYSTEM_TEXT = serialize_system(QuadrupleSystem(
 def test_parse_system_refusals(text):
     with pytest.raises(ParseError):
         parse_system(text)
+
+
+def test_parse_system_label_budget(monkeypatch):
+    """A label count above ``system_labels_max`` is refused, by name, before
+    any per-label set or the system is built; at the limit it parses."""
+    def forbidden(*args):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(numbersets, "QuadrupleSystem", forbidden)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        parse_system("labels 3000000\n")
+    assert time.perf_counter() - start < 0.1
+    assert (info.value.budget, info.value.needed) == ("system_labels", 3000000)
+    with pytest.raises(BudgetError):
+        parse_system("labels 3\n", Config(system_labels_max=2))
+    monkeypatch.undo()
+    assert parse_system("labels 2\n", Config(system_labels_max=2)).m == 2
 
 
 @given(mutated(SYSTEM_TEXT))

@@ -6,7 +6,9 @@ Claims:
     - theories are isomorphism-invariant and digests are structural
     - payload of a depth-(n+1) theory has at most 2^size members
     - a depth-0 digest hashes the diagrams sorted as tuples, whatever ids
-      the interner gave them
+      the interner gave them, and whether it is made in one batch with
+      other theories or alone
+    - digests are made when first read, each record's once
     - a fresh interner starts with every table empty, and work in it leaves
       the default interner alone
     - Th^0 from the diagram engine equals a brute-force build, one diagram
@@ -20,13 +22,15 @@ Claims:
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import k2_graph, rand_structure
-from hintikka.composition import disjoint_union_scheme, transfer
+from hintikka import theory as theory_module
+from hintikka.composition import disjoint_union_scheme, glue, plain_union_scheme, transfer
 from hintikka.config import Config
 from hintikka.diagrams import DiagramEngine, partitions, qf_core
 from hintikka.errors import BudgetError
@@ -142,6 +146,66 @@ def test_depth0_digest_is_sorted_diagram_repr(picked, others, const_diag, seed):
     canonical = ("t0", VOCAB_KEY, 1, 1, diagrams, const_diag)
     assert t.digest == hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
     assert t.payload == diagrams
+
+
+CONST = (0, (0,), ((True,), (False,)), ((False,),))
+# MANY with a second set column, and diagrams of E/2 alone without constants
+TWO_SETS = tuple((v, eq, rel, sets + sets) for v, eq, rel, sets in MANY)
+E_ONLY = tuple((3, eq, ((i % 3 == 1,) * (max(eq) + 1) ** 2,), ())
+               for i, eq in enumerate(partitions(3)))
+# (vocab_key, m, k, diagrams, const_diag): overlapping payloads, mixed
+# signatures, one theory with a single diagram and one with none
+DEPTH0_SPECS = (
+    (VOCAB_KEY, 1, 1, MANY[:10], CONST),
+    (VOCAB_KEY, 1, 1, MANY[5:], CONST),
+    (VOCAB_KEY, 1, 1, (MANY[7],), CONST),
+    (VOCAB_KEY, 2, 1, TWO_SETS[3:12], (0, (0,), ((True,), (False,)), ((False,), (True,)))),
+    ((("E", 2),), 0, 0, E_ONLY, (0, (), ((),), ())),
+    ((("E", 2),), 0, 0, E_ONLY[1:3], (0, (), ((),), ())),
+    ((("E", 2),), 0, 0, (), (0, (), ((),), ())),
+)
+
+
+def _intern_spec(interner, spec):
+    vocab_key, m, k, diags, const_diag = spec
+    return interner.intern_depth0(vocab_key, m, k, {interner.diagram_id(d) for d in diags},
+                                  const_diag)
+
+
+def test_depth0_digests_in_one_batch_equal_digests_one_at_a_time():
+    expected = [hashlib.sha256(repr(("t0", vk, m, k, tuple(sorted(diags)), cd))
+                               .encode("utf-8")).hexdigest()
+                for vk, m, k, diags, cd in DEPTH0_SPECS]
+    batch = Interner()
+    warm = [d for spec in DEPTH0_SPECS for d in spec[3]]
+    random.Random(5).shuffle(warm)          # ids unrelated to tuple order
+    for d in warm:
+        batch.diagram_id(d)
+    tids = [_intern_spec(batch, spec) for spec in DEPTH0_SPECS]
+    assert [batch.rec(tid).digest for tid in reversed(tids)] == expected[::-1]
+    single = Interner()
+    one_at_a_time = [single.rec(_intern_spec(single, spec)).digest for spec in DEPTH0_SPECS]
+    assert one_at_a_time == expected
+
+
+def test_digests_are_made_when_first_read(monkeypatch):
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(theory_module, "hashlib", SimpleNamespace(sha256=sha256))
+    interner = Interner()
+    m1, m2 = path_graph(3, 1, (1,)), path_graph(2, 1, (0,))
+    point = plain_union_scheme(1, 1, 1, ident=((0, 0),), result_refs=(("s", 0, 0),))
+    glued = transfer(compute_theory(m1, 1, interner), compute_theory(m2, 1, interner), point)
+    assert hashed == []
+    digests = [interner.rec(tid).digest for tid in range(len(interner))]
+    assert len(hashed) == len(interner)              # each record hashed once
+    assert [interner.rec(tid).digest for tid in range(len(interner))] == digests
+    assert len(hashed) == len(interner)
+    assert glued.digest == compute_theory(glue(m1, m2, point), 1, Interner()).digest
 
 
 def test_fresh_interner_sizes():
