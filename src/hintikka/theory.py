@@ -151,7 +151,7 @@ class Interner:
         pending = self._pending
         union = sorted(set().union(*(rec.payload for rec in pending)),
                        key=self._diagrams.__getitem__)
-        position = dict(zip(union, range(len(union))))
+        position = {did: pos for pos, did in enumerate(union)}
         reprs = self._part_reprs
         texts = [f"({v}, {reprs[id(eq)]}, {reprs[id(rel)]}, {reprs[id(sets)]})"
                  for v, eq, rel, sets in map(self._diagrams.__getitem__, union)]
