@@ -26,7 +26,7 @@ from .composition import (
 from .config import DEFAULT, load_config
 from .closure import close, parse_facts, write_facts
 from .decomp import decompose, decomposability_profile, find_small_equivalent
-from .errors import BudgetError, HintikkaError
+from .errors import BudgetError, HintikkaError, ParseError
 from .numbersets import (
     find_period,
     parse_system,
@@ -240,9 +240,14 @@ def cmd_smalleq(args, config):
 def cmd_gaps(args, config):
     if args.sizes_file:
         raw = _read(args.sizes_file)
-    else:
+    elif args.sizes is not None:
         raw = args.sizes
-    sizes = [int(tok) for tok in raw.replace(",", " ").split()]
+    else:
+        raise HintikkaError("give --sizes or --sizes-file")
+    try:
+        sizes = [int(tok) for tok in raw.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ParseError(f"sizes must be integers: {exc}") from None
     result = audit_gaps(sizes, args.ratio, args.threshold)
     _emit(result.describe() + "\n", args.out)
     return 0

@@ -461,7 +461,7 @@ def _side_table(interner: Interner, tid: int, rec, side: int, ckey, memos,
     key = (tid, ckey, side)
     table = interner.side_tables.get(key)
     if table is None:
-        projections = _projections(interner, tid, rec, r, arities)
+        projections = _projections(interner, rec, r, arities)
         table = []
         for memo in memos:
             part = memo.parts[side]
@@ -484,15 +484,11 @@ def _side_table(interner: Interner, tid: int, rec, side: int, ckey, memos,
     return table
 
 
-def _projections(interner: Interner, tid: int, rec, r: int, arities):
+def _projections(interner: Interner, rec, r: int, arities):
     """Realized prefix projections of a depth-0 theory by variable count, as
     diagram ids, variables pairwise distinct and non-constant; per-diagram
     projection results are shared across theories. A realized diagram has
     r variable slots, so its r-variable projection is itself."""
-    key = (tid, r)
-    out = interner.theory_projections.get(key)
-    if out is not None:
-        return out
     dcache = interner.diagram_projections
     const_slots = list(range(r, r + rec.k))
     out = {0: (interner.diagram_id(rec.const_diag),),
@@ -510,7 +506,6 @@ def _projections(interner: Interner, tid: int, rec, r: int, arities):
             if p >= 0:
                 seen[p] = None
         out[v] = tuple(seen)
-    interner.theory_projections[key] = out
     return out
 
 
@@ -817,6 +812,8 @@ def enumerate_schemes(vocab: Vocabulary, k1: int, k2: int, k: int,
     space); callers then fall back to explicit scheme files."""
     budget = config.scheme_budget if budget is None else budget
     for v, label in ((k1, "k1"), (k2, "k2"), (k, "k")):
+        if v < 0:
+            raise SignatureError(f"{label}={v} is not a natural number")
         if v > k_star:
             raise SignatureError(f"{label}={v} exceeds k*={k_star}")
     total = count_schemes(vocab, k1, k2, k)

@@ -148,6 +148,8 @@ def reach(sys: QuadrupleSystem, bound: int, slack: int = None) -> ReachResult:
     if bound < 0:
         raise HintikkaError("bound must be a natural number")
     slack = sys.default_slack() if slack is None else slack
+    if slack < 0:
+        raise HintikkaError("slack must be a natural number")
     members, _ = _saturate(sys, bound + slack)
     members2, _ = _saturate(sys, bound + 2 * slack)
     low = (1 << (bound + 1)) - 1
@@ -236,6 +238,8 @@ def witness_tree(sys: QuadrupleSystem, label: int, value: int,
     rule (by index), then the smallest n1, whose two children were both
     reached before round r; a base value is a leaf."""
     slack = sys.default_slack() if slack is None else slack
+    if slack < 0:
+        raise HintikkaError("slack must be a natural number")
     members, stages = _saturate(sys, bound + 2 * slack)
     if value < 0 or not (members[label] >> value) & 1:
         raise HintikkaError(f"value {value} not reachable at label {label}")
@@ -439,6 +443,8 @@ def find_period(sys: QuadrupleSystem, label: int, scan_bound: int,
     certified-progression when a derivation-tree pump with increment a
     multiple of the period exists within budget, else empirical.
     """
+    if not 0 <= label < sys.m:
+        raise HintikkaError(f"label {label} out of range 0..{sys.m - 1}")
     if scan_bound < 2 * window:
         raise HintikkaError("scan bound must be at least twice the window")
     rr = reach(sys, scan_bound)
@@ -483,95 +489,48 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
     values; a tree of fewer than n nodes comes again under each larger
     split. ``pump_tree_cap`` counts every tree yielded at any level, repeats
     from these nested enumerations included, and the search stops once it
-    is spent, so the count decides which pumps are found.
+    is spent, so the count decides which pumps are found. The cap is checked
+    at the start of each enumeration and before each (left, right) pair.
 
-    Within one search, ``trees(lab, n)`` is replayed from a list of all its
-    trees, built once, whenever the remaining budget covers its full cost
-    (computed beforehand without building a tree). The replay spends the
-    budget at the same points, so the search finds what a plain enumeration
-    finds: once the budget is spent, a replay may yield trees a cut
-    enumeration would not, but only to enumerations that can yield nothing
-    more, so the search itself then receives at most base leaves, which hold
-    no pump. Only a call the budget may cut short runs the enumeration, whose
-    inner calls again replay where they can. A list is built only when its
-    cost fits the budget, so lists hold at most ``pump_tree_cap`` trees.
+    The first run of ``trees(lab, n)`` in a search records, per tree, the
+    count spent while it ran (its own trees and its subtrees', not its
+    consumer's) and the count spent after its last tree. A later call that
+    finds the cap unspent replays that list, spending the recorded counts at
+    the same points, so a replayed list counts the same as a run. A list
+    that the cap cut short belongs to a run that ended with the cap spent,
+    and every call after it returns at once, so it is never replayed.
+    A replay checks the cap only at its start, but its consumer is always a
+    run (a replay calls nothing), which checks before each tree it makes,
+    and no call at the top is a replay (every earlier enumeration is
+    smaller): so no tree made after the cap is spent reaches ``find_pump``.
+    Only runs build trees, so the search builds none that the plain
+    enumeration would not.
     """
     budget = [config.pump_tree_cap]
     bases = [sorted(b) for b in sys.base]
     producers = [[] for _ in range(sys.m)]
     for idx, (l1, l2, l3, j) in enumerate(sys.rules):
         producers[l3].append((idx, l1, l2, j))
-    stats = {}
-    lists = {}
-
-    def stat(lab, n):
-        """(budget spent, value histogram, tree count) of ``trees(lab, n)``
-        run to the end without a cut, computed without building a tree."""
-        key = (lab, n)
-        if key not in stats:
-            spent = len(bases[lab])
-            hist = dict.fromkeys(bases[lab], 1)
-            for idx, l1, l2, j in producers[lab]:
-                for a in range(1, n - 1, 2):
-                    c1, h1, k1 = stat(l1, a)
-                    c2, h2, _ = stat(l2, n - 1 - a)
-                    spent += c1 + k1 * c2
-                    for v1, x1 in h1.items():
-                        for v2, x2 in h2.items():
-                            value = v1 + v2 - j
-                            if value >= 0:
-                                spent += x1 * x2
-                                hist[value] = hist.get(value, 0) + x1 * x2
-            stats[key] = (spent, hist, sum(hist.values()))
-        return stats[key]
-
-    def full(lab, n):
-        """(trees, budget spent before each, budget spent after the last)
-        of ``trees(lab, n)`` run to the end, built from the children's
-        lists."""
-        key = (lab, n)
-        if key not in lists:
-            items = [Node(lab, v) for v in bases[lab]]
-            gaps = [1] * len(items)
-            owed = 0
-            for idx, l1, l2, j in producers[lab]:
-                for a in range(1, n - 1, 2):
-                    left, left_gaps, left_tail = full(l1, a)
-                    # the right enumeration runs, and so fits the budget,
-                    # only under a left tree
-                    right, right_gaps, right_tail = (
-                        full(l2, n - 1 - a) if left else ((), (), 0))
-                    for lt, lg in zip(left, left_gaps):
-                        owed += lg
-                        for rt, rg in zip(right, right_gaps):
-                            owed += rg
-                            value = lt.value + rt.value - j
-                            if value >= 0:
-                                items.append(Node(lab, value, idx, lt, rt))
-                                gaps.append(owed + 1)
-                                owed = 0
-                        owed += right_tail
-                    owed += left_tail
-            lists[key] = (items, gaps, owed)
-        return lists[key]
+    kept = {}
 
     def trees(lab, max_nodes):
         if budget[0] <= 0:
             return
-        if budget[0] >= stat(lab, max_nodes)[0]:
-            # subtract, never assign: the consumer spends budget between
-            # two yields too
-            items, gaps, tail = full(lab, max_nodes)
-            for tree, gap in zip(items, gaps):
-                budget[0] -= gap
+        key = (lab, max_nodes)
+        if key in kept:
+            items, costs, tail = kept[key]
+            for tree, cost in zip(items, costs):
+                budget[0] -= cost
                 yield tree
             budget[0] -= tail
             return
+        items, costs = [], []
         for v in bases[lab]:
             budget[0] -= 1
-            yield Node(lab, v)
-        if max_nodes < 3:
-            return
+            items.append(Node(lab, v))
+            costs.append(1)
+            yield items[-1]
+        mark = budget[0]
         for idx, l1, l2, j in producers[lab]:
             for left_nodes in range(1, max_nodes - 1, 2):
                 right_nodes = max_nodes - 1 - left_nodes
@@ -583,7 +542,11 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
                         if value < 0:
                             continue
                         budget[0] -= 1
-                        yield Node(lab, value, idx, lt, rt)
+                        items.append(Node(lab, value, idx, lt, rt))
+                        costs.append(mark - budget[0])
+                        yield items[-1]
+                        mark = budget[0]
+        kept[key] = (items, costs, mark - budget[0])
 
     value_cap = (2 ** sys.m) * sys.max_base + sys.max_j
     for max_nodes in (1, 3, 5, 7, 9, 11):

@@ -174,7 +174,10 @@ class GapAuditResult:
 def audit_gaps(sizes, ratio, threshold: int = 0) -> GapAuditResult:
     """Report successive members n1 < n2 with n1 > threshold and
     n2 >= ratio * n1; arithmetic is exact (Fraction)."""
-    ratio = Fraction(str(ratio)) if not isinstance(ratio, Fraction) else ratio
+    try:
+        ratio = Fraction(str(ratio))
+    except (ValueError, ZeroDivisionError):
+        raise HintikkaError(f"gap ratio must be a number, got {ratio!r}") from None
     if ratio <= 1:
         raise HintikkaError("gap ratio must exceed 1")
     ordered = sorted(set(int(s) for s in sizes))

@@ -92,7 +92,6 @@ class Interner:
         # config_memos holds, per scheme config key, one memo per
         # configuration (its recipe, its pack ids and its join table)
         self.config_memos = {}
-        self.theory_projections = {}
         self.diagram_projections = {}
         self.side_tables = {}
         self.sub_diagrams = {}
@@ -286,6 +285,8 @@ def compute_theory(m: Structure, n: int, interner: Interner = None,
                    config: Config = DEFAULT) -> Theory:
     """Th^n(M, sets, consts): definition-faithful, exponential in n."""
     interner = default_interner() if interner is None else interner
+    if n < 0:
+        raise HintikkaError("theory depth must be a natural number")
     config.check("theory_depth", n, config.n_max)
     if n >= 2:
         config.check("theory_depth2_size", m.size, config.depth2_size_max)
@@ -338,30 +339,16 @@ def _diagram_universe(vocab: Vocabulary, r: int, config: Config):
 
 
 def _substitution_closure(diagrams, r: int, arities, k: int):
-    """Map diagram -> frozenset of all substitution images (the diagram of
-    (a_{f(0)},...,a_{f(r-1)}) for every slot map f), transitively closed."""
+    """Per diagram, the frozenset of the indices of all its substitution
+    images (the diagram of (a_{f(0)},...,a_{f(r-1)}) for every slot map f).
+    The slot maps include the identity and are closed under composition, so
+    the images are already transitively closed."""
     index = {d: i for i, d in enumerate(diagrams)}
-    direct = []
     const_slots = list(range(r, r + k))
     maps = list(itertools.product(range(r), repeat=r))
-    for d in diagrams:
-        imgs = set()
-        for f in maps:
-            img = subdiagram(d, list(f) + const_slots, arities, new_v=r)
-            imgs.add(index[img])
-        direct.append(imgs)
-    closures = [None] * len(diagrams)
-    for i in range(len(diagrams)):
-        seen = {i}
-        stack = [i]
-        while stack:
-            cur = stack.pop()
-            for nxt in direct[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        closures[i] = frozenset(seen)
-    return closures
+    return [frozenset(index[subdiagram(d, list(f) + const_slots, arities, new_v=r)]
+                      for f in maps)
+            for d in diagrams]
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,33 @@ def test_malformed_input_refused_with_its_line(leak, files, capsys, tmp_path):
     assert f"line {line}:" in err and "Traceback" not in err
 
 
+# commands whose arguments are refused where they enter (exit 1, one error
+# line); {p3} and {qs} stand for a structure and a one-label system file
+BAD_ARGUMENTS = {
+    "reach-negative-slack": "system-reach --system {qs} --bound 4 --slack -2",
+    "gaps-size-not-int": "gaps --sizes 1,x --ratio 2",
+    "gaps-ratio-not-number": "gaps --sizes 1,4 --ratio abc",
+    "gaps-ratio-zero-denominator": "gaps --sizes 1,4 --ratio 1/0",
+    "gaps-no-sizes": "gaps --ratio 2",
+    "periodicity-label-out-of-range": "periodicity --system {qs} --label 5 --scan 40 --window 8",
+    "theory-negative-depth": "theory --model {p3} --depth -1",
+    "schemes-negative-k1": "schemes-enumerate --vocab E/2 --k1 -1 --k2 0 --k 0 --kstar 1",
+    "schemes-negative-k2": "schemes-enumerate --vocab E/2 --k1 0 --k2 -1 --k 0 --kstar 1",
+    "schemes-negative-k": "schemes-enumerate --vocab E/2 --k1 0 --k2 0 --k -1 --kstar 1",
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_arguments_refused(case, files, capsys, tmp_path):
+    system = tmp_path / "cofinite.qs"
+    system.write_text("labels 1\nrule 0 0 0 1\nbase 0: 2\n", encoding="utf-8")
+    argv = BAD_ARGUMENTS[case].format(p3=files["p3.struct"], qs=system).split()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_scheme_with_trailing_comment(files, capsys, tmp_path):
     scheme = tmp_path / "commented.scm"
     scheme.write_text('scheme k1=0 k2=0 k=0  # disjoint union\n'
