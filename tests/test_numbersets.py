@@ -62,8 +62,8 @@ def test_reach_numerical_semigroup():
 
 
 def test_negative_slack_refused():
-    # with slack -2 the saturation stopped below the bound: reach answered
-    # "nothing at label 0" and witness_tree called 4 unreachable
+    # a negative slack saturates below the bound: reach would answer
+    # "nothing at label 0" and witness_tree would call 4 unreachable
     assert reach(COFIN2, 4, 0).values(0) == (2, 3, 4)
     with pytest.raises(HintikkaError, match="slack"):
         reach(COFIN2, 4, -2)
@@ -382,9 +382,9 @@ def count_nodes(search, *args):
         return CountedNode.made
 
 
-# a search that built in full, ahead of use, every list it might replay
-# built 24 nodes against the reference's 18 in the first example, and 120
-# against 23 in the second, where a pump turns up among the first trees
+# a search that built each list in full before its first replay would build
+# 24 nodes against the reference's 18 in the first example, and 120 against
+# 23 in the second, where a pump turns up among the first trees
 @example(QuadrupleSystem(1, ((0, 0, 0, 0), (0, 0, 0, 0)), (frozenset({0, 1, 2}),)),
          0, 1, 48, 8)
 @example(QuadrupleSystem(1, ((0, 0, 0, 0),), (frozenset(range(1, 11)),)),
