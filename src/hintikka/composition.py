@@ -385,11 +385,11 @@ def _compatible(rec1, rec2, scheme: Scheme, newest: int) -> bool:
 
 def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
                    interner: Interner, lift: int) -> int:
-    """Depth-0 transfer, one loop for every table kind. Per configuration of
-    the result variables, each part's side table lists the pack ids of its
-    distinct packed sides; the configuration's join table maps a pair of
-    pack ids to the result diagram id, and only a pair seen for the first
-    time is joined (``_join``)."""
+    """Depth-0 transfer, one loop for every table kind. Per sequence of
+    result classes, each part's side table lists the pack ids of its
+    distinct packed sides; the memo's join table maps a pair of pack ids to
+    the result diagram ids, one per equality type of the result variables,
+    and only a pair seen for the first time is joined (``_join``)."""
     preds = r1.vocab_key
     arities = tuple(a for _, a in preds)
     m = r1.m
@@ -408,10 +408,10 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
         for x in xs:
             row = joins[x]
             for y in ys:
-                did = row.get(y)
-                if did is None:
-                    did = row[y] = _join(interner, scheme, memo, x, y, r, arities)
-                realized.add(did)
+                dids = row.get(y)
+                if dids is None:
+                    dids = row[y] = _join(interner, scheme, memo, x, y, r, arities)
+                realized.update(dids)
 
     if realized:
         # every realized diagram restricts to the glue's constant diagram
@@ -424,38 +424,44 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
 
 
 class _ConfigMemo:
-    """The kernel's memo for one configuration of one scheme config key.
+    """The kernel's memo for one sequence of result classes (the origin of
+    each class) of one scheme config key.
 
-    Per side: ``pack_of`` maps a projection's diagram id to its pack id,
+    ``res_eqs`` lists the equality types over the r + k result slots that
+    have these classes, one per partition of the result variables. Per
+    side: ``pack_of`` maps a projection's diagram id to its pack id,
     ``pack_ids`` gives each distinct packed side one id, and ``packs`` lists
     the packed sides by id. ``joins`` holds, per side-1 pack id, a dict from
-    side-2 pack id to the result diagram id."""
+    side-2 pack id to the tuple of result diagram ids, one per entry of
+    ``res_eqs``."""
 
-    __slots__ = ("res_eq", "parts", "tabled", "pack_of", "pack_ids", "packs", "joins")
+    __slots__ = ("res_eqs", "parts", "tabled", "pack_of", "pack_ids", "packs", "joins")
 
-    def __init__(self, res_eq, parts, tabled):
-        self.res_eq, self.parts, self.tabled = res_eq, parts, tabled
+    def __init__(self, parts, tabled):
+        self.res_eqs, self.parts, self.tabled = [], parts, tabled
         self.pack_of, self.pack_ids, self.packs = ({}, {}), ({}, {}), ([], [])
         self.joins = []
 
 
 def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
-          r: int, arities) -> int:
-    """The result diagram id of the packed sides x and y: OR their masks,
-    replace each tabled predicate's mask by its table values, unpack."""
+          r: int, arities) -> tuple:
+    """The result diagram ids of the packed sides x and y: OR their masks,
+    replace each tabled predicate's mask by its table values, unpack once
+    per equality type."""
     masks1, subs1 = memo.packs[0][x]
     masks2, subs2 = memo.packs[1][y]
     sig = list(map(or_, masks1, masks2))
     for t, (pos, name, skeletons) in enumerate(memo.tabled):
         sig[pos] = _table_mask(interner, scheme, name, skeletons, subs1[t], subs2[t], sig[pos])
-    return interner.diagram_id(unpack_diagram(r, memo.res_eq, sig, arities))
+    return tuple(interner.diagram_id(unpack_diagram(r, eq, sig, arities))
+                 for eq in memo.res_eqs)
 
 
 def _side_table(interner: Interner, tid: int, rec, side: int, ckey, memos,
                 r: int, arities, base_m: int):
-    """Per config, the pack ids of one part's distinct packed sides. A table
+    """Per memo, the pack ids of one part's distinct packed sides. A table
     depends only on (theory, config key, side), so it is built once; a pack
-    depends only on (config, side, projection), so theories that share a
+    depends only on (memo, side, projection), so theories that share a
     projection share its pack id, and projections that pack alike share
     one id."""
     key = (tid, ckey, side)
@@ -510,11 +516,16 @@ def _projections(interner: Interner, rec, r: int, arities):
 
 
 def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
-    """One ``_ConfigMemo`` per (partition, block-origin) configuration of
-    the r result variables: the result equality type, per part the recipe
-    that packs a projection, and the tabled predicates with a pattern
-    skeleton per entry. Configurations with equal class origins and slots
-    share one recipe.
+    """One ``_ConfigMemo`` per sequence of result classes of the r result
+    variables and the k result constants.
+
+    A configuration is a partition of the variables into b blocks plus an
+    origin per block (``_block_origins``). Its classes are the blocks, then
+    the result constants that no block names, in result order; its
+    equality type is the partition followed by each constant's class. All
+    that packs and joins read, the recipe, follows from the class origins
+    alone, so every configuration with the same class origins shares one
+    memo and adds its equality type to the memo's ``res_eqs``.
 
     Entries of a predicate are its class tuples in atom order; entries of a
     set column are the classes. Tables cover the vocabulary's predicates and
@@ -525,28 +536,30 @@ def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
     names = table_names(preds, base_m)
     tabled_pos = [pos for pos, name in enumerate(names)
                   if scheme.table_spec(name)[0] != "union"]
-    kept = scheme.kept_refs()
-    configs = []
-    recipes = {}
-    pool = {}       # one copy of each skeleton pattern
+    kept, refs = scheme.kept_refs(), scheme.result_refs
+    by_blocks = {}
     for eq_vars in partitions(r):
-        nblocks = max(eq_vars) + 1 if eq_vars else 0
-        for origins_blocks in _block_origins(nblocks, kept):
-            res_eq, class_origin, dslots, nvars = _build_config(
-                eq_vars, origins_blocks, scheme, r)
-            recipe = recipes.get((class_origin, dslots))
-            if recipe is None:
-                recipe = recipes[class_origin, dslots] = _config_recipe(
-                    scheme, arities, names, tabled_pos, base_m, class_origin, dslots, nvars, pool)
-            configs.append(_ConfigMemo(res_eq, *recipe))
-    return tuple(configs)
+        by_blocks.setdefault(max(eq_vars) + 1, []).append(eq_vars)
+    memos = {}
+    pool = {}       # one copy of each skeleton pattern
+    for nblocks, eqs in by_blocks.items():
+        for origins in _block_origins(nblocks, kept):
+            class_origin = origins + tuple(ref for ref in refs if ref not in origins)
+            memo = memos.get(class_origin)
+            if memo is None:
+                memo = memos[class_origin] = _ConfigMemo(*_config_recipe(
+                    scheme, arities, names, tabled_pos, base_m, class_origin, pool))
+            const_eq = tuple(class_origin.index(ref) for ref in refs)
+            memo.res_eqs.extend(eq + const_eq for eq in eqs)
+    return tuple(memos.values())
 
 
 def _config_recipe(scheme: Scheme, arities, names, tabled_pos, base_m: int,
-                   class_origin, dslots, nvars, pool: dict):
+                   class_origin, pool: dict):
     """Per part the recipe that packs a projection, and the tabled
     predicates with a pattern skeleton per entry: all that a configuration
-    reads of its class origins and slots."""
+    reads of its class origins."""
+    dslots = (_class_slots(class_origin, 0), _class_slots(class_origin, 1))
     nclasses = len(class_origin)
     entries = [tuple(itertools.product(range(nclasses), repeat=a)) for a in arities]
     entries += [tuple((c,) for c in range(nclasses))] * base_m
@@ -555,7 +568,8 @@ def _config_recipe(scheme: Scheme, arities, names, tabled_pos, base_m: int,
     tabled = tuple((pos, names[pos], tuple(pattern for pattern, _ in skeletons[pos]))
                    for pos in tabled_pos)
     parts = []
-    for side, (v, dslot, kc) in enumerate(zip(nvars, dslots, (scheme.k1, scheme.k2))):
+    for side, (own, dslot, kc) in enumerate(zip((IN_P1, IN_P2), dslots, (scheme.k1, scheme.k2))):
+        v = class_origin.count((own[0],))
         atom_idx = tuple(
             tuple(rel_index(tuple(dslot[c] for c in ct), v + kc)
                   if all(dslot[c] is not None for c in ct) else None
@@ -565,6 +579,20 @@ def _config_recipe(scheme: Scheme, arities, names, tabled_pos, base_m: int,
                           for pos in tabled_pos)
         parts.append((v, atom_idx, dslot, sub_slots))
     return tuple(parts), tabled
+
+
+def _class_slots(class_origin, side: int):
+    """Per class, its slot in the projections of part ``side``: the part's
+    fresh elements in class order, then v + the part's constant index, where
+    v counts the fresh elements; None for a class the part does not have."""
+    own = (IN_P1, IN_P2)[side]
+    v = class_origin.count((own[0],))
+    fresh = itertools.count()
+    return tuple(None if o[0] not in own
+                 else next(fresh) if o[0] == own[0]
+                 else v + o[1 + side] if o[0] == REF_SHARED
+                 else v + o[1]
+                 for o in class_origin)
 
 
 def _pattern_skeleton(ct, class_origin, dslots, pool: dict):
@@ -591,59 +619,6 @@ def _block_origins(nblocks, kept_refs):
         if len(refs) != len(set(refs)):
             continue
         yield combo
-
-
-def _build_config(eq_vars, origins_blocks, scheme, r):
-    """Resolve a variable partition plus block origins into result-diagram
-    bookkeeping: eq over r+k slots, per-class origin, per part the per-class
-    slot indices into its projections, and per part the variable count."""
-    entities = []
-    for s in range(r):
-        block = eq_vars[s]
-        orig = origins_blocks[block]
-        entities.append(orig if orig[0] not in ("n1", "n2") else ("b", block, orig[0]))
-    for ref in scheme.result_refs:
-        entities.append(ref)
-    res_eq = canonical_eq(entities)
-    nclasses = max(res_eq) + 1 if res_eq else 0
-    class_entity = [None] * nclasses
-    for pos, cls in enumerate(res_eq):
-        if class_entity[cls] is None:
-            class_entity[cls] = entities[pos]
-
-    # variable slots of the part projections, in block order
-    v1_blocks = [b for b in range(len(origins_blocks)) if origins_blocks[b] == ("n1",)]
-    v2_blocks = [b for b in range(len(origins_blocks)) if origins_blocks[b] == ("n2",)]
-    v1, v2 = len(v1_blocks), len(v2_blocks)
-
-    class_origin = []
-    d1slot = []
-    d2slot = []
-    for cls in range(nclasses):
-        ent = class_entity[cls]
-        if ent[0] == "b":
-            block, partname = ent[1], ent[2]
-            if partname == "n1":
-                class_origin.append(("n1",))
-                d1slot.append(v1_blocks.index(block))
-                d2slot.append(None)
-            else:
-                class_origin.append(("n2",))
-                d1slot.append(None)
-                d2slot.append(v2_blocks.index(block))
-        elif ent[0] == REF_SHARED:
-            class_origin.append(ent)
-            d1slot.append(v1 + ent[1])
-            d2slot.append(v2 + ent[2])
-        elif ent[0] == REF_P1:
-            class_origin.append(ent)
-            d1slot.append(v1 + ent[1])
-            d2slot.append(None)
-        else:
-            class_origin.append(ent)
-            d1slot.append(None)
-            d2slot.append(v2 + ent[1])
-    return res_eq, tuple(class_origin), (tuple(d1slot), tuple(d2slot)), (v1, v2)
 
 
 def _pack_side(interner: Interner, did: int, part, arities, base_m: int):

@@ -183,6 +183,8 @@ def find_small_equivalent(m: Structure, depth: int, size_max: int,
     by exhaustive enumeration; None if no candidate exists within the bound."""
     from .structures import enumerate_representatives
 
+    if size_max < 0:
+        raise HintikkaError("size bound must be a natural number")
     interner = default_interner() if interner is None else interner
     target = compute_theory(m, depth, interner, config)
     k = m.vocab.num_consts

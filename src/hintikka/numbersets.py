@@ -370,22 +370,9 @@ def pump(tree: Node, pair: PumpPair, i: int) -> Node:
 
 def _stack(high: Node, rel_path, low: Node, i: int) -> Node:
     """high with the context high->low inserted i extra times above low."""
-    def graft(node, path, plug):
-        if not path:
-            return plug
-        step, rest = path[0], path[1:]
-        if step == 0:
-            left = graft(node.left, rest, plug)
-            right = node.right
-        else:
-            left = node.left
-            right = graft(node.right, rest, plug)
-        value = left.value + right.value - (node.left.value + node.right.value - node.value)
-        return Node(node.label, value, node.rule, left, right)
-
     plug = low
     for _ in range(i + 1):
-        plug = graft(high, rel_path, plug)
+        plug = _replace(high, rel_path, plug)
     return plug
 
 
@@ -445,6 +432,8 @@ def find_period(sys: QuadrupleSystem, label: int, scan_bound: int,
     """
     if not 0 <= label < sys.m:
         raise HintikkaError(f"label {label} out of range 0..{sys.m - 1}")
+    if window < 1:
+        raise HintikkaError("window must be at least 1")
     if scan_bound < 2 * window:
         raise HintikkaError("scan bound must be at least twice the window")
     rr = reach(sys, scan_bound)

@@ -239,6 +239,8 @@ def spectrum_bruteforce(phi, vocab: Vocabulary, max_size: int,
     """Sizes 1..max_size realized by some model of phi (exhaustive search)."""
     from .structures import enumerate_representatives
 
+    if max_size < 0:
+        raise HintikkaError("size bound must be a natural number")
     out = set()
     for size in range(1, max_size + 1):
         for m in enumerate_representatives(vocab, size, config):

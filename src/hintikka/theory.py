@@ -89,8 +89,8 @@ class Interner:
         self.transfer_memo = {}
         # memos of the depth-0 transfer kernel (composition._transfer_base),
         # keyed by values that only this interner's ids make meaningful:
-        # config_memos holds, per scheme config key, one memo per
-        # configuration (its recipe, its pack ids and its join table)
+        # config_memos holds, per scheme config key, one memo per sequence
+        # of result classes (its recipe, its pack ids and its join table)
         self.config_memos = {}
         self.diagram_projections = {}
         self.side_tables = {}

@@ -255,7 +255,8 @@ def test_malformed_input_refused_with_its_line(leak, files, capsys, tmp_path):
 
 
 # commands whose arguments are refused where they enter (exit 1, one error
-# line); {p3} and {qs} stand for a structure and a one-label system file
+# line); {p3}, {qs} and {phi} stand for a structure, a one-label system file
+# and a sentence file
 BAD_ARGUMENTS = {
     "reach-negative-slack": "system-reach --system {qs} --bound 4 --slack -2",
     "gaps-size-not-int": "gaps --sizes 1,x --ratio 2",
@@ -263,6 +264,10 @@ BAD_ARGUMENTS = {
     "gaps-ratio-zero-denominator": "gaps --sizes 1,4 --ratio 1/0",
     "gaps-no-sizes": "gaps --ratio 2",
     "periodicity-label-out-of-range": "periodicity --system {qs} --label 5 --scan 40 --window 8",
+    "periodicity-window-zero": "periodicity --system {qs} --label 0 --scan 40 --window 0",
+    "smalleq-negative-size-max": "smalleq --model {p3} --depth 0 --size-max -1",
+    "oracle-spectrum-negative-max-size":
+        "oracle-spectrum --vocab E/2 --formula-file {phi} --max-size -1",
     "theory-negative-depth": "theory --model {p3} --depth -1",
     "schemes-negative-k1": "schemes-enumerate --vocab E/2 --k1 -1 --k2 0 --k 0 --kstar 1",
     "schemes-negative-k2": "schemes-enumerate --vocab E/2 --k1 0 --k2 -1 --k 0 --kstar 1",
@@ -274,7 +279,9 @@ BAD_ARGUMENTS = {
 def test_bad_arguments_refused(case, files, capsys, tmp_path):
     system = tmp_path / "cofinite.qs"
     system.write_text("labels 1\nrule 0 0 0 1\nbase 0: 2\n", encoding="utf-8")
-    argv = BAD_ARGUMENTS[case].format(p3=files["p3.struct"], qs=system).split()
+    sentence = tmp_path / "nonempty.mso"
+    sentence.write_text("(exists x (= x x))\n", encoding="utf-8")
+    argv = BAD_ARGUMENTS[case].format(p3=files["p3.struct"], qs=system, phi=sentence).split()
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

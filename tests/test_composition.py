@@ -6,6 +6,7 @@ computation on the glued structure is the oracle throughout.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import k2_graph, mutated, rand_structure, triangle
 from hintikka.composition import (
+    REF_P1,
+    REF_P2,
+    REF_SHARED,
     Scheme,
+    _block_origins,
+    _scheme_configs,
     count_patterns,
     count_schemes,
     disjoint_union_scheme,
@@ -29,6 +35,7 @@ from hintikka.composition import (
     table_extension,
     transfer,
 )
+from hintikka.diagrams import canonical_eq, partitions
 from hintikka.errors import BudgetError, ParseError, SignatureError
 from hintikka.structures import Structure, Vocabulary, path_graph
 from hintikka.theory import Interner, compute_theory, default_interner
@@ -211,10 +218,10 @@ def test_transfer_digest_independent_of_diagram_ids():
 
 
 def test_config_memo_sharing():
-    # the kernel keeps one memo per scheme configuration: pack ids for the
-    # distinct packed sides and a join table per pair of pack ids; filling
-    # it in either order must give the same digests as the glue oracle, and
-    # equal packs must share one id
+    # the kernel keeps one memo per sequence of result classes: pack ids for
+    # the distinct packed sides and a join table per pair of pack ids;
+    # filling it in either order must give the same digests as the glue
+    # oracle, and equal packs must share one id
     rng = random.Random(31)
     v = Vocabulary((("S", 1), ("E", 2)), 1)
     prf = random_table_scheme(v, 1, 1, 1, 90, ((0, 0),), result_refs=(("s", 0, 0),))
@@ -245,6 +252,116 @@ def test_config_memo_sharing():
         # on the chain scheme, distinct projections of P2 and P3 pack alike
         assert any(len(memo.pack_of[side]) > len(memo.packs[side])
                    for memo in memos for side in (0, 1))
+
+
+def _reference_config(eq_vars, origins_blocks, scheme, r):
+    """One configuration resolved through its entities, the way the kernel
+    once built a memo per configuration: eq over r+k slots, per-class
+    origin, per part the per-class slot indices into its projections, and
+    per part the variable count."""
+    entities = []
+    for s in range(r):
+        block = eq_vars[s]
+        orig = origins_blocks[block]
+        entities.append(orig if orig[0] not in ("n1", "n2") else ("b", block, orig[0]))
+    for ref in scheme.result_refs:
+        entities.append(ref)
+    res_eq = canonical_eq(entities)
+    nclasses = max(res_eq) + 1 if res_eq else 0
+    class_entity = [None] * nclasses
+    for pos, cls in enumerate(res_eq):
+        if class_entity[cls] is None:
+            class_entity[cls] = entities[pos]
+
+    # variable slots of the part projections, in block order
+    v1_blocks = [b for b in range(len(origins_blocks)) if origins_blocks[b] == ("n1",)]
+    v2_blocks = [b for b in range(len(origins_blocks)) if origins_blocks[b] == ("n2",)]
+    v1, v2 = len(v1_blocks), len(v2_blocks)
+
+    class_origin = []
+    d1slot = []
+    d2slot = []
+    for cls in range(nclasses):
+        ent = class_entity[cls]
+        if ent[0] == "b":
+            block, partname = ent[1], ent[2]
+            if partname == "n1":
+                class_origin.append(("n1",))
+                d1slot.append(v1_blocks.index(block))
+                d2slot.append(None)
+            else:
+                class_origin.append(("n2",))
+                d1slot.append(None)
+                d2slot.append(v2_blocks.index(block))
+        elif ent[0] == REF_SHARED:
+            class_origin.append(ent)
+            d1slot.append(v1 + ent[1])
+            d2slot.append(v2 + ent[2])
+        elif ent[0] == REF_P1:
+            class_origin.append(ent)
+            d1slot.append(v1 + ent[1])
+            d2slot.append(None)
+        else:
+            class_origin.append(ent)
+            d1slot.append(None)
+            d2slot.append(v2 + ent[1])
+    return res_eq, tuple(class_origin), (tuple(d1slot), tuple(d2slot)), (v1, v2)
+
+
+def _memo_class_origin(memo):
+    """The class origins a memo's projection slots encode."""
+    (v1, _, d1, _), (v2, _, d2, _) = memo.parts
+    origin = []
+    for s1, s2 in zip(d1, d2):
+        if s1 is not None and s1 < v1:
+            origin.append(("n1",))
+        elif s2 is not None and s2 < v2:
+            origin.append(("n2",))
+        elif s1 is not None and s2 is not None:
+            origin.append((REF_SHARED, s1 - v1, s2 - v2))
+        elif s1 is not None:
+            origin.append((REF_P1, s1 - v1))
+        else:
+            origin.append((REF_P2, s2 - v2))
+    return tuple(origin)
+
+
+def test_scheme_configs_cover_each_configuration_once():
+    # one memo per sequence of result classes: its equality types are
+    # exactly the configurations that resolve to its class origins and
+    # slots, each configuration once
+    v = Vocabulary((("S", 1), ("E", 2)), 0, 1)
+    shapes = [
+        dict(k1=2, k2=2, k=2, ident=((1, 0),), keep1=(False, True),
+             result_refs=(("s", 1, 0), ("2", 1))),
+        dict(k1=1, k2=2, k=2, keep2=(True, False), result_refs=(("2", 0), ("1", 0))),
+        dict(k1=2, k2=1, k=1, ident=((0, 0),), keep1=(True, False),
+             result_refs=(("s", 0, 0),)),
+        dict(k1=1, k2=1, k=0, ident=((0, 0),), keep1=(False,), keep2=(False,)),
+        dict(k1=2, k2=2, k=0, ident=((0, 1), (1, 0))),
+    ]
+    schemes = [plain_union_scheme(**shape) for shape in shapes]
+    schemes += [random_table_scheme(v, seed=5 + i, **shape) for i, shape in enumerate(shapes)]
+    for s in schemes:
+        for r in (2, 3):
+            memos = _scheme_configs(s, v.predicates, r, v.num_sets)
+            got = Counter()
+            origins = [_memo_class_origin(memo) for memo in memos]
+            assert len(set(origins)) == len(origins)
+            for memo, class_origin in zip(memos, origins):
+                if s.tables:
+                    # the set column's entries are the classes, each with
+                    # its own origin
+                    (_, _, skeletons), = [t for t in memo.tabled if t[1] == "P0"]
+                    assert tuple(porig for _, (porig,) in skeletons) == class_origin
+                dslots = tuple(part[2] for part in memo.parts)
+                nvars = tuple(part[0] for part in memo.parts)
+                got.update((res_eq, class_origin, dslots, nvars) for res_eq in memo.res_eqs)
+            want = Counter(
+                _reference_config(eq_vars, origins_blocks, s, r)
+                for eq_vars in partitions(r)
+                for origins_blocks in _block_origins(max(eq_vars) + 1, s.kept_refs()))
+            assert got == want
 
 
 def test_transfer_depth2():
