@@ -248,6 +248,8 @@ def cmd_gaps(args, config):
         sizes = [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseError(f"sizes must be integers: {exc}") from None
+    if any(size < 0 for size in sizes):
+        raise ParseError(f"sizes must be natural numbers, got {min(sizes)}")
     result = audit_gaps(sizes, args.ratio, args.threshold)
     _emit(result.describe() + "\n", args.out)
     return 0

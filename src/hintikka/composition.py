@@ -32,8 +32,8 @@ from .diagrams import (
     qf_core,
     rel_index,
     subdiagram,
+    unpack_bits,
     unpack_diagram,
-    vars_distinct_nonconst,
 )
 from .errors import BudgetError, HintikkaError, ParseError, SignatureError
 from .lineformat import LineReader
@@ -385,28 +385,27 @@ def _compatible(rec1, rec2, scheme: Scheme, newest: int) -> bool:
 
 def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
                    interner: Interner, lift: int) -> int:
-    """Depth-0 transfer, one loop for every table kind. Per sequence of
-    result classes, each part's side table lists the pack ids of its
-    distinct packed sides; the memo's join table maps a pair of pack ids to
-    the result diagram ids, one per equality type of the result variables,
-    and only a pair seen for the first time is joined (``_join``)."""
+    """Depth-0 transfer, one loop for every table kind and lift. Per
+    sequence of result classes, each part's side table lists the pack ids
+    of its distinct packed sides; the memo's join table maps a pair of pack
+    ids to the result diagram ids, one per equality type of the result
+    variables, and only a pair seen for the first time is joined."""
     preds = r1.vocab_key
     arities = tuple(a for _, a in preds)
-    m = r1.m
-    base_m = m - lift
+    base_m = r1.m - lift
     r = max([1] + list(arities)) + 1
     ckey = (scheme.scheme_id, preds, r, base_m)
     memos = interner.config_memos.get(ckey)
     if memos is None:
         memos = interner.config_memos[ckey] = _scheme_configs(scheme, preds, r, base_m)
-    tables = (_side_table(interner, i1, r1, 0, ckey, memos, r, arities, base_m),
-              _side_table(interner, i2, r2, 1, ckey, memos, r, arities, base_m))
+    tables = (_side_table(interner, i1, r1, 0, ckey, memos, r, arities, lift),
+              _side_table(interner, i2, r2, 1, ckey, memos, r, arities, lift))
 
     realized = set()
     for memo, xs, ys in zip(memos, *tables):
         joins = memo.joins
         for x in xs:
-            row = joins[x]
+            row = joins.setdefault(x, {})
             for y in ys:
                 dids = row.get(y)
                 if dids is None:
@@ -419,37 +418,56 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
                                 list(range(r, r + scheme.k)), arities, new_v=0)
     else:
         # glue of empty parts: only possible with k = 0
-        const_diag = (0, (), tuple(() for _ in preds), tuple(() for _ in range(m)))
-    return interner.intern_depth0(preds, m, scheme.k, realized, const_diag)
+        const_diag = (0, (), tuple(() for _ in preds), tuple(() for _ in range(r1.m)))
+    return interner.intern_depth0(preds, r1.m, scheme.k, realized, const_diag)
+
+
+# Pack ids and projection keys: a base id in the low 32 bits, lifted bits
+# above it under a sentinel bit that marks the lift (alone at lift 0).
+_LIFT0 = 1 << 32
+_BASE = _LIFT0 - 1
 
 
 class _ConfigMemo:
     """The kernel's memo for one sequence of result classes (the origin of
-    each class) of one scheme config key.
+    each class) of one scheme config key, at every lift.
 
     ``res_eqs`` lists the equality types over the r + k result slots that
     have these classes, one per partition of the result variables. Per
-    side: ``pack_of`` maps a projection's diagram id to its pack id,
-    ``pack_ids`` gives each distinct packed side one id, and ``packs`` lists
-    the packed sides by id. ``joins`` holds, per side-1 pack id, a dict from
-    side-2 pack id to the tuple of result diagram ids, one per entry of
-    ``res_eqs``."""
+    side: ``pack_of`` maps a projection key to its pack id, ``pack_ids``
+    gives each distinct packed base projection a base id, ``packs`` lists
+    them by base id. A pack id is a base id with lifted column j as class
+    bits j * nclasses + c. ``joins`` maps a side-1 pack id to a dict from
+    side-2 pack id to the result diagram ids, one per entry of ``res_eqs``."""
 
     __slots__ = ("res_eqs", "parts", "tabled", "pack_of", "pack_ids", "packs", "joins")
 
     def __init__(self, parts, tabled):
         self.res_eqs, self.parts, self.tabled = [], parts, tabled
         self.pack_of, self.pack_ids, self.packs = ({}, {}), ({}, {}), ([], [])
-        self.joins = []
+        self.joins = {}
 
 
 def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
           r: int, arities) -> tuple:
-    """The result diagram ids of the packed sides x and y: OR their masks,
-    replace each tabled predicate's mask by its table values, unpack once
-    per equality type."""
-    masks1, subs1 = memo.packs[0][x]
-    masks2, subs2 = memo.packs[1][y]
+    """The result diagram ids of the packs x and y. Base packs are joined
+    once: OR their masks, replace each tabled predicate's mask by its table
+    values, unpack once per equality type. A lifted join appends to each
+    result of its base packs' join the OR of the two sides' lifted bits."""
+    lifted = (x | y) >> 32
+    if lifted != 1:
+        bx, by = x & _BASE | _LIFT0, y & _BASE | _LIFT0
+        row = memo.joins.setdefault(bx, {})
+        base = row.get(by)
+        if base is None:
+            base = row[by] = _join(interner, scheme, memo, bx, by, r, arities)
+        n = len(memo.parts[0][2])
+        extra = tuple(unpack_bits(lifted >> j * n, n)
+                      for j in range((lifted.bit_length() - 1) // n))
+        return tuple(interner.diagram_id(diag[:3] + (diag[3] + extra,))
+                     for diag in map(interner.diagram, base))
+    masks1, subs1 = memo.packs[0][x & _BASE]
+    masks2, subs2 = memo.packs[1][y & _BASE]
     sig = list(map(or_, masks1, masks2))
     for t, (pos, name, skeletons) in enumerate(memo.tabled):
         sig[pos] = _table_mask(interner, scheme, name, skeletons, subs1[t], subs2[t], sig[pos])
@@ -458,61 +476,80 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
 
 
 def _side_table(interner: Interner, tid: int, rec, side: int, ckey, memos,
-                r: int, arities, base_m: int):
-    """Per memo, the pack ids of one part's distinct packed sides. A table
-    depends only on (theory, config key, side), so it is built once; a pack
-    depends only on (memo, side, projection), so theories that share a
-    projection share its pack id, and projections that pack alike share
-    one id."""
+                r: int, arities, lift: int):
+    """Per memo, the pack ids of one part's distinct packed sides, from the
+    keys of its realized prefix projections. A table depends only on
+    (theory, config key, side), so it is built once."""
     key = (tid, ckey, side)
     table = interner.side_tables.get(key)
     if table is None:
-        projections = _projections(interner, rec, r, arities)
-        table = []
-        for memo in memos:
-            part = memo.parts[side]
-            pack_of, pack_ids, packs = memo.pack_of[side], memo.pack_ids[side], memo.packs[side]
-            ids = {}
-            for d in projections[part[0]]:
-                x = pack_of.get(d)
-                if x is None:
-                    packed = _pack_side(interner, d, part, arities, base_m)
-                    x = pack_ids.get(packed)
-                    if x is None:
-                        x = pack_ids[packed] = len(packs)
-                        packs.append(packed)
-                        if side == 0:
-                            memo.joins.append({})
-                    pack_of[d] = x
-                ids[x] = None
-            table.append(tuple(ids))
-        table = interner.side_tables[key] = tuple(table)
+        keys = [_prefix_keys(interner, interner.diagram_id(rec.const_diag), arities, lift)]
+        keys += [{} for _ in range(r)]
+        for d in rec.payload:
+            for v, p in enumerate(_prefix_keys(interner, d, arities, lift), 1):
+                if p >= 0:
+                    keys[v][p] = None
+        table = interner.side_tables[key] = tuple(
+            tuple(dict.fromkeys(_pack_id(interner, memo, side, p, arities, lift)
+                                for p in keys[memo.parts[side][0]]))
+            for memo in memos)
     return table
 
 
-def _projections(interner: Interner, rec, r: int, arities):
-    """Realized prefix projections of a depth-0 theory by variable count, as
-    diagram ids, variables pairwise distinct and non-constant; per-diagram
-    projection results are shared across theories. A realized diagram has
-    r variable slots, so its r-variable projection is itself."""
-    dcache = interner.diagram_projections
-    const_slots = list(range(r, r + rec.k))
-    out = {0: (interner.diagram_id(rec.const_diag),),
-           r: tuple(d for d in rec.payload if vars_distinct_nonconst(interner.diagram(d)))}
-    for v in range(1, r):
-        seen = {}
-        for d in rec.payload:
-            dkey = (d, v)       # d fixes r and the constant count
-            p = dcache.get(dkey)
-            if p is None:
-                proj = subdiagram(interner.diagram(d), list(range(v)) + const_slots,
-                                  arities, new_v=v)
-                p = dcache[dkey] = (interner.diagram_id(proj)
-                                    if vars_distinct_nonconst(proj) else -1)
-            if p >= 0:
-                seen[p] = None
-        out[v] = tuple(seen)
-    return out
+def _pack_id(interner: Interner, memo: _ConfigMemo, side: int, p: int, arities,
+             lift: int) -> int:
+    """The pack id of projection key p, memoized per (memo, side). A base
+    projection is packed and its distinct packs get base ids; a lifted one
+    adds to its base projection's id its lifted slot bits as class bits."""
+    pack_of = memo.pack_of[side]
+    x = pack_of.get(p)
+    if x is None and lift:
+        dslot = memo.parts[side][2]
+        width = ((p >> 32).bit_length() - 1) // lift - 1
+        bits = sum((p >> 32 + j * width + slot & 1) << j * len(dslot) + c
+                   for j in range(lift) for c, slot in enumerate(dslot) if slot is not None)
+        x = pack_of[p] = (_pack_id(interner, memo, side, p & _BASE | _LIFT0, arities, 0)
+                          & _BASE | (bits | 1 << lift * len(dslot)) << 32)
+    elif x is None:
+        packed = _pack_side(interner, p & _BASE, memo.parts[side], arities)
+        packs = memo.packs[side]
+        x = memo.pack_ids[side].setdefault(packed, len(packs))
+        if x == len(packs):
+            packs.append(packed)
+        x = pack_of[p] = x | _LIFT0
+    return x
+
+
+def _prefix_keys(interner: Interner, did: int, arities, lift: int) -> tuple:
+    """Per v in 1..n for a diagram ``did`` with n variable slots (v = 0 if
+    n = 0), the key of its projection to its first v variables and its
+    constants, or -1 where those are not pairwise distinct and non-constant;
+    memoized per (diagram, lift). A key is the id of the projection's base
+    diagram (all but the last ``lift`` set columns) and above it, for s
+    slots, bit j * s + slot of lifted column j under a sentinel bit at
+    lift * (s + 1), read from the diagram without building the projection."""
+    cache = interner.diagram_projections
+    keys = cache.get((did, lift))
+    if keys is None:
+        v, eq, rel, sets = diag = interner.diagram(did)
+        consts = list(range(v, len(eq)))
+        if lift:
+            keys = []
+            for nv, p in enumerate(_prefix_keys(interner, interner.diagram_id(
+                    (v, eq, rel, sets[:-lift])), arities, 0), min(v, 1)):
+                slots = list(range(nv)) + consts
+                bits = sum(col[eq[s]] << j * len(slots) + pos for j, col
+                           in enumerate(sets[-lift:]) for pos, s in enumerate(slots))
+                keys.append(p if p < 0 else
+                            p & _BASE | (bits | 1 << lift * (len(slots) + 1)) << 32)
+        else:
+            # the first ``top`` variables are pairwise distinct and non-constant
+            top = next((nv for nv in range(v) if eq[nv] in eq[:nv] or eq[nv] in eq[v:]), v)
+            keys = [(did if nv == v else interner.diagram_id(subdiagram(
+                diag, list(range(nv)) + consts, arities, new_v=nv))) | _LIFT0
+                    for nv in range(min(v, 1), top + 1)] + [-1] * (v - top)
+        keys = cache[(did, lift)] = tuple(keys)
+    return keys
 
 
 def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
@@ -541,7 +578,7 @@ def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
     for eq_vars in partitions(r):
         by_blocks.setdefault(max(eq_vars) + 1, []).append(eq_vars)
     memos = {}
-    pool = {}       # one copy of each skeleton pattern
+    pool = {}       # one copy of each pattern skeleton
     for nblocks, eqs in by_blocks.items():
         for origins in _block_origins(nblocks, kept):
             class_origin = origins + tuple(ref for ref in refs if ref not in origins)
@@ -558,23 +595,22 @@ def _config_recipe(scheme: Scheme, arities, names, tabled_pos, base_m: int,
                    class_origin, pool: dict):
     """Per part the recipe that packs a projection, and the tabled
     predicates with a pattern skeleton per entry: all that a configuration
-    reads of its class origins."""
+    reads of its class origins. An entry lists each class as its origin and
+    its slot per part, so configurations share equal entries' skeletons."""
     dslots = (_class_slots(class_origin, 0), _class_slots(class_origin, 1))
-    nclasses = len(class_origin)
-    entries = [tuple(itertools.product(range(nclasses), repeat=a)) for a in arities]
-    entries += [tuple((c,) for c in range(nclasses))] * base_m
-    skeletons = {pos: tuple(_pattern_skeleton(ct, class_origin, dslots, pool)
-                            for ct in entries[pos]) for pos in tabled_pos}
+    chars = tuple(zip(class_origin, *dslots))
+    entries = [tuple(itertools.product(chars, repeat=a)) for a in arities]
+    entries += [tuple((ch,) for ch in chars)] * base_m
+    skeletons = {pos: tuple(_pattern_skeleton(ct, pool) for ct in entries[pos])
+                 for pos in tabled_pos}
     tabled = tuple((pos, names[pos], tuple(pattern for pattern, _ in skeletons[pos]))
                    for pos in tabled_pos)
     parts = []
     for side, (own, dslot, kc) in enumerate(zip((IN_P1, IN_P2), dslots, (scheme.k1, scheme.k2))):
         v = class_origin.count((own[0],))
-        atom_idx = tuple(
-            tuple(rel_index(tuple(dslot[c] for c in ct), v + kc)
-                  if all(dslot[c] is not None for c in ct) else None
-                  for ct in cts)
-            for cts in entries[:len(arities)])
+        atom_idx = tuple(tuple(None if None in slots else rel_index(slots, v + kc)
+                               for slots in itertools.product(dslot, repeat=a))
+                         for a in arities)
         sub_slots = tuple(tuple(slots[side] for _, slots in skeletons[pos])
                           for pos in tabled_pos)
         parts.append((v, atom_idx, dslot, sub_slots))
@@ -595,19 +631,17 @@ def _class_slots(class_origin, side: int):
                  for o in class_origin)
 
 
-def _pattern_skeleton(ct, class_origin, dslots, pool: dict):
-    """Config-constant part of an entry's pattern: its (equalities, origins),
-    one copy per ``pool``, and per part the projection slots feeding its
-    sub-diagram."""
-    peq = canonical_eq(ct)
-    pcls = []
-    for pos, c in enumerate(peq):
-        if c == len(pcls):
-            pcls.append(ct[pos])
-    porig = tuple(class_origin[c] for c in pcls)
-    slots = tuple(tuple(dslot[c] for c in pcls if dslot[c] is not None) for dslot in dslots)
-    pattern = (peq, porig)
-    return pool.setdefault(pattern, pattern), slots
+def _pattern_skeleton(ct, pool: dict):
+    """Config-constant part of an entry's pattern, one copy per ``pool``:
+    its (equalities, origins), and per part the projection slots feeding
+    its sub-diagram."""
+    skeleton = pool.get(ct)
+    if skeleton is None:
+        classes = tuple(dict.fromkeys(ct))
+        slots = tuple(tuple(ch[side] for ch in classes if ch[side] is not None)
+                      for side in (1, 2))
+        skeleton = pool[ct] = ((canonical_eq(ct), tuple(ch[0] for ch in classes)), slots)
+    return skeleton
 
 
 def _block_origins(nblocks, kept_refs):
@@ -621,33 +655,30 @@ def _block_origins(nblocks, kept_refs):
         yield combo
 
 
-def _pack_side(interner: Interner, did: int, part, arities, base_m: int):
-    """One part's share of a config: per predicate and set column a bitmask
-    of the entries the part makes true (bit e for entry e), and per tabled
-    predicate the id of the part-projected sub-diagram of each entry.
-
-    Projections have pairwise-distinct slots, so their atoms are indexed by
-    slot tuples directly."""
+def _pack_side(interner: Interner, did: int, part, arities):
+    """One part's share of a config, from a base projection: per predicate
+    and set column a bitmask of the entries the part makes true (bit e for
+    entry e), and per tabled predicate the id of the part-projected
+    sub-diagram of each entry. Projections have pairwise-distinct slots, so
+    their atoms are indexed by slot tuples directly."""
     _, atom_idx, dslot, sub_slots = part
     diag = interner.diagram(did)
     masks = [sum(1 << e for e, idx in enumerate(idxs) if idx is not None and atoms[idx])
              for idxs, atoms in zip(atom_idx, diag[2])]
     masks += [sum(1 << c for c, slot in enumerate(dslot) if slot is not None and col[slot])
               for col in diag[3]]
-    subs = tuple(tuple(_sub_diagram(interner, did, slots, base_m, arities)
-                       for slots in entry_slots)
+    subs = tuple(tuple(_sub_diagram(interner, did, slots, arities) for slots in entry_slots)
                  for entry_slots in sub_slots)
     return tuple(masks), subs
 
 
-def _sub_diagram(interner: Interner, did: int, slots, base_m: int, arities) -> int:
-    """A pattern's part type, as a diagram id: the diagram of the slots
-    without the set columns added by theory depth."""
-    key = (did, slots, base_m)
-    out = interner.sub_diagrams.get(key)
+def _sub_diagram(interner: Interner, did: int, slots, arities) -> int:
+    """A pattern's part type: the id of the diagram of the slots of a base
+    projection."""
+    out = interner.sub_diagrams.get((did, slots))
     if out is None:
-        v, eq, rel, sets = subdiagram(interner.diagram(did), list(slots), arities)
-        out = interner.sub_diagrams[key] = interner.diagram_id((v, eq, rel, sets[:base_m]))
+        out = interner.sub_diagrams[(did, slots)] = interner.diagram_id(
+            subdiagram(interner.diagram(did), list(slots), arities))
     return out
 
 
@@ -786,6 +817,8 @@ def enumerate_schemes(vocab: Vocabulary, k1: int, k2: int, k: int,
     the count exceeds the budget (tables are exponential in the pattern
     space); callers then fall back to explicit scheme files."""
     budget = config.scheme_budget if budget is None else budget
+    if budget < 0:
+        raise HintikkaError(f"scheme budget must be a natural number, got {budget}")
     for v, label in ((k1, "k1"), (k2, "k2"), (k, "k")):
         if v < 0:
             raise SignatureError(f"{label}={v} is not a natural number")

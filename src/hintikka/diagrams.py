@@ -5,8 +5,8 @@ type, relation atoms and class representatives of its diagram; Th^0
 (``DiagramEngine``) and glue's pattern part types are read from it.
 ``complete_diagrams`` enumerates every syntactically complete diagram of an
 equality type; the formal theory space and the pattern space are built
-from it. ``unpack_diagram`` reads a diagram from packed atom bits, as the
-transfer kernel computes them.
+from it. The transfer kernel joins base diagrams as packed atom bits,
+which ``unpack_diagram`` reads back, and appends lifted columns (``unpack_bits``).
 
 A diagram is a plain nested tuple (v, eq, rel, sets):
 
@@ -106,8 +106,8 @@ def unpack_diagram(v: int, eq, sig, arities) -> tuple:
     """The diagram whose atoms are the bits of ``sig``: one int per
     predicate, then one per set column, bit e for the e-th atom."""
     n = max(eq) + 1 if eq else 0
-    rel = tuple(_unpack(bits, n ** a) for bits, a in zip(sig, arities))
-    sets = tuple(_unpack(bits, n) for bits in sig[len(arities):])
+    rel = tuple(unpack_bits(bits, n ** a) for bits, a in zip(sig, arities))
+    sets = tuple(unpack_bits(bits, n) for bits in sig[len(arities):])
     return (v, eq, rel, sets)
 
 
@@ -137,12 +137,6 @@ def subdiagram(diag, slots, arities, new_v=None) -> tuple:
     )
     new_sets = tuple(tuple(col[rep_old[c]] for c in range(n_new)) for col in sets)
     return (new_v, new_eq, new_rel, new_sets)
-
-
-def vars_distinct_nonconst(diag) -> bool:
-    """True when every variable slot is a singleton class distinct from constants."""
-    v, eq, _, _ = diag
-    return len(set(eq[:v])) == v and not (set(eq[:v]) & set(eq[v:]))
 
 
 class DiagramEngine:
@@ -197,7 +191,7 @@ class DiagramEngine:
                 v, eq, rel = self._shapes[sid]
                 n = max(eq) + 1 if eq else 0
                 did = ids[key] = self.interner.diagram_id(
-                    (v, eq, rel, tuple(_unpack(bits, n) for bits in key[1])))
+                    (v, eq, rel, tuple(unpack_bits(bits, n) for bits in key[1])))
             out.append(did)
         cid = out.pop()
         return frozenset(out), cid
@@ -210,5 +204,6 @@ def _pack(mask: int, reps) -> int:
     return sig
 
 
-def _unpack(sig: int, width: int) -> tuple:
+def unpack_bits(sig: int, width: int) -> tuple:
+    """The low ``width`` bits of ``sig`` as bools, bit i first."""
     return tuple(sig >> i & 1 == 1 for i in range(width))

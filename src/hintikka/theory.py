@@ -88,9 +88,9 @@ class Interner:
         self.theory_memo = {}
         self.transfer_memo = {}
         # memos of the depth-0 transfer kernel (composition._transfer_base),
-        # keyed by values that only this interner's ids make meaningful:
-        # config_memos holds, per scheme config key, one memo per sequence
-        # of result classes (its recipe, its pack ids and its join table)
+        # keyed by this interner's ids: config_memos holds, per scheme config
+        # key, one memo per sequence of result classes that serves every lift
+        # (its recipe, base packs, pack ids with lifted bits and join table)
         self.config_memos = {}
         self.diagram_projections = {}
         self.side_tables = {}

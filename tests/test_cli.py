@@ -263,6 +263,7 @@ BAD_ARGUMENTS = {
     "gaps-ratio-not-number": "gaps --sizes 1,4 --ratio abc",
     "gaps-ratio-zero-denominator": "gaps --sizes 1,4 --ratio 1/0",
     "gaps-no-sizes": "gaps --ratio 2",
+    "gaps-negative-size": "gaps --sizes=-3,-1,2 --ratio 3/2",
     "periodicity-label-out-of-range": "periodicity --system {qs} --label 5 --scan 40 --window 8",
     "periodicity-window-zero": "periodicity --system {qs} --label 0 --scan 40 --window 0",
     "smalleq-negative-size-max": "smalleq --model {p3} --depth 0 --size-max -1",
@@ -272,6 +273,8 @@ BAD_ARGUMENTS = {
     "schemes-negative-k1": "schemes-enumerate --vocab E/2 --k1 -1 --k2 0 --k 0 --kstar 1",
     "schemes-negative-k2": "schemes-enumerate --vocab E/2 --k1 0 --k2 -1 --k 0 --kstar 1",
     "schemes-negative-k": "schemes-enumerate --vocab E/2 --k1 0 --k2 0 --k -1 --kstar 1",
+    "schemes-negative-budget":
+        "schemes-enumerate --vocab E/2 --k1 0 --k2 0 --k 0 --kstar 1 --budget -1",
 }
 
 

@@ -18,6 +18,8 @@ from hintikka.composition import (
     REF_P2,
     REF_SHARED,
     Scheme,
+    _BASE,
+    _LIFT0,
     _block_origins,
     _scheme_configs,
     count_patterns,
@@ -218,10 +220,11 @@ def test_transfer_digest_independent_of_diagram_ids():
 
 
 def test_config_memo_sharing():
-    # the kernel keeps one memo per sequence of result classes: pack ids for
-    # the distinct packed sides and a join table per pair of pack ids;
-    # filling it in either order must give the same digests as the glue
-    # oracle, and equal packs must share one id
+    # the kernel keeps one memo per sequence of result classes, shared by
+    # every lift: base ids for the distinct packed base projections, pack
+    # ids that add the lifted columns as class bits, and a join table per
+    # pair of pack ids; filling it in either order must give the same
+    # digests as the glue oracle, and equal packs must share one id
     rng = random.Random(31)
     v = Vocabulary((("S", 1), ("E", 2)), 1)
     prf = random_table_scheme(v, 1, 1, 1, 90, ((0, 0),), result_refs=(("s", 0, 0),))
@@ -246,12 +249,45 @@ def test_config_memo_sharing():
             for side in (0, 1):
                 packs = memo.packs[side]
                 assert len(set(packs)) == len(packs)
-                # pack ids are dense and in order of first sight
+                # base ids are dense and in order of first sight
                 assert [memo.pack_ids[side][p] for p in packs] == list(range(len(packs)))
-            assert len(memo.joins) == len(memo.packs[0])
-        # on the chain scheme, distinct projections of P2 and P3 pack alike
-        assert any(len(memo.pack_of[side]) > len(memo.packs[side])
-                   for memo in memos for side in (0, 1))
+                # a pack id is a base id with the lift sentinel above it
+                assert all(x & _BASE < len(packs) and x >> 32 > 0
+                           for x in memo.pack_of[side].values())
+            # joins are keyed by pack ids of side 1, then of side 2, and a
+            # lifted join extends the join of its base packs
+            for x, row in memo.joins.items():
+                for y, dids in row.items():
+                    assert x & _BASE < len(memo.packs[0]) and y & _BASE < len(memo.packs[1])
+                    if (x | y) >> 32 != 1:
+                        base = memo.joins[x & _BASE | _LIFT0][y & _BASE | _LIFT0]
+                        assert len(base) == len(dids) == len(memo.res_eqs)
+        # on the chain scheme, distinct base projections of P2 and P3 pack
+        # alike, and at depth 1 one base pack comes with several lifted masks
+        chain = [memo for key, ms in interner.config_memos.items()
+                 if key[0] == CHAIN.scheme_id for memo in ms]
+        assert any(sum(p >> 32 == 1 for p in memo.pack_of[side]) > len(memo.packs[side])
+                   for memo in chain for side in (0, 1))
+        assert any(max(Counter(x & _BASE for x in set(memo.pack_of[side].values())
+                               if x >> 32 != 1).values(), default=0) >= 2
+                   for memo in chain for side in (0, 1))
+
+
+def test_lifts_share_memos_in_one_interner():
+    # one interner meets the same schemes at depths 2, 0 and 1, then in the
+    # reverse order, so one memo holds pack ids and joins of lifts 0, 1 and
+    # 2; each transfer must equal the theory of the glue computed in an
+    # interner of its own
+    rng = random.Random(57)
+    v = Vocabulary((("E", 2),), 1, 1)
+    union = plain_union_scheme(1, 1, 1, ident=((0, 0),), result_refs=(("s", 0, 0),))
+    prf = random_table_scheme(v, 1, 1, 1, 7, ((0, 0),), result_refs=(("s", 0, 0),))
+    m1, m2 = rand_structure(v, 2, rng), rand_structure(v, 2, rng)
+    interner = Interner()
+    for n in (2, 0, 1, 1, 0, 2):
+        for s in (union, prf):
+            got = transfer(compute_theory(m1, n, interner), compute_theory(m2, n, interner), s)
+            assert got.digest == compute_theory(glue(m1, m2, s), n, Interner()).digest
 
 
 def _reference_config(eq_vars, origins_blocks, scheme, r):

@@ -11,6 +11,9 @@ Claims:
       tables and memos) is read somewhere in the package outside the
       ``Interner`` class, so a memo that was folded into another cannot
       linger
+    - every ``__slots__`` entry of a class under src/hintikka is read
+      somewhere in the package outside that class's ``__init__``, so a slot
+      that is only ever set cannot linger
     - every public module-level function or class under src/hintikka that
       the package ``__init__`` does not export is read somewhere in the
       package outside its own definition
@@ -20,6 +23,7 @@ Claims:
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -131,6 +135,51 @@ def test_scan_finds_an_unread_interner_attribute():
 def test_no_unread_interner_attributes():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_interner_attributes(sources) == []
+
+
+def unread_slots(sources: dict) -> list:
+    """(module, line, name) of each ``__slots__`` entry of a class of
+    ``sources`` that no module reads as an attribute outside the
+    ``__init__`` of that class."""
+    def attribute_reads(tree) -> Counter:
+        return Counter(node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store))
+
+    reads = Counter()
+    slots = []      # (module, line, name, reads inside the class's __init__)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        reads += attribute_reads(tree)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            init = Counter()
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                    init = attribute_reads(f)
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                    slots += [(module, elt.lineno, elt.value, init[elt.value])
+                              for elt in stmt.value.elts]
+    return sorted((module, line, name) for module, line, name, in_init in slots
+                  if reads[name] <= in_init)
+
+
+def test_scan_finds_an_unread_slot():
+    sources = {
+        "kernel.py": ("class _Memo:\n    __slots__ = ('packs', 'lifted', 'joins')\n\n"
+                      "    def __init__(self):\n        self.packs, self.joins = [], {}\n"
+                      "        self.lifted = []\n        self.lifted.append(self.packs)\n\n"
+                      "    def size(self):\n        return len(self.packs)\n"),
+        "theory.py": "def joined(memo):\n    return memo.joins\n",
+    }
+    assert unread_slots(sources) == [("kernel.py", 2, "lifted")]
+
+
+def test_no_unread_slots():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_slots(sources) == []
 
 
 def unread_unexported_definitions(sources: dict) -> list:
