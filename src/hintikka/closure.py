@@ -90,7 +90,8 @@ def close(base, schemes, depth: int, max_iter: int = 64,
 
     def distinct_ok(tid):
         cd = interner.rec(tid).const_diag
-        return cd is not None and len(set(cd[1])) == len(cd[1])
+        eq = () if cd is None else interner.split(cd)[1]
+        return cd is not None and len(set(eq)) == len(eq)
 
     for _ in range(max_iter):
         iterations += 1

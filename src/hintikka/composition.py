@@ -24,17 +24,8 @@ from dataclasses import dataclass, field
 from operator import or_
 
 from .config import DEFAULT, Config
-from .diagrams import (
-    canonical_eq,
-    complete_diagrams,
-    diagram_bits,
-    partitions,
-    qf_core,
-    rel_index,
-    subdiagram,
-    unpack_bits,
-    unpack_diagram,
-)
+from .diagrams import (SHAPE_BITS, canonical_eq, column_count, complete_diagrams, diagram_bits,
+                       nclasses, partitions, qf_core, rel_index, set_word, subdiagram, unpack_rel)
 from .errors import BudgetError, HintikkaError, ParseError, SignatureError
 from .lineformat import LineReader
 from .structures import Structure, Vocabulary
@@ -332,8 +323,8 @@ def _transfer_id(i1: int, i2: int, scheme: Scheme, interner: Interner, lift: int
     if cached is not None:
         return cached
     r1, r2 = interner.rec(i1), interner.rec(i2)
-    _require_distinct_consts(r1)
-    _require_distinct_consts(r2)
+    _require_distinct_consts(interner, r1)
+    _require_distinct_consts(interner, r2)
     if r1.depth == 0:
         result = _transfer_base(i1, i2, r1, r2, scheme, interner, lift)
     else:
@@ -341,45 +332,35 @@ def _transfer_id(i1: int, i2: int, scheme: Scheme, interner: Interner, lift: int
         children = set()
         for c1 in r1.payload:
             for c2 in r2.payload:
-                if _compatible(interner.rec(c1), interner.rec(c2), scheme, newest):
+                if _compatible(interner, interner.rec(c1), interner.rec(c2), scheme, newest):
                     children.add(_transfer_id(c1, c2, scheme, interner, lift + 1))
         result = interner.intern_node(r1.depth, r1.vocab_key, r1.m, scheme.k, children)
     interner.transfer_memo[memo_key] = result
     return result
 
 
-def _require_distinct_consts(rec):
+def _require_distinct_consts(interner: Interner, rec):
     cd = rec.const_diag
     if cd is None:
         raise SignatureError("theory carries no constant diagram")
-    eq = cd[1]
+    eq = interner.split(cd)[1]
     if len(set(eq)) != len(eq):
         raise SignatureError(
             "transfer requires pairwise-distinct constants in each part")
 
 
-def _compatible(rec1, rec2, scheme: Scheme, newest: int) -> bool:
+def _compatible(interner: Interner, rec1, rec2, scheme: Scheme, newest: int) -> bool:
     """Set assignments on the parts combine into one on the glue exactly when
     identified constants agree on the newest column and dropped constants
-    avoid it."""
-    cd1, cd2 = rec1.const_diag, rec2.const_diag
-    col1 = cd1[3][newest]
-    col2 = cd2[3][newest]
-    eq1, eq2 = cd1[1], cd2[1]
+    avoid it. A part's constants are pairwise distinct, so constant i is
+    class i of its constant diagram: bit newest * k + i of the set word."""
+    col1 = interner.key(rec1.const_diag) >> SHAPE_BITS + newest * scheme.k1
+    col2 = interner.key(rec2.const_diag) >> SHAPE_BITS + newest * scheme.k2
     for ref, kept in scheme.entities():
-        if ref[0] == REF_SHARED:
-            v1 = col1[eq1[ref[1]]]
-            v2 = col2[eq2[ref[2]]]
-            if kept and v1 != v2:
-                return False
-            if not kept and (v1 or v2):
-                return False
-        elif ref[0] == REF_P1:
-            if not kept and col1[eq1[ref[1]]]:
-                return False
-        else:
-            if not kept and col2[eq2[ref[1]]]:
-                return False
+        v1 = ref[0] != REF_P2 and col1 >> ref[1] & 1
+        v2 = ref[0] != REF_P1 and col2 >> ref[-1] & 1
+        if (v1 != v2 if kept else v1 or v2) and (ref[0] == REF_SHARED or not kept):
+            return False
     return True
 
 
@@ -412,13 +393,10 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
                     dids = row[y] = _join(interner, scheme, memo, x, y, r, arities)
                 realized.update(dids)
 
-    if realized:
-        # every realized diagram restricts to the glue's constant diagram
-        const_diag = subdiagram(interner.diagram(min(realized)),
-                                list(range(r, r + scheme.k)), arities, new_v=0)
-    else:
-        # glue of empty parts: only possible with k = 0
-        const_diag = (0, (), tuple(() for _ in preds), tuple(() for _ in range(r1.m)))
+    # every realized diagram restricts to the glue's constant diagram; none is
+    # realized only when both parts are empty (k = 0), and then so is the glue
+    const_diag = subdiagram(interner, min(realized), list(range(r, r + scheme.k)), arities,
+                            new_v=0) if realized else r1.const_diag
     return interner.intern_depth0(preds, r1.m, scheme.k, realized, const_diag)
 
 
@@ -452,8 +430,9 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
           r: int, arities) -> tuple:
     """The result diagram ids of the packs x and y. Base packs are joined
     once: OR their masks, replace each tabled predicate's mask by its table
-    values, unpack once per equality type. A lifted join appends to each
-    result of its base packs' join the OR of the two sides' lifted bits."""
+    values, one shape per equality type. A lifted join ORs into each
+    result of its base packs' join the OR of the two sides' lifted bits,
+    which are the result's trailing set columns under their sentinel."""
     lifted = (x | y) >> 32
     if lifted != 1:
         bx, by = x & _BASE | _LIFT0, y & _BASE | _LIFT0
@@ -461,17 +440,19 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
         base = row.get(by)
         if base is None:
             base = row[by] = _join(interner, scheme, memo, bx, by, r, arities)
-        n = len(memo.parts[0][2])
-        extra = tuple(unpack_bits(lifted >> j * n, n)
-                      for j in range((lifted.bit_length() - 1) // n))
-        return tuple(interner.diagram_id(diag[:3] + (diag[3] + extra,))
-                     for diag in map(interner.diagram, base))
+        key = interner.key
+        # the base results' sentinel bit, where their lifted columns start
+        low = SHAPE_BITS + (key(base[0]) >> SHAPE_BITS).bit_length() - 1
+        return tuple(interner.key_id(key(d) ^ 1 << low | lifted << low) for d in base)
     masks1, subs1 = memo.packs[0][x & _BASE]
     masks2, subs2 = memo.packs[1][y & _BASE]
     sig = list(map(or_, masks1, masks2))
     for t, (pos, name, skeletons) in enumerate(memo.tabled):
         sig[pos] = _table_mask(interner, scheme, name, skeletons, subs1[t], subs2[t], sig[pos])
-    return tuple(interner.diagram_id(unpack_diagram(r, eq, sig, arities))
+    n, cols = len(memo.parts[0][2]), sig[len(arities):]
+    rel = unpack_rel(sig, n, arities)
+    word = set_word(sum(bits << j * n for j, bits in enumerate(cols)), len(cols), n)
+    return tuple(interner.key_id(interner.shape_id(r, eq, rel) | word << SHAPE_BITS)
                  for eq in memo.res_eqs)
 
 
@@ -483,7 +464,7 @@ def _side_table(interner: Interner, tid: int, rec, side: int, ckey, memos,
     key = (tid, ckey, side)
     table = interner.side_tables.get(key)
     if table is None:
-        keys = [_prefix_keys(interner, interner.diagram_id(rec.const_diag), arities, lift)]
+        keys = [_prefix_keys(interner, rec.const_diag, arities, lift)]
         keys += [{} for _ in range(r)]
         for d in rec.payload:
             for v, p in enumerate(_prefix_keys(interner, d, arities, lift), 1):
@@ -531,22 +512,25 @@ def _prefix_keys(interner: Interner, did: int, arities, lift: int) -> tuple:
     cache = interner.diagram_projections
     keys = cache.get((did, lift))
     if keys is None:
-        v, eq, rel, sets = diag = interner.diagram(did)
+        v, eq, _, word = interner.split(did)
         consts = list(range(v, len(eq)))
         if lift:
+            n = nclasses(eq)
+            base_m = column_count(word, n) - lift
+            lifted = word >> base_m * n
             keys = []
-            for nv, p in enumerate(_prefix_keys(interner, interner.diagram_id(
-                    (v, eq, rel, sets[:-lift])), arities, 0), min(v, 1)):
+            for nv, p in enumerate(_prefix_keys(interner, interner.restrict(did, base_m),
+                                                arities, 0), min(v, 1)):
                 slots = list(range(nv)) + consts
-                bits = sum(col[eq[s]] << j * len(slots) + pos for j, col
-                           in enumerate(sets[-lift:]) for pos, s in enumerate(slots))
+                bits = sum((lifted >> j * n + eq[s] & 1) << j * len(slots) + pos
+                           for j in range(lift) for pos, s in enumerate(slots))
                 keys.append(p if p < 0 else
                             p & _BASE | (bits | 1 << lift * (len(slots) + 1)) << 32)
         else:
             # the first ``top`` variables are pairwise distinct and non-constant
             top = next((nv for nv in range(v) if eq[nv] in eq[:nv] or eq[nv] in eq[v:]), v)
-            keys = [(did if nv == v else interner.diagram_id(subdiagram(
-                diag, list(range(nv)) + consts, arities, new_v=nv))) | _LIFT0
+            keys = [(did if nv == v else subdiagram(
+                interner, did, list(range(nv)) + consts, arities, new_v=nv)) | _LIFT0
                     for nv in range(min(v, 1), top + 1)] + [-1] * (v - top)
         keys = cache[(did, lift)] = tuple(keys)
     return keys
@@ -662,11 +646,13 @@ def _pack_side(interner: Interner, did: int, part, arities):
     sub-diagram of each entry. Projections have pairwise-distinct slots, so
     their atoms are indexed by slot tuples directly."""
     _, atom_idx, dslot, sub_slots = part
-    diag = interner.diagram(did)
+    _, eq, rel, word = interner.split(did)
+    n = len(eq)
     masks = [sum(1 << e for e, idx in enumerate(idxs) if idx is not None and atoms[idx])
-             for idxs, atoms in zip(atom_idx, diag[2])]
-    masks += [sum(1 << c for c, slot in enumerate(dslot) if slot is not None and col[slot])
-              for col in diag[3]]
+             for idxs, atoms in zip(atom_idx, rel)]
+    masks += [sum(1 << c for c, slot in enumerate(dslot)
+                  if slot is not None and word >> j * n + slot & 1)
+              for j in range(column_count(word, n))]
     subs = tuple(tuple(_sub_diagram(interner, did, slots, arities) for slots in entry_slots)
                  for entry_slots in sub_slots)
     return tuple(masks), subs
@@ -677,8 +663,8 @@ def _sub_diagram(interner: Interner, did: int, slots, arities) -> int:
     projection."""
     out = interner.sub_diagrams.get((did, slots))
     if out is None:
-        out = interner.sub_diagrams[(did, slots)] = interner.diagram_id(
-            subdiagram(interner.diagram(did), list(slots), arities))
+        out = interner.sub_diagrams[(did, slots)] = subdiagram(interner, did, list(slots),
+                                                               arities)
     return out
 
 
@@ -712,8 +698,7 @@ def _pattern_shapes(vocab: Vocabulary, scheme: Scheme, pred_name: str):
     arity = 1 if _set_column(pred_name) is not None else dict(vocab.predicates)[pred_name]
     kept = scheme.kept_refs()
     for eq in partitions(arity):
-        nclasses = max(eq) + 1 if eq else 0
-        for origins in _block_origins(nclasses, kept):
+        for origins in _block_origins(nclasses(eq), kept):
             c1 = sum(1 for o in origins if o[0] in IN_P1)
             c2 = sum(1 for o in origins if o[0] in IN_P2)
             yield eq, tuple(origins), c1, c2
@@ -819,6 +804,8 @@ def enumerate_schemes(vocab: Vocabulary, k1: int, k2: int, k: int,
     budget = config.scheme_budget if budget is None else budget
     if budget < 0:
         raise HintikkaError(f"scheme budget must be a natural number, got {budget}")
+    if k_star < 0:
+        raise SignatureError(f"k*={k_star} is not a natural number")
     for v, label in ((k1, "k1"), (k2, "k2"), (k, "k")):
         if v < 0:
             raise SignatureError(f"{label}={v} is not a natural number")

@@ -5,27 +5,26 @@ type, relation atoms and class representatives of its diagram; Th^0
 (``DiagramEngine``) and glue's pattern part types are read from it.
 ``complete_diagrams`` enumerates every syntactically complete diagram of an
 equality type; the formal theory space and the pattern space are built
-from it. The transfer kernel joins base diagrams as packed atom bits,
-which ``unpack_diagram`` reads back, and appends lifted columns (``unpack_bits``).
+from it.
 
-A diagram is a plain nested tuple (v, eq, rel, sets):
+A diagram is a shape (v, eq, rel) and a set word:
 
   v     number of variable slots; slots v.. are constant slots
-  eq    class index per slot, numbered by first occurrence
+  eq    class index per slot, numbered by first occurrence (n classes)
   rel   per predicate (vocabulary order), a flat bool tuple indexed by
         class-index tuples in lexicographic order
-  sets  per set column, a bool tuple indexed by class
+  word  the m set columns: column j, class c at bit j * n + c, under a
+        sentinel bit at m * max(n, 1) that fixes m, also when n = 0
 
 Completeness: every atomic formula over the slot terms has a value; equal
 terms share a class, so atoms are stored once per class tuple. Reindexing
 operations need the predicate arities, which diagrams do not carry.
 
-Theories refer to diagrams by id: ``theory.Interner`` gives each diagram an
-int id on first sight and keeps its tuple once. There is one id space:
-``DiagramEngine`` returns the interner's ids, and depth-0 payloads, intern
-keys and the transfer kernel's memos hold them. Diagrams are sorted as
-tuples only for digests, when one is first read: once per batch of new
-depth-0 theories, over the union of their diagrams.
+``theory.Interner`` keeps each shape once under a shape id; a diagram's key
+is ``shape id | word << SHAPE_BITS``, and its id, the interner's id of that
+key, is the one name that Th^0, payloads and the transfer kernel use. The
+bool form (v, eq, rel, sets), a bool tuple per set column indexed by class,
+is built only to sort or print diagrams: digests, patterns, payloads.
 """
 
 from __future__ import annotations
@@ -34,16 +33,15 @@ import itertools
 
 from .structures import Structure
 
+# a diagram key: the shape id in the low SHAPE_BITS bits, the set word above
+SHAPE_BITS = 32
+SHAPE_MASK = (1 << SHAPE_BITS) - 1
+
 
 def canonical_eq(classes_by_slot) -> tuple:
-    """Renumber arbitrary class labels by first occurrence."""
-    seen = {}
-    out = []
-    for c in classes_by_slot:
-        if c not in seen:
-            seen[c] = len(seen)
-        out.append(seen[c])
-    return tuple(out)
+    """Renumber arbitrary class labels (a sequence) by first occurrence."""
+    first = {c: i for i, c in enumerate(dict.fromkeys(classes_by_slot))}
+    return tuple(map(first.__getitem__, classes_by_slot))
 
 
 def partitions(n: int):
@@ -67,20 +65,29 @@ def rel_index(class_tuple, nclasses: int) -> int:
     return idx
 
 
+def nclasses(eq) -> int:
+    return max(eq) + 1 if eq else 0
+
+
+def set_word(bits: int, m: int, n: int) -> int:
+    """The set word of m columns over n classes: their bits under the
+    sentinel bit at m * max(n, 1)."""
+    return bits | 1 << m * (n or 1)
+
+
+def column_count(word: int, n: int) -> int:
+    """m of a set word over n classes."""
+    return (word.bit_length() - 1) // (n or 1)
+
+
 def qf_core(m: Structure, elements) -> tuple:
     """(eq, rel, reps) of a tuple of elements of m: its diagram without the
     set columns, and the element representing each class, by first
     occurrence. Set columns are read from ``reps``."""
     eq = canonical_eq(elements)
     reps = tuple(dict.fromkeys(elements))
-    nclasses = len(reps)
-    rel = tuple(
-        tuple(
-            tuple(reps[c] for c in ct) in tuples
-            for ct in itertools.product(range(nclasses), repeat=arity)
-        )
-        for (_, arity), tuples in zip(m.vocab.predicates, m.relations)
-    )
+    rel = tuple(tuple(map(tuples.__contains__, itertools.product(reps, repeat=arity)))
+                for (_, arity), tuples in zip(m.vocab.predicates, m.relations))
     return eq, rel, reps
 
 
@@ -91,10 +98,10 @@ def diagram_bits(n: int, arities, m: int) -> int:
 
 
 def complete_diagrams(v: int, eq, arities, m: int):
-    """Every complete diagram with v variable slots and equality type eq,
-    relation atoms varying slowest, then set columns. This order decides
-    pattern order and formal-space interning."""
-    n = max(eq) + 1 if eq else 0
+    """Every complete diagram with v variable slots and equality type eq, in
+    bool form, relation atoms varying slowest, then set columns. This order
+    decides pattern order and formal-space interning."""
+    n = nclasses(eq)
     rel_spaces = [list(itertools.product((False, True), repeat=n ** a)) for a in arities]
     set_space = list(itertools.product((False, True), repeat=n))
     for rel in itertools.product(*rel_spaces):
@@ -102,66 +109,55 @@ def complete_diagrams(v: int, eq, arities, m: int):
             yield (v, eq, rel, sets)
 
 
-def unpack_diagram(v: int, eq, sig, arities) -> tuple:
-    """The diagram whose atoms are the bits of ``sig``: one int per
-    predicate, then one per set column, bit e for the e-th atom."""
-    n = max(eq) + 1 if eq else 0
-    rel = tuple(unpack_bits(bits, n ** a) for bits, a in zip(sig, arities))
-    sets = tuple(unpack_bits(bits, n) for bits in sig[len(arities):])
-    return (v, eq, rel, sets)
+def unpack_rel(masks, n: int, arities) -> tuple:
+    """rel over n classes whose atoms of each predicate are the bits of one
+    int, bit e for the e-th class tuple."""
+    return tuple(unpack_bits(bits, n ** a) for bits, a in zip(masks, arities))
 
 
-def subdiagram(diag, slots, arities, new_v=None) -> tuple:
-    """Diagram over an arbitrary slot list of ``diag``.
+def subdiagram(interner, did: int, slots, arities, new_v=None) -> int:
+    """The id of the diagram over an arbitrary slot list of diagram ``did``.
 
     The first ``new_v`` positions of ``slots`` become variable slots (all of
     them by default). ``arities`` are the predicate arities, in diagram order.
     """
-    v, eq, rel, sets = diag
-    if new_v is None:
-        new_v = len(slots)
+    _, eq, rel, word = interner.split(did)
     old_classes = [eq[s] for s in slots]
-    new_eq = canonical_eq(old_classes)
-    n_new = max(new_eq) + 1 if new_eq else 0
-    rep_old = [None] * n_new
-    for pos, nc in enumerate(new_eq):
-        if rep_old[nc] is None:
-            rep_old[nc] = old_classes[pos]
-    n_old = max(eq) + 1 if eq else 0
-    new_rel = tuple(
-        tuple(
-            atoms[rel_index(tuple(rep_old[c] for c in ct), n_old)]
-            for ct in itertools.product(range(n_new), repeat=arity)
-        )
-        for atoms, arity in zip(rel, arities)
-    )
-    new_sets = tuple(tuple(col[rep_old[c]] for c in range(n_new)) for col in sets)
-    return (new_v, new_eq, new_rel, new_sets)
+    reps = tuple(dict.fromkeys(old_classes))        # old class of each new class
+    n_old, n = nclasses(eq), len(reps)
+    new_rel = tuple(tuple(atoms[rel_index(ct, n_old)]
+                          for ct in itertools.product(reps, repeat=arity))
+                    for atoms, arity in zip(rel, arities))
+    m = column_count(word, n_old)
+    bits = sum((word >> j * n_old + c & 1) << j * n + i
+               for j in range(m) for i, c in enumerate(reps))
+    sid = interner.shape_id(len(slots) if new_v is None else new_v,
+                            canonical_eq(old_classes), new_rel)
+    return interner.key_id(sid | set_word(bits, m, n) << SHAPE_BITS)
 
 
 class DiagramEngine:
     """Th^0 of one structure under extra set columns, as ids of the
     interner it is given. Each r-tuple (followed by the constants) is a row,
-    and the constants alone are one more row, with v = 0. A row's diagram is
-    its set-independent shape (v, eq, rel) plus the packed class bits of
-    every set column (bitmasks over the universe); each distinct (shape,
-    set bits) key is interned once per engine.
+    and the constants alone are one more row, with v = 0. A row keeps its
+    shape id from the interner, its class count, the set bits of the
+    structure's own columns and its class representatives; a call adds the
+    class bits of each extra column (bitmasks over the universe) and hands
+    the row's key to the interner.
     """
 
     def __init__(self, m: Structure, r: int, interner):
         self.m = m
         self.interner = interner
         base_masks = tuple(sum(1 << e for e in s) for s in m.sets)
-        shapes = {}                 # (v, eq, rel) -> shape index
-        self._rows = []             # per row: (shape index, base set bits, reps)
+        self._rows = []             # per row: (shape id, class count, base set bits, reps)
         tuples = [(r, elems + m.consts)
                   for elems in itertools.product(range(m.size), repeat=r)]
         for v, elems in tuples + [(0, m.consts)]:
             eq, rel, reps = qf_core(m, elems)
-            sid = shapes.setdefault((v, eq, rel), len(shapes))
-            self._rows.append((sid, tuple(_pack(mask, reps) for mask in base_masks), reps))
-        self._shapes = list(shapes)
-        self._ids = {}              # (shape index, set bits) -> diagram id
+            n = len(reps)
+            bits = sum(_pack(mask, reps) << j * n for j, mask in enumerate(base_masks))
+            self._rows.append((interner.shape_id(v, eq, rel), n, bits, reps))
         self._subset_table = None
 
     def _subset_rows(self):
@@ -171,28 +167,23 @@ class DiagramEngine:
         nmasks = 2 ** self.m.size
         if self._subset_table is None and nmasks <= 4096:
             self._subset_table = [[_pack(u, reps) for u in range(nmasks)]
-                                  for _, _, reps in self._rows]
+                                  for _, _, _, reps in self._rows]
         return self._subset_table
 
     def th0_local(self, extra_masks: tuple):
         """The ids of the realized r-diagrams and the id of the constant
         diagram, under the given extra set columns."""
-        ids = self._ids
+        key_id = self.interner.key_id
         table = self._subset_rows() if extra_masks else None
+        base_m = len(self.m.sets)
+        m = base_m + len(extra_masks)
         out = []
-        for idx, (sid, base, reps) in enumerate(self._rows):
-            if table is not None:
-                row = table[idx]
-                key = (sid, base + tuple(row[u] for u in extra_masks))
-            else:
-                key = (sid, base + tuple(_pack(u, reps) for u in extra_masks))
-            did = ids.get(key)
-            if did is None:
-                v, eq, rel = self._shapes[sid]
-                n = max(eq) + 1 if eq else 0
-                did = ids[key] = self.interner.diagram_id(
-                    (v, eq, rel, tuple(unpack_bits(bits, n) for bits in key[1])))
-            out.append(did)
+        for idx, (sid, n, bits, reps) in enumerate(self._rows):
+            shift = base_m * n
+            for u in extra_masks:
+                bits |= (_pack(u, reps) if table is None else table[idx][u]) << shift
+                shift += n
+            out.append(key_id(sid | set_word(bits, m, n) << SHAPE_BITS))
         cid = out.pop()
         return frozenset(out), cid
 

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
-from .diagrams import DiagramEngine, complete_diagrams, diagram_bits, partitions, subdiagram
+from .diagrams import (SHAPE_BITS, SHAPE_MASK, DiagramEngine, column_count, complete_diagrams,
+                       diagram_bits, nclasses, partitions, set_word, subdiagram, unpack_bits)
 from .errors import BudgetError, HintikkaError, SignatureError
 from .structures import Structure, Vocabulary
 
@@ -56,22 +57,21 @@ class Interner:
     """Append-only canonical store for one thread.
 
     Quantifier-free diagrams are interned to ints in first-seen order
-    (hash-consing), so a diagram is hashed once and then keyed and compared
-    by its id. These ids are the only name a diagram has: ``DiagramEngine``
-    (Th^0) and the transfer kernel take them from here. A depth-0 payload
-    is the sorted tuple of its diagram ids, which is also its intern key;
-    deeper payloads are sorted tuples of member ids. Ids are local to one
-    interner. Digests hash the canonical structural form (diagrams sorted
-    as tuples, member digests, not ids), so they are stable across runs,
-    platforms, and interner instances.
+    (hash-consing) in two steps: a shape (v, eq, rel) gets a shape id once,
+    keeping one copy of each equality type and relation tuple with its
+    repr, and a diagram is keyed by one int, its shape id with its set word
+    above it (see ``diagrams``). A diagram's id is the id of its key:
+    ``DiagramEngine`` and the transfer kernel hand keys to ``key_id``, and
+    ``diagram_id`` gives a diagram in bool form the same id. A depth-0
+    payload is the sorted tuple of its diagram ids and its constant diagram
+    an id, both in its intern key; deeper payloads are sorted tuples of
+    member ids. Ids are local to one interner. Digests hash the canonical
+    structural form (diagrams sorted in bool form, member digests, not
+    ids), so they are stable across runs, platforms, and interner instances.
 
     Digests are made when first read, never at interning. A new depth-0
     record waits on a pending list; the first read of any depth-0 digest
-    digests every pending record in one batch (``_digest_pending``), which
-    sorts the union of their diagrams as tuples once. Diagrams share few
-    distinct components (equality types, relation tuples, set columns):
-    the interner keeps one copy of each, with its repr, and a diagram's
-    text in a digest is joined from those reprs.
+    digests every pending record in one batch (``_digest_pending``).
 
     Nothing here is locked. Parallel work runs in worker processes, each
     with an interner of its own (``selfcheck --jobs``).
@@ -81,8 +81,10 @@ class Interner:
         self._ids = {}
         self._recs = []
         self._pending = []          # depth-0 records not yet digested
-        self._diagram_ids = {}
-        self._diagrams = []
+        self._shape_ids = {}        # (v, eq, rel) -> shape id
+        self._shapes = []           # shape id -> (v, eq, rel), components kept
+        self._diagram_ids = {}      # diagram key -> diagram id
+        self._keys = []             # diagram id -> diagram key
         self._parts = {}
         self._part_reprs = {}       # id of a kept component -> its repr
         self.theory_memo = {}
@@ -105,32 +107,65 @@ class Interner:
             self._recs.append(rec)
         return tid
 
-    def diagram_id(self, diag) -> int:
-        """The id of a diagram tuple, assigned on first sight."""
-        did = self._diagram_ids.get(diag)
+    def shape_id(self, v: int, eq, rel) -> int:
+        """The id of a shape, assigned on first sight."""
+        shape = (v, eq, rel)
+        sid = self._shape_ids.get(shape)
+        if sid is None:
+            shape = (v, self._part(eq), self._part(rel))
+            sid = self._shape_ids[shape] = len(self._shapes)
+            self._shapes.append(shape)
+        return sid
+
+    def key_id(self, key: int) -> int:
+        """The id of a diagram key, assigned on first sight."""
+        did = self._diagram_ids.get(key)
         if did is None:
-            v, *parts = diag
-            diag = (v, *map(self._part, parts))
-            did = self._diagram_ids[diag] = len(self._diagrams)
-            self._diagrams.append(diag)
+            did = self._diagram_ids[key] = len(self._keys)
+            self._keys.append(key)
         return did
 
+    def diagram_id(self, diag) -> int:
+        """The id of a diagram in bool form."""
+        v, eq, rel, sets = diag
+        n = nclasses(eq)
+        bits = sum(b << j * n + c for j, col in enumerate(sets) for c, b in enumerate(col))
+        return self.key_id(self.shape_id(v, eq, rel) | set_word(bits, len(sets), n) << SHAPE_BITS)
+
     def _part(self, part):
-        """The kept copy of a diagram component. Kept copies live as long as
+        """The kept copy of a shape component. Kept copies live as long as
         the interner, so no other object takes their id. Equal components
-        have equal reprs: diagrams hold ints in eq and bools elsewhere."""
+        have equal reprs: eq holds ints and rel bools."""
         kept = self._parts.get(part)
         if kept is None:
             kept = self._parts[part] = part
             self._part_reprs[id(part)] = repr(part)
         return kept
 
-    def diagram(self, did: int) -> tuple:
-        return self._diagrams[did]
+    def key(self, did: int) -> int:
+        return self._keys[did]
 
-    def intern_depth0(self, vocab_key, m, k, diagram_ids, const_diag) -> int:
-        """The depth-0 theory realizing the set ``diagram_ids`` (ids from
-        ``diagram_id``) with the constant diagram ``const_diag``."""
+    def split(self, did: int) -> tuple:
+        """(v, eq, rel, set word) of a diagram."""
+        key = self._keys[did]
+        return (*self._shapes[key & SHAPE_MASK], key >> SHAPE_BITS)
+
+    def diagram(self, did: int) -> tuple:
+        """The bool form (v, eq, rel, sets) of a diagram."""
+        v, eq, rel, word = self.split(did)
+        n = nclasses(eq)
+        return (v, eq, rel, tuple(unpack_bits(word >> j * n, n)
+                                  for j in range(column_count(word, n))))
+
+    def restrict(self, did: int, m: int) -> int:
+        """The id of a diagram with its first m set columns only."""
+        key = self._keys[did]
+        sentinel = 1 << SHAPE_BITS + m * (nclasses(self._shapes[key & SHAPE_MASK][1]) or 1)
+        return self.key_id(key & sentinel - 1 | sentinel)
+
+    def intern_depth0(self, vocab_key, m, k, diagram_ids, const_diag: int) -> int:
+        """The depth-0 theory realizing the set ``diagram_ids`` with the
+        constant diagram ``const_diag``, all of them diagram ids."""
         payload = tuple(sorted(diagram_ids))
         key = (0, vocab_key, m, k, payload, const_diag)
 
@@ -143,22 +178,23 @@ class Interner:
 
     def _digest_pending(self) -> None:
         """Digest every pending depth-0 record. The text of a record is
-        repr(("t0", vocab_key, m, k, sorted diagrams, const_diag)). The
-        union of the pending payloads is sorted as tuples once and each of
-        its diagrams formatted once; a record lists its diagrams by their
-        positions in that order, an int sort."""
+        repr(("t0", vocab_key, m, k, sorted diagrams, const_diag)), with the
+        diagrams in bool form. The union of the pending payloads is put in
+        bool form, sorted once and each of its diagrams formatted once; a
+        record lists its diagrams by their positions in that order, an int
+        sort."""
         pending = self._pending
-        union = sorted(set().union(*(rec.payload for rec in pending)),
-                       key=self._diagrams.__getitem__)
+        forms = {did: self.diagram(did) for did in set().union(*(rec.payload for rec in pending))}
+        union = sorted(forms, key=forms.__getitem__)
         position = {did: pos for pos, did in enumerate(union)}
         reprs = self._part_reprs
-        texts = [f"({v}, {reprs[id(eq)]}, {reprs[id(rel)]}, {reprs[id(sets)]})"
-                 for v, eq, rel, sets in map(self._diagrams.__getitem__, union)]
+        texts = [f"({v}, {reprs[id(eq)]}, {reprs[id(rel)]}, {sets!r})"
+                 for v, eq, rel, sets in map(forms.__getitem__, union)]
         for rec in pending:
             items = list(map(texts.__getitem__,
                              sorted(map(position.__getitem__, rec.payload))))
             text = (f"('t0', {rec.vocab_key!r}, {rec.m!r}, {rec.k!r}, "
-                    f"{_tuple_repr(items)}, {rec.const_diag!r})")
+                    f"{_tuple_repr(items)}, {self.diagram(rec.const_diag)!r})")
             rec._digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         self._pending = []
 
@@ -171,7 +207,7 @@ class Interner:
             if payload:
                 inner = self._recs[payload[0]].const_diag
                 if inner is not None:
-                    const_diag = restrict_const_diag(inner, m)
+                    const_diag = self.restrict(inner, m)
             return _Rec(self, depth, vocab_key, m, k, payload, const_diag)
 
         return self._insert(key, build)
@@ -182,8 +218,8 @@ class Interner:
     def sizes(self) -> dict:
         """Length of every table and memo: interned theories, diagrams and
         their kept components, then each memo by attribute name."""
-        sizes = {"theories": len(self._recs), "diagrams": len(self._diagrams),
-                 "diagram_parts": len(self._parts)}
+        sizes = {"theories": len(self._recs), "shapes": len(self._shapes),
+                 "diagrams": len(self._keys), "diagram_parts": len(self._parts)}
         sizes.update((name, len(memo)) for name, memo in vars(self).items()
                      if not name.startswith("_"))
         return sizes
@@ -201,12 +237,6 @@ def _tuple_repr(item_reprs) -> str:
     if len(item_reprs) == 1:
         return f"({item_reprs[0]},)"
     return "(" + ", ".join(item_reprs) + ")"
-
-
-def restrict_const_diag(const_diag, m: int):
-    """Drop set columns beyond the first m from a constant diagram."""
-    v, eq, rel, sets = const_diag
-    return (v, eq, rel, sets[:m])
 
 
 _DEFAULT_INTERNER = Interner()
@@ -258,7 +288,9 @@ class Theory:
 
     @property
     def const_diag(self):
-        return self._rec.const_diag
+        """The constant diagram in bool form (None for an empty node)."""
+        cid = self._rec.const_diag
+        return None if cid is None else self.interner.diagram(cid)
 
     def children(self) -> tuple:
         if self.depth == 0:
@@ -313,8 +345,7 @@ def compute_theory(m: Structure, n: int, interner: Interner = None,
             tid = depth0.get(key)
             if tid is None:
                 ids, cid = key
-                tid = depth0[key] = interner.intern_depth0(
-                    vocab_key, m_eff, k, ids, interner.diagram(cid))
+                tid = depth0[key] = interner.intern_depth0(vocab_key, m_eff, k, ids, cid)
             return tid
         children = {rec(extra + (u,), depth - 1) for u in all_masks}
         return interner.intern_node(depth, vocab_key, m_eff, k, children)
@@ -328,17 +359,19 @@ def compute_theory(m: Structure, n: int, interner: Interner = None,
 # Formal theory spaces (Claim: TH^{n+1} is the powerset of TH^n one set up)
 # ---------------------------------------------------------------------------
 
-def _diagram_universe(vocab: Vocabulary, r: int, config: Config):
-    """Every syntactically complete diagram over r variables + k constants."""
+def _diagram_universe(vocab: Vocabulary, r: int, interner: Interner, config: Config):
+    """The ids of every syntactically complete diagram over r variables + k
+    constants."""
     arities = tuple(a for _, a in vocab.predicates)
     diagrams = []
     for eq in partitions(r + vocab.num_consts):
         config.check("formal_space", diagram_bits(max(eq) + 1, arities, vocab.num_sets), 24)
-        diagrams.extend(complete_diagrams(r, eq, arities, vocab.num_sets))
+        diagrams.extend(map(interner.diagram_id,
+                            complete_diagrams(r, eq, arities, vocab.num_sets)))
     return diagrams
 
 
-def _substitution_closure(diagrams, r: int, arities, k: int):
+def _substitution_closure(interner: Interner, diagrams, r: int, arities, k: int):
     """Per diagram, the frozenset of the indices of all its substitution
     images (the diagram of (a_{f(0)},...,a_{f(r-1)}) for every slot map f).
     The slot maps include the identity and are closed under composition, so
@@ -346,7 +379,7 @@ def _substitution_closure(diagrams, r: int, arities, k: int):
     index = {d: i for i, d in enumerate(diagrams)}
     const_slots = list(range(r, r + k))
     maps = list(itertools.product(range(r), repeat=r))
-    return [frozenset(index[subdiagram(d, list(f) + const_slots, arities, new_v=r)]
+    return [frozenset(index[subdiagram(interner, d, list(f) + const_slots, arities, new_v=r)]
                       for f in maps)
             for d in diagrams]
 
@@ -433,8 +466,8 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
     if lb_orbits >= (budget + 1).bit_length():
         raise BudgetError("formal_space", f">=2^{lb_orbits}-1", budget)
 
-    diagrams = _diagram_universe(vocab, r, config)
-    closures = _substitution_closure(diagrams, r, arities, k)
+    diagrams = _diagram_universe(vocab, r, interner, config)
+    closures = _substitution_closure(interner, diagrams, r, arities, k)
 
     # group mutually-substitutable diagrams (permutation orbits) into one unit
     orbit_of = {}
@@ -467,7 +500,7 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
         req_masks.append(mask)
 
     const_slots = list(range(r, r + k))
-    group_of = [subdiagram(d, const_slots, arities, new_v=0) for d in diagrams]
+    group_of = [subdiagram(interner, d, const_slots, arities, new_v=0) for d in diagrams]
     orbit_group = []
     for members in orbits:
         gs = {group_of[i] for i in members}
@@ -475,7 +508,7 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
             raise HintikkaError("internal: orbit mixes constant restrictions")
         orbit_group.append(gs.pop())
 
-    groups = sorted(set(orbit_group), key=repr)
+    groups = sorted(set(orbit_group), key=lambda g: repr(interner.diagram(g)))
     member_ids = set()
     count = 0
     vk = vocab.key()
@@ -501,13 +534,11 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
         if count > budget:
             raise BudgetError("formal_space", f">{count}", budget)
 
-        orbit_ids = {p: [interner.diagram_id(diagrams[i]) for i in orbits[order[p]]]
-                     for p in idxs}
         for mask in selections(0, 0):
             realized = set()
             for p in idxs:
                 if mask >> p & 1:
-                    realized.update(orbit_ids[p])
+                    realized.update(map(diagrams.__getitem__, orbits[order[p]]))
             tid = interner.intern_depth0(vk, mm, k, realized, group)
             member_ids.add(tid)
 

@@ -275,6 +275,18 @@ BAD_ARGUMENTS = {
     "schemes-negative-k": "schemes-enumerate --vocab E/2 --k1 0 --k2 0 --k -1 --kstar 1",
     "schemes-negative-budget":
         "schemes-enumerate --vocab E/2 --k1 0 --k2 0 --k 0 --kstar 1 --budget -1",
+    "schemes-negative-kstar": "schemes-enumerate --vocab E/2 --k1 0 --k2 0 --k 0 --kstar -1",
+    "closure-negative-small-models":
+        "closure --vocab E/2 --depth 0 --scheme {du} --base-model {p3} --small-models -1",
+    "closure-negative-small-models-alone":
+        "closure --vocab E/2 --depth 0 --scheme {du} --small-models -1",
+}
+
+# what the error line of a refusal must say, where a misleading message was seen
+REFUSAL_NAMES = {
+    "schemes-negative-kstar": "k*=-1 is not a natural number",
+    "closure-negative-small-models": "--small-models must be a natural number",
+    "closure-negative-small-models-alone": "--small-models must be a natural number",
 }
 
 
@@ -284,11 +296,15 @@ def test_bad_arguments_refused(case, files, capsys, tmp_path):
     system.write_text("labels 1\nrule 0 0 0 1\nbase 0: 2\n", encoding="utf-8")
     sentence = tmp_path / "nonempty.mso"
     sentence.write_text("(exists x (= x x))\n", encoding="utf-8")
-    argv = BAD_ARGUMENTS[case].format(p3=files["p3.struct"], qs=system, phi=sentence).split()
+    union = tmp_path / "du.scm"
+    union.write_text("scheme k1=0 k2=0 k=0\n", encoding="utf-8")
+    argv = BAD_ARGUMENTS[case].format(p3=files["p3.struct"], qs=system, phi=sentence,
+                                      du=union).split()
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert REFUSAL_NAMES.get(case, "") in captured.err.splitlines()[0]
 
 
 def test_scheme_with_trailing_comment(files, capsys, tmp_path):

@@ -478,6 +478,12 @@ def test_enumerate_schemes_budget_refusal():
         enumerate_schemes(GRAPHS, 1, 1, 1, k_star=2, budget=1000)
 
 
+def test_enumerate_schemes_refuses_negative_kstar():
+    # the refusal names k*, not a valid constant count measured against it
+    with pytest.raises(SignatureError, match=r"^k\*=-1 is not a natural number$"):
+        enumerate_schemes(GRAPHS, 0, 0, 0, k_star=-1)
+
+
 def test_pattern_keys_unique_and_union_values():
     unary = Vocabulary((("S", 1),))
     probe = plain_union_scheme(1, 1, 1, ((0, 0),), result_refs=(("s", 0, 0),))

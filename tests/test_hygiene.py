@@ -20,6 +20,9 @@ Claims:
     - no module under src/hintikka but the line reader (``lineformat.py``)
       calls ``.splitlines()`` or passes ``"#"`` to a string method, so input
       lines are split and comments stripped in one place
+    - neither ``composition.py`` nor ``DiagramEngine`` calls ``unpack_bits``,
+      so the transfer kernel and Th^0 read set columns as bits and never
+      turn them back into bool tuples
 """
 
 import ast
@@ -242,3 +245,27 @@ def test_scan_finds_a_private_line_reader():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != READER], ids=lambda p: p.name)
 def test_only_the_line_reader_splits_input_lines(path):
     assert private_line_readers(path.read_text(encoding="utf-8")) == []
+
+
+def unpack_bits_calls(tree) -> list:
+    """Lines of the calls to ``unpack_bits`` under an AST node, by name or
+    as an attribute."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "unpack_bits")
+
+
+def test_scan_finds_an_unpack_bits_call():
+    source = ("from .diagrams import unpack_bits\nfrom . import diagrams\n"
+              "def join(word, n):\n"
+              "    return unpack_bits(word, n), diagrams.unpack_bits(word, 1)\n")
+    assert unpack_bits_calls(ast.parse(source)) == [4, 4]
+
+
+def test_kernel_and_engine_keep_set_columns_as_bits():
+    composition = ast.parse((PACKAGE / "composition.py").read_text(encoding="utf-8"))
+    diagrams = ast.parse((PACKAGE / "diagrams.py").read_text(encoding="utf-8"))
+    [engine] = [node for node in diagrams.body
+                if isinstance(node, ast.ClassDef) and node.name == "DiagramEngine"]
+    assert unpack_bits_calls(composition) == []
+    assert unpack_bits_calls(engine) == []

@@ -32,7 +32,7 @@ from conftest import k2_graph, rand_structure
 from hintikka import theory as theory_module
 from hintikka.composition import disjoint_union_scheme, glue, plain_union_scheme, transfer
 from hintikka.config import Config
-from hintikka.diagrams import DiagramEngine, partitions, qf_core
+from hintikka.diagrams import DiagramEngine, complete_diagrams, partitions, qf_core
 from hintikka.errors import BudgetError
 from hintikka.structures import (
     Structure,
@@ -140,7 +140,7 @@ def test_depth0_digest_is_sorted_diagram_repr(picked, others, const_diag, seed):
     for d in warm:
         interner.diagram_id(d)
     tid = interner.intern_depth0(VOCAB_KEY, 1, 1, {interner.diagram_id(d) for d in picked},
-                                 const_diag)
+                                 interner.diagram_id(const_diag))
     t = Theory(interner, tid)
     diagrams = tuple(sorted(set(picked)))
     canonical = ("t0", VOCAB_KEY, 1, 1, diagrams, const_diag)
@@ -169,7 +169,7 @@ DEPTH0_SPECS = (
 def _intern_spec(interner, spec):
     vocab_key, m, k, diags, const_diag = spec
     return interner.intern_depth0(vocab_key, m, k, {interner.diagram_id(d) for d in diags},
-                                  const_diag)
+                                  interner.diagram_id(const_diag))
 
 
 def test_depth0_digests_in_one_batch_equal_digests_one_at_a_time():
@@ -271,6 +271,47 @@ def test_th0_matches_brute_force():
         else:
             table_path += 1
     assert table_path == 24 and mask_path == 2
+
+
+# the vocabularies of the id tests: their bool forms overlap (S/1 and E/2
+# have equal relation tuples over one class) and differ (over none or two)
+ID_VOCABS = ((), (("S", 1),), (("E", 2),), (("S", 1), ("E", 2)))
+
+
+def _bool_forms():
+    """Every complete diagram in bool form over ID_VOCABS, with 0-2 set
+    columns and at most two slots, the no-class diagrams (no slot) too."""
+    for preds in ID_VOCABS:
+        arities = tuple(a for _, a in preds)
+        for m, slots in itertools.product(range(3), range(3)):
+            for eq in partitions(slots):
+                for v in {0, slots}:
+                    yield from complete_diagrams(v, eq, arities, m)
+
+
+def test_diagram_ids_are_injective_and_round_trip():
+    interner = Interner()
+    forms = list(_bool_forms())
+    ids = [interner.diagram_id(d) for d in forms]
+    assert len(set(ids)) == len(set(forms)) == interner.sizes()["diagrams"]
+    assert [interner.diagram(did) for did in ids] == forms
+    no_class = {(0, (), rel, ((),) * m) for rel in ((), ((),), ((), ())) for m in range(3)}
+    assert no_class <= set(forms)
+
+
+def test_bool_form_ids_are_engine_ids():
+    interner = Interner()
+    rng = random.Random(16)
+    for preds, num_sets, size in itertools.product(ID_VOCABS, range(3), range(3)):
+        for k in range(min(size, 1) + 1):
+            m = rand_structure(Vocabulary(preds, k, num_sets), size, rng)
+            t = compute_theory(m, 1, interner)
+            for t0 in (compute_theory(m, 0, interner),) + t.children():
+                rec = t0._rec
+                assert [interner.diagram_id(d) for d in t0.payload] == sorted(
+                    rec.payload, key=interner.diagram)
+                assert interner.diagram_id(t0.const_diag) == rec.const_diag
+            assert interner.diagram_id(t.const_diag) == t._rec.const_diag
 
 
 def test_payload_bound():
