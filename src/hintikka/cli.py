@@ -135,8 +135,7 @@ def cmd_closure(args, config):
             base.setdefault(m.vocab.num_consts, []).append((t, m.size, m))
     if args.small_models is not None:
         if args.small_models < 0:
-            raise HintikkaError(f"--small-models must be a natural number, "
-                                f"got {args.small_models}")
+            raise HintikkaError(f"--small-models={args.small_models} is not a natural number")
         from .theory import Theory
         for k in range(args.small_models + 1):
             sm = small_model_theories(vocab.with_consts(k), args.depth,

@@ -89,9 +89,8 @@ def close(base, schemes, depth: int, max_iter: int = 64,
     status = "not-converged"
 
     def distinct_ok(tid):
-        cd = interner.rec(tid).const_diag
-        eq = () if cd is None else interner.split(cd)[1]
-        return cd is not None and len(set(eq)) == len(eq)
+        rec = interner.rec(tid)     # a constant diagram has one slot per constant
+        return rec.const_diag is not None and len(set(interner.split(rec.const_diag)[1])) == rec.k
 
     for _ in range(max_iter):
         iterations += 1

@@ -343,8 +343,7 @@ def _require_distinct_consts(interner: Interner, rec):
     cd = rec.const_diag
     if cd is None:
         raise SignatureError("theory carries no constant diagram")
-    eq = interner.split(cd)[1]
-    if len(set(eq)) != len(eq):
+    if len(set(interner.split(cd)[1])) != rec.k:      # one slot per constant
         raise SignatureError(
             "transfer requires pairwise-distinct constants in each part")
 
@@ -393,10 +392,14 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
                     dids = row[y] = _join(interner, scheme, memo, x, y, r, arities)
                 realized.update(dids)
 
-    # every realized diagram restricts to the glue's constant diagram; none is
-    # realized only when both parts are empty (k = 0), and then so is the glue
-    const_diag = subdiagram(interner, min(realized), list(range(r, r + scheme.k)), arities,
-                            new_v=0) if realized else r1.const_diag
+    if realized:
+        # every realized diagram restricts to the glue's constant diagram
+        const_diag = subdiagram(interner, min(realized), list(range(r, r + scheme.k)),
+                                arities, new_v=0)
+    else:
+        # an empty glue: only possible with k = 0
+        const_diag = interner.diagram_id(
+            (0, (), tuple(() for _ in preds), tuple(() for _ in range(r1.m))))
     return interner.intern_depth0(preds, r1.m, scheme.k, realized, const_diag)
 
 

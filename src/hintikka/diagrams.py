@@ -70,8 +70,7 @@ def nclasses(eq) -> int:
 
 
 def set_word(bits: int, m: int, n: int) -> int:
-    """The set word of m columns over n classes: their bits under the
-    sentinel bit at m * max(n, 1)."""
+    """The set word of m columns over n classes: bits under their sentinel."""
     return bits | 1 << m * (n or 1)
 
 
@@ -84,8 +83,8 @@ def qf_core(m: Structure, elements) -> tuple:
     """(eq, rel, reps) of a tuple of elements of m: its diagram without the
     set columns, and the element representing each class, by first
     occurrence. Set columns are read from ``reps``."""
-    eq = canonical_eq(elements)
     reps = tuple(dict.fromkeys(elements))
+    eq = tuple(map({e: c for c, e in enumerate(reps)}.__getitem__, elements))
     rel = tuple(tuple(map(tuples.__contains__, itertools.product(reps, repeat=arity)))
                 for (_, arity), tuples in zip(m.vocab.predicates, m.relations))
     return eq, rel, reps
@@ -163,7 +162,7 @@ class DiagramEngine:
     def _subset_rows(self):
         """Per row, the packed class bits of every subset mask; feasible
         only for small universes (None otherwise). Built on the first call
-        with extra set columns, since a depth-0 theory reads none of it."""
+        with two or more extra set columns, the first to read entries twice."""
         nmasks = 2 ** self.m.size
         if self._subset_table is None and nmasks <= 4096:
             self._subset_table = [[_pack(u, reps) for u in range(nmasks)]
@@ -174,7 +173,7 @@ class DiagramEngine:
         """The ids of the realized r-diagrams and the id of the constant
         diagram, under the given extra set columns."""
         key_id = self.interner.key_id
-        table = self._subset_rows() if extra_masks else None
+        table = self._subset_rows() if len(extra_masks) > 1 else None
         base_m = len(self.m.sets)
         m = base_m + len(extra_masks)
         out = []

@@ -58,9 +58,9 @@ class Interner:
 
     Quantifier-free diagrams are interned to ints in first-seen order
     (hash-consing) in two steps: a shape (v, eq, rel) gets a shape id once,
-    keeping one copy of each equality type and relation tuple with its
-    repr, and a diagram is keyed by one int, its shape id with its set word
-    above it (see ``diagrams``). A diagram's id is the id of its key:
+    keeping one copy of each equality type and relation tuple, and a
+    diagram is keyed by one int, its shape id with its set word above it
+    (see ``diagrams``). A diagram's id is the id of its key:
     ``DiagramEngine`` and the transfer kernel hand keys to ``key_id``, and
     ``diagram_id`` gives a diagram in bool form the same id. A depth-0
     payload is the sorted tuple of its diagram ids and its constant diagram
@@ -85,8 +85,7 @@ class Interner:
         self._shapes = []           # shape id -> (v, eq, rel), components kept
         self._diagram_ids = {}      # diagram key -> diagram id
         self._keys = []             # diagram id -> diagram key
-        self._parts = {}
-        self._part_reprs = {}       # id of a kept component -> its repr
+        self._parts = {}            # one kept copy of each eq and rel component
         self.theory_memo = {}
         self.transfer_memo = {}
         # memos of the depth-0 transfer kernel (composition._transfer_base),
@@ -112,7 +111,8 @@ class Interner:
         shape = (v, eq, rel)
         sid = self._shape_ids.get(shape)
         if sid is None:
-            shape = (v, self._part(eq), self._part(rel))
+            parts = self._parts
+            shape = (v, parts.setdefault(eq, eq), parts.setdefault(rel, rel))
             sid = self._shape_ids[shape] = len(self._shapes)
             self._shapes.append(shape)
         return sid
@@ -131,16 +131,6 @@ class Interner:
         n = nclasses(eq)
         bits = sum(b << j * n + c for j, col in enumerate(sets) for c, b in enumerate(col))
         return self.key_id(self.shape_id(v, eq, rel) | set_word(bits, len(sets), n) << SHAPE_BITS)
-
-    def _part(self, part):
-        """The kept copy of a shape component. Kept copies live as long as
-        the interner, so no other object takes their id. Equal components
-        have equal reprs: eq holds ints and rel bools."""
-        kept = self._parts.get(part)
-        if kept is None:
-            kept = self._parts[part] = part
-            self._part_reprs[id(part)] = repr(part)
-        return kept
 
     def key(self, did: int) -> int:
         return self._keys[did]
@@ -178,18 +168,15 @@ class Interner:
 
     def _digest_pending(self) -> None:
         """Digest every pending depth-0 record. The text of a record is
-        repr(("t0", vocab_key, m, k, sorted diagrams, const_diag)), with the
-        diagrams in bool form. The union of the pending payloads is put in
-        bool form, sorted once and each of its diagrams formatted once; a
-        record lists its diagrams by their positions in that order, an int
-        sort."""
+        repr(("t0", vocab_key, m, k, sorted diagrams, const_diag)) in bool
+        form. The union of the pending payloads is put in bool form, sorted
+        and formatted once; a record lists its diagrams by their positions
+        in that order, an int sort."""
         pending = self._pending
         forms = {did: self.diagram(did) for did in set().union(*(rec.payload for rec in pending))}
         union = sorted(forms, key=forms.__getitem__)
         position = {did: pos for pos, did in enumerate(union)}
-        reprs = self._part_reprs
-        texts = [f"({v}, {reprs[id(eq)]}, {reprs[id(rel)]}, {sets!r})"
-                 for v, eq, rel, sets in map(forms.__getitem__, union)]
+        texts = list(map(repr, map(forms.__getitem__, union)))
         for rec in pending:
             items = list(map(texts.__getitem__,
                              sorted(map(position.__getitem__, rec.payload))))

@@ -285,8 +285,8 @@ BAD_ARGUMENTS = {
 # what the error line of a refusal must say, where a misleading message was seen
 REFUSAL_NAMES = {
     "schemes-negative-kstar": "k*=-1 is not a natural number",
-    "closure-negative-small-models": "--small-models must be a natural number",
-    "closure-negative-small-models-alone": "--small-models must be a natural number",
+    "closure-negative-small-models": "--small-models=-1 is not a natural number",
+    "closure-negative-small-models-alone": "--small-models=-1 is not a natural number",
 }
 
 

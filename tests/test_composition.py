@@ -178,6 +178,21 @@ def test_transfer_leaves_depth_columns_union():
         assert lhs.intern_id == compute_theory(glue(m1, m2, s), n, interner).intern_id
 
 
+def test_transfer_to_an_empty_glue():
+    # no diagram is realized when the glue is empty: both parts empty, or
+    # every element a dropped constant; its constant diagram has no class
+    interner = Interner()
+    v1 = Vocabulary((("S", 1), ("E", 2)), 1, 1)
+    point = Structure(v1, 1, (frozenset(), frozenset()), (0,), (frozenset({0}),))
+    empty = Structure(Vocabulary((("S", 1), ("E", 2)), 0, 1), 0)
+    dropped = plain_union_scheme(1, 1, 0, keep1=(False,), keep2=(False,))
+    for m1, m2, s in ((point, point, dropped), (empty, empty, disjoint_union_scheme())):
+        for n in (0, 1, 2):
+            lhs = transfer(compute_theory(m1, n, interner),
+                           compute_theory(m2, n, interner), s, interner)
+            assert lhs.intern_id == compute_theory(glue(m1, m2, s), n, interner).intern_id
+
+
 def test_transfer_vocabularies_share_interner():
     # the same scheme over two orders of the same arities: the kernel's
     # memos must keep the vocabularies apart
