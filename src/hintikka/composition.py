@@ -353,8 +353,8 @@ def _compatible(interner: Interner, rec1, rec2, scheme: Scheme, newest: int) -> 
     identified constants agree on the newest column and dropped constants
     avoid it. A part's constants are pairwise distinct, so constant i is
     class i of its constant diagram: bit newest * k + i of the set word."""
-    col1 = interner.key(rec1.const_diag) >> SHAPE_BITS + newest * scheme.k1
-    col2 = interner.key(rec2.const_diag) >> SHAPE_BITS + newest * scheme.k2
+    col1 = interner.split(rec1.const_diag)[3] >> newest * scheme.k1
+    col2 = interner.split(rec2.const_diag)[3] >> newest * scheme.k2
     for ref, kept in scheme.entities():
         v1 = ref[0] != REF_P2 and col1 >> ref[1] & 1
         v2 = ref[0] != REF_P1 and col2 >> ref[-1] & 1
@@ -443,10 +443,7 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
         base = row.get(by)
         if base is None:
             base = row[by] = _join(interner, scheme, memo, bx, by, r, arities)
-        key = interner.key
-        # the base results' sentinel bit, where their lifted columns start
-        low = SHAPE_BITS + (key(base[0]) >> SHAPE_BITS).bit_length() - 1
-        return tuple(interner.key_id(key(d) ^ 1 << low | lifted << low) for d in base)
+        return tuple(interner.extend(d, lifted) for d in base)
     masks1, subs1 = memo.packs[0][x & _BASE]
     masks2, subs2 = memo.packs[1][y & _BASE]
     sig = list(map(or_, masks1, masks2))

@@ -139,10 +139,9 @@ class DiagramEngine:
     """Th^0 of one structure under extra set columns, as ids of the
     interner it is given. Each r-tuple (followed by the constants) is a row,
     and the constants alone are one more row, with v = 0. A row keeps its
-    shape id from the interner, its class count, the set bits of the
-    structure's own columns and its class representatives; a call adds the
-    class bits of each extra column (bitmasks over the universe) and hands
-    the row's key to the interner.
+    shape id, class count, base set bits and class representatives; a call
+    adds the class bits of each extra column (bitmasks over the universe)
+    and hands the row's key to the interner.
     """
 
     def __init__(self, m: Structure, r: int, interner):

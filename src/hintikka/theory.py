@@ -85,6 +85,7 @@ class Interner:
         self._shapes = []           # shape id -> (v, eq, rel), components kept
         self._diagram_ids = {}      # diagram key -> diagram id
         self._keys = []             # diagram id -> diagram key
+        self._columns = {}          # (class count, set word) -> set columns in bool form
         self._parts = {}            # one kept copy of each eq and rel component
         self.theory_memo = {}
         self.transfer_memo = {}
@@ -111,8 +112,7 @@ class Interner:
         shape = (v, eq, rel)
         sid = self._shape_ids.get(shape)
         if sid is None:
-            parts = self._parts
-            shape = (v, parts.setdefault(eq, eq), parts.setdefault(rel, rel))
+            shape = (v, self._parts.setdefault(eq, eq), self._parts.setdefault(rel, rel))
             sid = self._shape_ids[shape] = len(self._shapes)
             self._shapes.append(shape)
         return sid
@@ -132,20 +132,26 @@ class Interner:
         bits = sum(b << j * n + c for j, col in enumerate(sets) for c, b in enumerate(col))
         return self.key_id(self.shape_id(v, eq, rel) | set_word(bits, len(sets), n) << SHAPE_BITS)
 
-    def key(self, did: int) -> int:
-        return self._keys[did]
-
     def split(self, did: int) -> tuple:
         """(v, eq, rel, set word) of a diagram."""
         key = self._keys[did]
         return (*self._shapes[key & SHAPE_MASK], key >> SHAPE_BITS)
 
     def diagram(self, did: int) -> tuple:
-        """The bool form (v, eq, rel, sets) of a diagram."""
+        """The bool form (v, eq, rel, sets) of a diagram, equal columns shared."""
         v, eq, rel, word = self.split(did)
         n = nclasses(eq)
-        return (v, eq, rel, tuple(unpack_bits(word >> j * n, n)
-                                  for j in range(column_count(word, n))))
+        sets = self._columns.get((n, word))
+        if sets is None:
+            sets = self._columns[(n, word)] = tuple(unpack_bits(word >> j * n, n)
+                                                    for j in range(column_count(word, n)))
+        return (v, eq, rel, sets)
+
+    def extend(self, did: int, lifted: int) -> int:
+        """The id of a diagram with the columns of set word ``lifted`` after its own."""
+        key = self._keys[did]
+        low = SHAPE_BITS + (key >> SHAPE_BITS).bit_length() - 1      # its sentinel bit
+        return self.key_id(key ^ 1 << low | lifted << low)
 
     def restrict(self, did: int, m: int) -> int:
         """The id of a diagram with its first m set columns only."""
@@ -167,16 +173,14 @@ class Interner:
         return self._insert(key, build)
 
     def _digest_pending(self) -> None:
-        """Digest every pending depth-0 record. The text of a record is
-        repr(("t0", vocab_key, m, k, sorted diagrams, const_diag)) in bool
-        form. The union of the pending payloads is put in bool form, sorted
-        and formatted once; a record lists its diagrams by their positions
-        in that order, an int sort."""
+        """Digest every pending depth-0 record: the sha256 of repr(("t0",
+        vocab_key, m, k, sorted diagrams, const_diag)) in bool form. The union
+        of the pending payloads is sorted and formatted once; a record lists
+        its diagrams by their positions in that order, an int sort."""
         pending = self._pending
-        forms = {did: self.diagram(did) for did in set().union(*(rec.payload for rec in pending))}
-        union = sorted(forms, key=forms.__getitem__)
+        union = sorted(set().union(*(rec.payload for rec in pending)), key=self.diagram)
         position = {did: pos for pos, did in enumerate(union)}
-        texts = list(map(repr, map(forms.__getitem__, union)))
+        texts = list(map(repr, map(self.diagram, union)))
         for rec in pending:
             items = list(map(texts.__getitem__,
                              sorted(map(position.__getitem__, rec.payload))))
