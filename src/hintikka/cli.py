@@ -1,10 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 domain error, 2 budget refusal. All output is
-deterministic given the same inputs, config, and seeds (including under
---jobs > 1); identifiers printed are stable digests, never process-local.
-``--jobs N`` runs selfcheck's checks in N worker processes, each with its
-own interner; every other command runs in one thread.
+deterministic given the same inputs, config, and seeds; identifiers printed
+are stable digests, never process-local. Every command runs in one thread.
 """
 
 from __future__ import annotations
@@ -131,6 +129,10 @@ def cmd_closure(args, config):
     if args.base_model:
         for path in args.base_model:
             m = _load_model(path)
+            if (m.vocab.predicates, m.vocab.num_sets) != (vocab.predicates, vocab.num_sets):
+                raise HintikkaError(
+                    f"base model {path} has signature {m.vocab.sig()} sets={m.vocab.num_sets}, "
+                    f"but --vocab/--sets give {vocab.sig()} sets={vocab.num_sets}")
             t = compute_theory(m, args.depth, interner, config)
             base.setdefault(m.vocab.num_consts, []).append((t, m.size, m))
     if args.small_models is not None:
@@ -162,10 +164,7 @@ def cmd_closure(args, config):
 
 
 def cmd_spectrum(args, config):
-    text = _read(args.facts)
-    if args.base:
-        text += "\n" + _read(args.base)
-    base, facts = parse_facts(text)
+    base, facts = parse_facts(_read(args.facts))
     induced = induce_system_from_facts(base, facts)
     digests = [args.theory] if args.theory else induced[1]
     lines = []
@@ -275,18 +274,10 @@ def cmd_oracle_spectrum(args, config):
 
 def cmd_selfcheck(args, config):
     checks = _selfcheck_mod.all_checks(args.seed)
-    if args.jobs == 1:
-        results = [fn() for _, fn in checks]
-    else:
-        # imported here: the pool module would cost every other command
-        # start-up time and memory
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(checks))) as pool:
-            futures = [pool.submit(fn) for _, fn in checks]
-            results = [f.result() for f in futures]
     lines = []
     failures = 0
-    for (name, _), (ok, detail) in zip(checks, results):
+    for name, fn in checks:
+        ok, detail = fn()
         status = "ok" if ok else "FAIL"
         if not ok:
             failures += 1
@@ -298,20 +289,12 @@ def cmd_selfcheck(args, config):
     return 0 if failures == 0 else 1
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hintikka",
         description="Depth-n monadic theories, gluing, closure, spectra, and "
                     "periodicity certificates for finite relational structures.")
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for selfcheck")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -368,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", cmd_spectrum, help="sizes and certificate per theory digest")
     p.add_argument("--facts", required=True)
-    p.add_argument("--base", help="separate base file (base lines may also "
-                                  "live in the facts file)")
     p.add_argument("--theory")
     p.add_argument("--bound", type=int, required=True)
 

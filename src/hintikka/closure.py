@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .composition import glue, transfer
+from .composition import distinct_consts, glue, transfer
 from .config import DEFAULT, Config
 from .errors import HintikkaError
 from .lineformat import LineReader
@@ -88,10 +88,6 @@ def close(base, schemes, depth: int, max_iter: int = 64,
     iterations = 0
     status = "not-converged"
 
-    def distinct_ok(tid):
-        rec = interner.rec(tid)     # a constant diagram has one slot per constant
-        return rec.const_diag is not None and len(set(interner.split(rec.const_diag)[1])) == rec.k
-
     for _ in range(max_iter):
         iterations += 1
         new_by_k = {}
@@ -112,7 +108,8 @@ def close(base, schemes, depth: int, max_iter: int = 64,
             for a, b in sorted(pairs):
                 if (a, b, sid) in facts:
                     continue
-                if not (distinct_ok(a) and distinct_ok(b)):
+                if not (distinct_consts(interner, interner.rec(a))
+                        and distinct_consts(interner, interner.rec(b))):
                     continue
                 t = transfer(Theory(interner, a), Theory(interner, b), s, interner)
                 facts[(a, b, sid)] = CompositionFact(a, b, sid, t.intern_id, s.j)

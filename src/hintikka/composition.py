@@ -339,11 +339,17 @@ def _transfer_id(i1: int, i2: int, scheme: Scheme, interner: Interner, lift: int
     return result
 
 
-def _require_distinct_consts(interner: Interner, rec):
+def distinct_consts(interner: Interner, rec) -> bool:
+    """Whether a theory record's constants are pairwise distinct: its
+    constant diagram has one class per constant."""
     cd = rec.const_diag
-    if cd is None:
+    return cd is not None and len(set(interner.split(cd)[1])) == rec.k
+
+
+def _require_distinct_consts(interner: Interner, rec):
+    if rec.const_diag is None:
         raise SignatureError("theory carries no constant diagram")
-    if len(set(interner.split(cd)[1])) != rec.k:      # one slot per constant
+    if not distinct_consts(interner, rec):
         raise SignatureError(
             "transfer requires pairwise-distinct constants in each part")
 
@@ -695,7 +701,11 @@ def _pattern_shapes(vocab: Vocabulary, scheme: Scheme, pred_name: str):
     """(eq, origins, c1, c2) per pattern shape of one predicate under the
     scheme's identification/keep configuration: c1 and c2 are the variable
     counts of the two part types."""
-    arity = 1 if _set_column(pred_name) is not None else dict(vocab.predicates)[pred_name]
+    names = table_names(vocab.predicates, vocab.num_sets)
+    if pred_name not in names:
+        raise HintikkaError(f"no table {pred_name!r} in this vocabulary; "
+                            f"tables: {', '.join(names) or 'none'}")
+    arity = dict(vocab.predicates).get(pred_name, 1)     # a set column is unary
     kept = scheme.kept_refs()
     for eq in partitions(arity):
         for origins in _block_origins(nclasses(eq), kept):

@@ -2,7 +2,7 @@
 
 Every check is deterministic given the seed; output lines mention only
 stable quantities (digests, counts, sizes), never process-local ids, so
-reports are byte-identical across runs and job counts.
+reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -263,8 +263,7 @@ def check_oracle(seed):
 
 def all_checks(seed: int):
     """(name, check) pairs in report order; each check takes no argument and
-    returns (ok, detail lines). Checks and partials pickle by reference, so
-    ``selfcheck --jobs`` can run them in worker processes."""
+    returns (ok, detail lines)."""
     return [
         ("structures", partial(check_structures, seed)),
         ("theories", partial(check_theories, seed)),

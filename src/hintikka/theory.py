@@ -73,8 +73,8 @@ class Interner:
     record waits on a pending list; the first read of any depth-0 digest
     digests every pending record in one batch (``_digest_pending``).
 
-    Nothing here is locked. Parallel work runs in worker processes, each
-    with an interner of its own (``selfcheck --jobs``).
+    Nothing here is locked: the package runs in one thread and imports no
+    thread or process pool.
     """
 
     def __init__(self):

@@ -255,8 +255,8 @@ def test_malformed_input_refused_with_its_line(leak, files, capsys, tmp_path):
 
 
 # commands whose arguments are refused where they enter (exit 1, one error
-# line); {p3}, {qs} and {phi} stand for a structure, a one-label system file
-# and a sentence file
+# line); {p3}, {qs}, {phi} and {du} stand for a structure, a one-label system
+# file, a sentence file and a disjoint-union scheme, {s1} for an S/1 structure
 BAD_ARGUMENTS = {
     "reach-negative-slack": "system-reach --system {qs} --bound 4 --slack -2",
     "gaps-size-not-int": "gaps --sizes 1,x --ratio 2",
@@ -280,6 +280,12 @@ BAD_ARGUMENTS = {
         "closure --vocab E/2 --depth 0 --scheme {du} --base-model {p3} --small-models -1",
     "closure-negative-small-models-alone":
         "closure --vocab E/2 --depth 0 --scheme {du} --small-models -1",
+    "closure-base-model-other-signature":
+        "closure --vocab E/2 --depth 0 --scheme {du} --base-model {s1}",
+    "pattern-dump-unknown-predicate": "pattern-dump --vocab E/2 --scheme {du} --pred Q",
+    "pattern-dump-set-column-without-sets": "pattern-dump --vocab E/2 --scheme {du} --pred P0",
+    "pattern-dump-set-column-out-of-range":
+        "pattern-dump --vocab E/2 --sets 1 --scheme {du} --pred P3",
 }
 
 # what the error line of a refusal must say, where a misleading message was seen
@@ -287,6 +293,11 @@ REFUSAL_NAMES = {
     "schemes-negative-kstar": "k*=-1 is not a natural number",
     "closure-negative-small-models": "--small-models=-1 is not a natural number",
     "closure-negative-small-models-alone": "--small-models=-1 is not a natural number",
+    "closure-base-model-other-signature":
+        "signature S/1 sets=0, but --vocab/--sets give E/2 sets=0",
+    "pattern-dump-unknown-predicate": "no table 'Q' in this vocabulary; tables: E",
+    "pattern-dump-set-column-without-sets": "no table 'P0' in this vocabulary; tables: E",
+    "pattern-dump-set-column-out-of-range": "no table 'P3' in this vocabulary; tables: E, P0",
 }
 
 
@@ -298,8 +309,11 @@ def test_bad_arguments_refused(case, files, capsys, tmp_path):
     sentence.write_text("(exists x (= x x))\n", encoding="utf-8")
     union = tmp_path / "du.scm"
     union.write_text("scheme k1=0 k2=0 k=0\n", encoding="utf-8")
+    unary = tmp_path / "s1.struct"
+    unary.write_text(serialize_structure(
+        Structure(Vocabulary((("S", 1),)), 2, (frozenset({(0,)}),))), encoding="utf-8")
     argv = BAD_ARGUMENTS[case].format(p3=files["p3.struct"], qs=system, phi=sentence,
-                                      du=union).split()
+                                      du=union, s1=unary).split()
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -335,29 +349,16 @@ def test_system_label_budget_exit_code(files, capsys, tmp_path):
                 "--bound", "4"]) == 2
 
 
-def test_selfcheck_deterministic_across_jobs(files, capsys):
-    outputs = []
-    for jobs in ("1", "4"):
-        code, out = _capture(capsys, ["--jobs", jobs, "selfcheck", "--seed", "7"])
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
-@pytest.mark.parametrize("jobs", ["1", "2", "4"])
-def test_selfcheck_golden(jobs):
+def test_selfcheck_golden():
     """selfcheck stdout pinned byte for byte: it carries the closure-spectra
     and numbersets certificates (pump witnesses included, one of them
-    empirical), which depend on where the pump search stops. With two or
-    four jobs the checks run in worker processes, each from a cold interner
-    of its own, and the output is the same."""
-    out = _fresh_run("--jobs", jobs, "selfcheck", "--seed", "2024")
+    empirical), which depend on where the pump search stops."""
+    out = _fresh_run("selfcheck", "--seed", "2024")
     assert out.endswith(b"selfcheck ok checks=9 failures=0\n")
     assert hashlib.sha256(out).hexdigest() == (
         "7d7aa02b382fd473a9a18972d5908c58da749607f4f27379421bfdbfcdb23d8d")
 
 
-# module level, so that worker processes can unpickle them
 def _passing_check():
     return True, ["fine"]
 
@@ -370,28 +371,30 @@ def _malformed_check():
     return True     # not an (ok, detail lines) pair
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_selfcheck_reports_failing_check(jobs, capsys, monkeypatch):
+def test_selfcheck_reports_failing_check(capsys, monkeypatch):
     monkeypatch.setattr(selfcheck, "all_checks", lambda seed: [
         ("planted", _failing_check), ("fine", _passing_check)])
-    code, out = _capture(capsys, ["--jobs", jobs, "selfcheck"])
+    code, out = _capture(capsys, ["selfcheck"])
     assert code == 1
     assert out == ("check planted: FAIL\n  planted failure\ncheck fine: ok\n  fine\n"
                    "selfcheck FAILED checks=2 failures=1\n")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_selfcheck_refuses_malformed_check_result(jobs, capsys, monkeypatch):
+def test_selfcheck_refuses_malformed_check_result(capsys, monkeypatch):
     # a result that is not an (ok, detail lines) pair is an error, never "ok"
     monkeypatch.setattr(selfcheck, "all_checks", lambda seed: [
         ("fine", _passing_check), ("malformed", _malformed_check)])
     with pytest.raises(TypeError):
-        run(["--jobs", jobs, "selfcheck"])
+        run(["selfcheck"])
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
-def test_jobs_must_be_positive(jobs, capsys):
+# the CLI has no job count and no separate spectrum base file: argparse
+# refuses both (exit 2)
+@pytest.mark.parametrize("argv", [["--jobs", "2", "selfcheck"],
+                                  ["spectrum", "--facts", "f", "--base", "b", "--bound", "8"]],
+                         ids=["jobs", "spectrum-base"])
+def test_removed_options_refused(argv, capsys):
     with pytest.raises(SystemExit) as info:
-        run(["--jobs", jobs, "selfcheck"])
+        run(argv)
     assert info.value.code == 2
-    assert "--jobs: expected a positive integer" in capsys.readouterr().err
+    assert "hintikka: error: " in capsys.readouterr().err

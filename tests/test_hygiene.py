@@ -23,6 +23,9 @@ Claims:
     - neither ``composition.py`` nor ``DiagramEngine`` calls ``unpack_bits``,
       so the transfer kernel and Th^0 read set columns as bits and never
       turn them back into bool tuples
+    - no module under src/hintikka imports ``concurrent``,
+      ``multiprocessing`` or ``threading``, so every command runs in one
+      thread of one process and the unlocked ``Interner`` stays safe
 """
 
 import ast
@@ -269,3 +272,33 @@ def test_kernel_and_engine_keep_set_columns_as_bits():
                 if isinstance(node, ast.ClassDef) and node.name == "DiagramEngine"]
     assert unpack_bits_calls(composition) == []
     assert unpack_bits_calls(engine) == []
+
+
+CONCURRENCY = ("concurrent", "multiprocessing", "threading")
+
+
+def concurrency_imports(source: str) -> list:
+    """(line, module) of each absolute import of a thread or process pool
+    package (``CONCURRENCY``) or of one of its submodules, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.split(".")[0] in CONCURRENCY]
+    return sorted(found)
+
+
+def test_scan_finds_a_concurrency_import():
+    source = ("import os, threading as t\nfrom concurrent.futures import ProcessPoolExecutor\n"
+              "from .threading import local\ndef run():\n    import multiprocessing.pool\n")
+    assert concurrency_imports(source) == [
+        (1, "threading"), (2, "concurrent.futures"), (5, "multiprocessing.pool")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_concurrency_imports(path):
+    assert concurrency_imports(path.read_text(encoding="utf-8")) == []
