@@ -103,7 +103,7 @@ def cmd_check_addition(args, config):
     t2 = compute_theory(m2, args.depth, config=config)
     via_transfer = transfer(t1, t2, scheme)
     direct = compute_theory(glue(m1, m2, scheme), args.depth, config=config)
-    if via_transfer.intern_id == direct.intern_id:
+    if via_transfer is direct:
         _emit(f"OK digest={direct.digest}\n", args.out)
         return 0
     _emit(f"MISMATCH transfer={via_transfer.digest} direct={direct.digest}\n", args.out)
@@ -138,14 +138,13 @@ def cmd_closure(args, config):
     if args.small_models is not None:
         if args.small_models < 0:
             raise HintikkaError(f"--small-models={args.small_models} is not a natural number")
-        from .theory import Theory
         for k in range(args.small_models + 1):
             sm = small_model_theories(vocab.with_consts(k), args.depth,
                                       args.small_models, interner, config)
             entries = base.setdefault(k, [])
             for tid, sizes in sm.entries:
                 for size in sizes:
-                    entries.append((Theory(interner, tid), size, sm.witnesses.get(tid)))
+                    entries.append((interner.rec(tid), size, sm.witnesses.get(tid)))
     if not base:
         raise HintikkaError("no base: give --base-model and/or --small-models")
     state = close(base, schemes, args.depth, args.max_iter, interner)

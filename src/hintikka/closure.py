@@ -15,7 +15,7 @@ from .config import DEFAULT, Config
 from .errors import HintikkaError
 from .lineformat import LineReader
 from .structures import Structure
-from .theory import Interner, Theory, compute_theory, default_interner
+from .theory import Interner, compute_theory, default_interner
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ def close(base, schemes, depth: int, max_iter: int = 64,
     """Iterate T_k <- T_k + {transfer(t1, t2, s)} to the fixpoint.
 
     ``base`` maps a constant count k to an iterable of (Theory, size) or
-    (Theory, size, witness Structure) entries. Stops at the first fully
+    (Theory, size, witness Structure) entries, every theory from
+    ``interner``. Stops at the first fully
     stationary sweep, or reports "not-converged" after max_iter sweeps.
     Theories whose constants are not pairwise distinct stay reachable but
     are never used as gluing inputs (the scheme size law needs distinctness).
@@ -75,6 +76,8 @@ def close(base, schemes, depth: int, max_iter: int = 64,
             theory, size = entry[0], entry[1]
             witness = entry[2] if len(entry) > 2 else None
             tid = theory.intern_id
+            if theory.interner is not interner:
+                raise HintikkaError(f"base theory filed under k={k} comes from another interner")
             if theory.k != k:
                 raise HintikkaError(f"base theory with k={theory.k} filed under k={k}")
             ids.add(tid)
@@ -108,10 +111,10 @@ def close(base, schemes, depth: int, max_iter: int = 64,
             for a, b in sorted(pairs):
                 if (a, b, sid) in facts:
                     continue
-                if not (distinct_consts(interner, interner.rec(a))
-                        and distinct_consts(interner, interner.rec(b))):
+                t1, t2 = interner.rec(a), interner.rec(b)
+                if not (distinct_consts(t1) and distinct_consts(t2)):
                     continue
-                t = transfer(Theory(interner, a), Theory(interner, b), s, interner)
+                t = transfer(t1, t2, s, interner)
                 facts[(a, b, sid)] = CompositionFact(a, b, sid, t.intern_id, s.j)
                 added_fact = True
                 if t.intern_id not in per_k.setdefault(s.k, set()):

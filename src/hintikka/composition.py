@@ -311,8 +311,7 @@ def transfer(t1: Theory, t2: Theory, scheme: Scheme, interner: Interner = None) 
         raise SignatureError("theories have different signatures")
     if t1.k != scheme.k1 or t2.k != scheme.k2:
         raise SignatureError("constant counts do not match scheme")
-    tid = _transfer_id(t1.intern_id, t2.intern_id, scheme, interner, 0)
-    return Theory(interner, tid)
+    return interner.rec(_transfer_id(t1.intern_id, t2.intern_id, scheme, interner, 0))
 
 
 def _transfer_id(i1: int, i2: int, scheme: Scheme, interner: Interner, lift: int) -> int:
@@ -322,46 +321,48 @@ def _transfer_id(i1: int, i2: int, scheme: Scheme, interner: Interner, lift: int
     cached = interner.transfer_memo.get(memo_key)
     if cached is not None:
         return cached
-    r1, r2 = interner.rec(i1), interner.rec(i2)
-    _require_distinct_consts(interner, r1)
-    _require_distinct_consts(interner, r2)
-    if r1.depth == 0:
-        result = _transfer_base(i1, i2, r1, r2, scheme, interner, lift)
+    t1, t2 = interner.rec(i1), interner.rec(i2)
+    _require_distinct_consts(t1)
+    _require_distinct_consts(t2)
+    if t1.depth == 0:
+        result = _transfer_base(t1, t2, scheme, interner, lift)
     else:
-        newest = r1.m  # children carry one extra set column
+        newest = t1.m  # children carry one extra set column
+        ents = scheme.entities()
         children = set()
-        for c1 in r1.payload:
-            for c2 in r2.payload:
-                if _compatible(interner, interner.rec(c1), interner.rec(c2), scheme, newest):
-                    children.add(_transfer_id(c1, c2, scheme, interner, lift + 1))
-        result = interner.intern_node(r1.depth, r1.vocab_key, r1.m, scheme.k, children)
+        for c1 in t1.children():
+            for c2 in t2.children():
+                if _compatible(c1, c2, scheme, newest, ents):
+                    children.add(_transfer_id(c1.intern_id, c2.intern_id, scheme, interner,
+                                              lift + 1))
+        result = interner.intern_node(t1.depth, t1.vocab_key, t1.m, scheme.k, children)
     interner.transfer_memo[memo_key] = result
     return result
 
 
-def distinct_consts(interner: Interner, rec) -> bool:
-    """Whether a theory record's constants are pairwise distinct: its
-    constant diagram has one class per constant."""
-    cd = rec.const_diag
-    return cd is not None and len(set(interner.split(cd)[1])) == rec.k
+def distinct_consts(t: Theory) -> bool:
+    """Whether a theory's constants are pairwise distinct: its constant
+    diagram has one class per constant."""
+    return t.const_id is not None and len(set(t.interner.split(t.const_id)[1])) == t.k
 
 
-def _require_distinct_consts(interner: Interner, rec):
-    if rec.const_diag is None:
+def _require_distinct_consts(t: Theory):
+    if t.const_id is None:
         raise SignatureError("theory carries no constant diagram")
-    if not distinct_consts(interner, rec):
+    if not distinct_consts(t):
         raise SignatureError(
             "transfer requires pairwise-distinct constants in each part")
 
 
-def _compatible(interner: Interner, rec1, rec2, scheme: Scheme, newest: int) -> bool:
+def _compatible(t1: Theory, t2: Theory, scheme: Scheme, newest: int, ents) -> bool:
     """Set assignments on the parts combine into one on the glue exactly when
     identified constants agree on the newest column and dropped constants
-    avoid it. A part's constants are pairwise distinct, so constant i is
-    class i of its constant diagram: bit newest * k + i of the set word."""
-    col1 = interner.split(rec1.const_diag)[3] >> newest * scheme.k1
-    col2 = interner.split(rec2.const_diag)[3] >> newest * scheme.k2
-    for ref, kept in scheme.entities():
+    avoid it; ``ents`` is ``scheme.entities()``. A part's constants are
+    pairwise distinct, so constant i is class i of its constant diagram:
+    bit newest * k + i of the set word."""
+    col1 = t1.interner.split(t1.const_id)[3] >> newest * scheme.k1
+    col2 = t2.interner.split(t2.const_id)[3] >> newest * scheme.k2
+    for ref, kept in ents:
         v1 = ref[0] != REF_P2 and col1 >> ref[1] & 1
         v2 = ref[0] != REF_P1 and col2 >> ref[-1] & 1
         if (v1 != v2 if kept else v1 or v2) and (ref[0] == REF_SHARED or not kept):
@@ -369,23 +370,23 @@ def _compatible(interner: Interner, rec1, rec2, scheme: Scheme, newest: int) -> 
     return True
 
 
-def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
-                   interner: Interner, lift: int) -> int:
+def _transfer_base(t1: Theory, t2: Theory, scheme: Scheme, interner: Interner,
+                   lift: int) -> int:
     """Depth-0 transfer, one loop for every table kind and lift. Per
     sequence of result classes, each part's side table lists the pack ids
     of its distinct packed sides; the memo's join table maps a pair of pack
     ids to the result diagram ids, one per equality type of the result
     variables, and only a pair seen for the first time is joined."""
-    preds = r1.vocab_key
+    preds = t1.vocab_key
     arities = tuple(a for _, a in preds)
-    base_m = r1.m - lift
+    base_m = t1.m - lift
     r = max([1] + list(arities)) + 1
     ckey = (scheme.scheme_id, preds, r, base_m)
     memos = interner.config_memos.get(ckey)
     if memos is None:
         memos = interner.config_memos[ckey] = _scheme_configs(scheme, preds, r, base_m)
-    tables = (_side_table(interner, i1, r1, 0, ckey, memos, r, arities, lift),
-              _side_table(interner, i2, r2, 1, ckey, memos, r, arities, lift))
+    tables = (_side_table(interner, t1, 0, ckey, memos, r, arities, lift),
+              _side_table(interner, t2, 1, ckey, memos, r, arities, lift))
 
     realized = set()
     for memo, xs, ys in zip(memos, *tables):
@@ -405,8 +406,8 @@ def _transfer_base(i1: int, i2: int, r1, r2, scheme: Scheme,
     else:
         # an empty glue: only possible with k = 0
         const_diag = interner.diagram_id(
-            (0, (), tuple(() for _ in preds), tuple(() for _ in range(r1.m))))
-    return interner.intern_depth0(preds, r1.m, scheme.k, realized, const_diag)
+            (0, (), tuple(() for _ in preds), tuple(() for _ in range(t1.m))))
+    return interner.intern_depth0(preds, t1.m, scheme.k, realized, const_diag)
 
 
 # Pack ids and projection keys: a base id in the low 32 bits, lifted bits
@@ -462,17 +463,17 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
                  for eq in memo.res_eqs)
 
 
-def _side_table(interner: Interner, tid: int, rec, side: int, ckey, memos,
+def _side_table(interner: Interner, t: Theory, side: int, ckey, memos,
                 r: int, arities, lift: int):
     """Per memo, the pack ids of one part's distinct packed sides, from the
     keys of its realized prefix projections. A table depends only on
     (theory, config key, side), so it is built once."""
-    key = (tid, ckey, side)
+    key = (t.intern_id, ckey, side)
     table = interner.side_tables.get(key)
     if table is None:
-        keys = [_prefix_keys(interner, rec.const_diag, arities, lift)]
+        keys = [_prefix_keys(interner, t.const_id, arities, lift)]
         keys += [{} for _ in range(r)]
-        for d in rec.payload:
+        for d in t.ids:
             for v, p in enumerate(_prefix_keys(interner, d, arities, lift), 1):
                 if p >= 0:
                     keys[v][p] = None

@@ -190,6 +190,6 @@ def find_small_equivalent(m: Structure, depth: int, size_max: int,
     k = m.vocab.num_consts
     for size in range(k + 1, size_max + 1):
         for cand in enumerate_representatives(m.vocab, size, config):
-            if compute_theory(cand, depth, interner, config).intern_id == target.intern_id:
+            if compute_theory(cand, depth, interner, config) is target:
                 return cand
     return None

@@ -22,37 +22,6 @@ from .errors import BudgetError, HintikkaError, SignatureError
 from .structures import Structure, Vocabulary
 
 
-class _Rec:
-    """One interned theory. Its digest is made on the first read: a node's
-    from the digests of its members, a depth-0 record's in one batch with
-    every other depth-0 record of its interner not yet digested."""
-
-    __slots__ = ("depth", "vocab_key", "m", "k", "payload", "const_diag", "_digest",
-                 "_interner")
-
-    def __init__(self, interner, depth, vocab_key, m, k, payload, const_diag):
-        self._interner = interner
-        self.depth = depth
-        self.vocab_key = vocab_key
-        self.m = m
-        self.k = k
-        self.payload = payload
-        self.const_diag = const_diag
-        self._digest = None
-
-    @property
-    def digest(self) -> str:
-        if self._digest is None:
-            if self.depth == 0:
-                self._interner._digest_pending()
-            else:
-                recs = self._interner._recs
-                child_digests = tuple(sorted(recs[c].digest for c in self.payload))
-                self._digest = _sha(("t", self.depth, self.vocab_key, self.m, self.k,
-                                     child_digests))
-        return self._digest
-
-
 class Interner:
     """Append-only canonical store for one thread.
 
@@ -62,16 +31,17 @@ class Interner:
     diagram is keyed by one int, its shape id with its set word above it
     (see ``diagrams``). A diagram's id is the id of its key:
     ``DiagramEngine`` and the transfer kernel hand keys to ``key_id``, and
-    ``diagram_id`` gives a diagram in bool form the same id. A depth-0
-    payload is the sorted tuple of its diagram ids and its constant diagram
-    an id, both in its intern key; deeper payloads are sorted tuples of
-    member ids. Ids are local to one interner. Digests hash the canonical
-    structural form (diagrams sorted in bool form, member digests, not
-    ids), so they are stable across runs, platforms, and interner instances.
+    ``diagram_id`` gives a diagram in bool form the same id. A theory is
+    keyed by its ``ids`` (and a depth-0 theory by its ``const_id`` too), and
+    the interner builds one ``Theory`` per key. Ids are local to one
+    interner, and every layer refuses theories of another. Digests hash the
+    canonical structural form (diagrams sorted in bool form, member
+    digests, not ids), so they are stable across runs, platforms, and
+    interner instances.
 
     Digests are made when first read, never at interning. A new depth-0
-    record waits on a pending list; the first read of any depth-0 digest
-    digests every pending record in one batch (``_digest_pending``).
+    theory waits on a pending list; the first read of any depth-0 digest
+    digests every pending theory in one batch (``_digest_pending``).
 
     Nothing here is locked: the package runs in one thread and imports no
     thread or process pool.
@@ -79,8 +49,8 @@ class Interner:
 
     def __init__(self):
         self._ids = {}
-        self._recs = []
-        self._pending = []          # depth-0 records not yet digested
+        self._theories = []
+        self._pending = []          # depth-0 theories not yet digested
         self._shape_ids = {}        # (v, eq, rel) -> shape id
         self._shapes = []           # shape id -> (v, eq, rel), components kept
         self._diagram_ids = {}      # diagram key -> diagram id
@@ -99,12 +69,12 @@ class Interner:
         self.sub_diagrams = {}
         self.table_values = {}
 
-    def _insert(self, key, rec_builder):
+    def _insert(self, key, build) -> int:
+        """The id of ``key``'s theory; a new one is ``build(id)``."""
         tid = self._ids.get(key)
         if tid is None:
-            rec = rec_builder()
-            tid = self._ids[key] = len(self._recs)
-            self._recs.append(rec)
+            tid = self._ids[key] = len(self._theories)
+            self._theories.append(build(tid))
         return tid
 
     def shape_id(self, v: int, eq, rel) -> int:
@@ -165,58 +135,58 @@ class Interner:
         payload = tuple(sorted(diagram_ids))
         key = (0, vocab_key, m, k, payload, const_diag)
 
-        def build():
-            rec = _Rec(self, 0, vocab_key, m, k, payload, const_diag)
-            self._pending.append(rec)
-            return rec
+        def build(tid):
+            theory = Theory(self, tid, 0, vocab_key, m, k, payload, const_diag)
+            self._pending.append(theory)
+            return theory
 
         return self._insert(key, build)
 
     def _digest_pending(self) -> None:
-        """Digest every pending depth-0 record: the sha256 of repr(("t0",
+        """Digest every pending depth-0 theory: the sha256 of repr(("t0",
         vocab_key, m, k, sorted diagrams, const_diag)) in bool form. The union
-        of the pending payloads is sorted and formatted once; a record lists
-        its diagrams by their positions in that order, an int sort."""
+        of the pending diagram ids is sorted and formatted once; a theory
+        lists its diagrams by their positions in that order, an int sort."""
         pending = self._pending
-        union = sorted(set().union(*(rec.payload for rec in pending)), key=self.diagram)
+        union = sorted(set().union(*(t.ids for t in pending)), key=self.diagram)
         position = {did: pos for pos, did in enumerate(union)}
         texts = list(map(repr, map(self.diagram, union)))
-        for rec in pending:
-            items = list(map(texts.__getitem__,
-                             sorted(map(position.__getitem__, rec.payload))))
-            text = (f"('t0', {rec.vocab_key!r}, {rec.m!r}, {rec.k!r}, "
-                    f"{_tuple_repr(items)}, {self.diagram(rec.const_diag)!r})")
-            rec._digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for t in pending:
+            items = list(map(texts.__getitem__, sorted(map(position.__getitem__, t.ids))))
+            text = (f"('t0', {t.vocab_key!r}, {t.m!r}, {t.k!r}, "
+                    f"{_tuple_repr(items)}, {self.diagram(t.const_id)!r})")
+            t._digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         self._pending = []
 
     def intern_node(self, depth, vocab_key, m, k, child_ids) -> int:
         payload = tuple(sorted(set(child_ids)))
         key = (depth, vocab_key, m, k, payload)
 
-        def build():
-            const_diag = None
+        def build(tid):
+            const_id = None
             if payload:
-                inner = self._recs[payload[0]].const_diag
+                inner = self._theories[payload[0]].const_id
                 if inner is not None:
-                    const_diag = self.restrict(inner, m)
-            return _Rec(self, depth, vocab_key, m, k, payload, const_diag)
+                    const_id = self.restrict(inner, m)
+            return Theory(self, tid, depth, vocab_key, m, k, payload, const_id)
 
         return self._insert(key, build)
 
-    def rec(self, tid: int) -> _Rec:
-        return self._recs[tid]
+    def rec(self, tid: int) -> Theory:
+        """The theory with id ``tid``."""
+        return self._theories[tid]
 
     def sizes(self) -> dict:
         """Length of every table and memo: interned theories, diagrams and
         their kept components, then each memo by attribute name."""
-        sizes = {"theories": len(self._recs), "shapes": len(self._shapes),
+        sizes = {"theories": len(self._theories), "shapes": len(self._shapes),
                  "diagrams": len(self._keys), "diagram_parts": len(self._parts)}
         sizes.update((name, len(memo)) for name, memo in vars(self).items()
                      if not name.startswith("_"))
         return sizes
 
     def __len__(self):
-        return len(self._recs)
+        return len(self._theories)
 
 
 def _sha(obj) -> str:
@@ -237,56 +207,59 @@ def default_interner() -> Interner:
     return _DEFAULT_INTERNER
 
 
-@dataclass(frozen=True)
 class Theory:
-    """Handle to an interned theory value."""
+    """One interned theory value. Its interner builds exactly one per
+    value, so two theories of one interner are equal exactly when they are
+    one object; ids mean nothing across interners.
 
-    interner: Interner = field(repr=False)
-    intern_id: int
+    ``ids`` holds the sorted diagram ids at depth 0 and the sorted member
+    ids deeper, and ``const_id`` the constant diagram's id (None for an
+    empty node). The digest is made on the first read: a node's from the
+    digests of its members, a depth-0 theory's in one batch with every
+    other depth-0 theory of its interner not yet digested."""
+
+    __slots__ = ("interner", "intern_id", "depth", "vocab_key", "m", "k", "ids", "const_id",
+                 "_digest")
+
+    def __init__(self, interner, intern_id, depth, vocab_key, m, k, ids, const_id):
+        self.interner = interner
+        self.intern_id = intern_id
+        self.depth = depth
+        self.vocab_key = vocab_key
+        self.m = m
+        self.k = k
+        self.ids = ids
+        self.const_id = const_id
+        self._digest = None
 
     @property
-    def _rec(self):
-        return self.interner.rec(self.intern_id)
-
-    @property
-    def depth(self):
-        return self._rec.depth
-
-    @property
-    def m(self):
-        return self._rec.m
-
-    @property
-    def k(self):
-        return self._rec.k
-
-    @property
-    def vocab_key(self):
-        return self._rec.vocab_key
+    def digest(self) -> str:
+        if self._digest is None:
+            if self.depth == 0:
+                self.interner._digest_pending()
+            else:
+                child_digests = tuple(sorted(c.digest for c in self.children()))
+                self._digest = _sha(("t", self.depth, self.vocab_key, self.m, self.k,
+                                     child_digests))
+        return self._digest
 
     @property
     def payload(self):
         """Depth 0: the realized diagrams, sorted as tuples; deeper: the
         sorted member ids."""
-        rec = self._rec
-        if rec.depth == 0:
-            return tuple(sorted(self.interner.diagram(d) for d in rec.payload))
-        return rec.payload
-
-    @property
-    def digest(self):
-        return self._rec.digest
+        if self.depth == 0:
+            return tuple(sorted(map(self.interner.diagram, self.ids)))
+        return self.ids
 
     @property
     def const_diag(self):
         """The constant diagram in bool form (None for an empty node)."""
-        cid = self._rec.const_diag
-        return None if cid is None else self.interner.diagram(cid)
+        return None if self.const_id is None else self.interner.diagram(self.const_id)
 
     def children(self) -> tuple:
         if self.depth == 0:
             raise HintikkaError("depth-0 theory has no member theories")
-        return tuple(Theory(self.interner, c) for c in self.payload)
+        return tuple(map(self.interner.rec, self.ids))
 
     def sig_str(self) -> str:
         return ",".join(f"{n}/{a}" for n, a in self.vocab_key) or "-"
@@ -299,9 +272,11 @@ class Theory:
         return header + "\n" + self._render() + "\n"
 
     def _render(self) -> str:
+        """Depth-0 members by digest; every set of members ordered by digest."""
         if self.depth == 0:
-            return f"#{self.intern_id}"
-        return "{" + ",".join(c._render() for c in self.children()) + "}"
+            return self.digest
+        members = sorted(self.children(), key=lambda c: c.digest)
+        return "{" + ",".join(c._render() for c in members) + "}"
 
 
 def compute_theory(m: Structure, n: int, interner: Interner = None,
@@ -318,7 +293,7 @@ def compute_theory(m: Structure, n: int, interner: Interner = None,
     memo_key = (m.key(), n)
     cached = interner.theory_memo.get(memo_key)
     if cached is not None:
-        return Theory(interner, cached)
+        return interner.rec(cached)
 
     vocab = m.vocab
     r = vocab.arity + 1
@@ -341,9 +316,8 @@ def compute_theory(m: Structure, n: int, interner: Interner = None,
         children = {rec(extra + (u,), depth - 1) for u in all_masks}
         return interner.intern_node(depth, vocab_key, m_eff, k, children)
 
-    tid = rec((), n)
-    interner.theory_memo[memo_key] = tid
-    return Theory(interner, tid)
+    tid = interner.theory_memo[memo_key] = rec((), n)
+    return interner.rec(tid)
 
 
 # ---------------------------------------------------------------------------
@@ -392,28 +366,27 @@ class FormalTheorySpace:
     interner: Interner = field(default=None, repr=False, compare=False)
 
     def contains(self, theory: Theory) -> bool:
-        rec = theory._rec
-        if rec.depth != self.depth or rec.vocab_key != self.vocab.key():
+        if theory.interner is not self.interner:
+            raise SignatureError("theories come from different interners")
+        if theory.depth != self.depth or theory.vocab_key != self.vocab.key():
             return False
-        if rec.m != self.vocab.num_sets or rec.k != self.vocab.num_consts:
+        if theory.m != self.vocab.num_sets or theory.k != self.vocab.num_consts:
             return False
         if self.depth == 0:
             return theory.intern_id in self.base_ids
         return all(self.inner.contains(c) for c in theory.children())
 
     def members(self):
-        """Iterate members as Theory handles (materializes; keep spaces small)."""
+        """Iterate the member theories (materializes; keep spaces small)."""
         if self.depth == 0:
-            for tid in sorted(self.base_ids):
-                yield Theory(self.interner, tid)
+            yield from map(self.interner.rec, sorted(self.base_ids))
             return
         inner_ids = sorted(t.intern_id for t in self.inner.members())
         vk = self.vocab.key()
         for n_take in range(len(inner_ids) + 1):
             for combo in itertools.combinations(inner_ids, n_take):
-                tid = self.interner.intern_node(
-                    self.depth, vk, self.vocab.num_sets, self.vocab.num_consts, combo)
-                yield Theory(self.interner, tid)
+                yield self.interner.rec(self.interner.intern_node(
+                    self.depth, vk, self.vocab.num_sets, self.vocab.num_consts, combo))
 
 
 def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
@@ -599,7 +572,7 @@ def theories_equal_on_sentences(m1: Structure, m2: Structure, d: int,
         raise SignatureError("structures have different vocabularies")
     t1 = compute_theory(m1, d, interner, config)
     t2 = compute_theory(m2, d, interner, config)
-    if t1.intern_id != t2.intern_id:
+    if t1 is not t2:
         return AgreementReport(False, 0, 0, ())
     disagreements = []
     agreements = 0

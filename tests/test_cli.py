@@ -125,6 +125,15 @@ def _fresh_run(*argv):
     return done.stdout
 
 
+def test_theory_dump_is_the_same_fresh_and_after_a_warm_up(files, capsys):
+    """The dump names members by digest, so a fresh interpreter and this
+    one, whose default interner other commands have filled, print the same."""
+    argv = ["theory", "--model", files["p3.struct"], "--depth", "1", "--dump"]
+    fresh = _fresh_run(*argv)
+    _capture(capsys, ["theory", "--model", files["k2a.struct"], "--depth", "1"])
+    assert _capture(capsys, argv)[1].encode() == fresh
+
+
 def test_spectrum_whole_file_golden(tmp_path):
     """Whole-file spectrum output of the depth-0 disjoint-union closure over
     all graphs of size at most 1, pinned byte for byte: 17 digests, one

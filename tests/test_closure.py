@@ -7,6 +7,7 @@ Claims:
       computation on explicit paths)
     - monotone growth, fixpoint stability under one extra sweep
     - facts files round-trip and feed spectra
+    - a base theory of another interner is refused, never closed over
 """
 
 import itertools
@@ -26,7 +27,8 @@ from hintikka.closure import (
 from hintikka.composition import disjoint_union_scheme, plain_union_scheme
 from hintikka.errors import HintikkaError, ParseError
 from hintikka.structures import Structure, Vocabulary, path_graph
-from hintikka.theory import Theory, compute_theory, default_interner, small_model_theories
+from hintikka.theory import (Interner, Theory, compute_theory, default_interner,
+                             small_model_theories)
 
 GRAPHS = Vocabulary((("E", 2),))
 CHAIN = plain_union_scheme(2, 2, 2, ident=((1, 0),),
@@ -222,3 +224,15 @@ def test_depth1_disjoint_union_converges():
     assert st.status == "converged"
     results = validate_replay(st)
     assert all(ok for ok, _ in results.values())
+
+
+def test_close_refuses_base_theories_of_another_interner():
+    """An id means nothing in another interner: there it names another
+    theory (the other interner's theory 0 is a single vertex) or none."""
+    own, other = Interner(), Interner()
+    k2 = k2_graph()
+    t = compute_theory(k2, 0, own)
+    compute_theory(Structure(GRAPHS, 1), 0, other)
+    for interner in (other, Interner()):
+        with pytest.raises(HintikkaError, match="filed under k=0 comes from another interner"):
+            close({0: [(t, 2, k2)]}, [disjoint_union_scheme()], 0, interner=interner)

@@ -26,6 +26,9 @@ Claims:
     - no module under src/hintikka imports ``concurrent``,
       ``multiprocessing`` or ``threading``, so every command runs in one
       thread of one process and the unlocked ``Interner`` stays safe
+    - no module under src/hintikka but ``theory.py`` calls ``Theory``: the
+      interner builds one object per theory value, and a second object for
+      one value would break identity equality
 """
 
 import ast
@@ -302,3 +305,23 @@ def test_scan_finds_a_concurrency_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_concurrency_imports(path):
     assert concurrency_imports(path.read_text(encoding="utf-8")) == []
+
+
+def theory_constructions(source: str) -> list:
+    """Lines of the calls to ``Theory``, by name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Theory")
+
+
+def test_scan_finds_a_theory_construction():
+    source = ("from .theory import Theory\nfrom . import theory\n"
+              "def handle(interner, tid):\n"
+              "    return Theory(interner, tid), theory.Theory(interner, tid)\n")
+    assert theory_constructions(source) == [4, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "theory.py"],
+                         ids=lambda p: p.name)
+def test_only_the_interner_builds_theories(path):
+    assert theory_constructions(path.read_text(encoding="utf-8")) == []

@@ -9,11 +9,14 @@ Claims:
       the interner gave them, and whether it is made in one batch with
       other theories or alone
     - digests are made when first read, each record's once
+    - an interner builds one Theory per value, and hands out that object
+      from compute_theory, transfer, rec and children alike
     - a fresh interner starts with every table empty, and work in it leaves
       the default interner alone
     - Th^0 from the diagram engine equals a brute-force build, one diagram
       per tuple, on the subset-table path and on the per-mask path
-    - every realizable theory is a member of the formal space
+    - every realizable theory is a member of the formal space, which
+      refuses a theory of another interner
     - formal spaces obey the powerset law and refuse over budget
     - small-model tables over class representatives equal those over every
       labelled structure, intern ids and witnesses included
@@ -33,7 +36,7 @@ from hintikka import theory as theory_module
 from hintikka.composition import disjoint_union_scheme, glue, plain_union_scheme, transfer
 from hintikka.config import Config
 from hintikka.diagrams import DiagramEngine, complete_diagrams, partitions, qf_core
-from hintikka.errors import BudgetError
+from hintikka.errors import BudgetError, SignatureError
 from hintikka.structures import (
     Structure,
     Vocabulary,
@@ -141,7 +144,7 @@ def test_depth0_digest_is_sorted_diagram_repr(picked, others, const_diag, seed):
         interner.diagram_id(d)
     tid = interner.intern_depth0(VOCAB_KEY, 1, 1, {interner.diagram_id(d) for d in picked},
                                  interner.diagram_id(const_diag))
-    t = Theory(interner, tid)
+    t = interner.rec(tid)
     diagrams = tuple(sorted(set(picked)))
     canonical = ("t0", VOCAB_KEY, 1, 1, diagrams, const_diag)
     assert t.digest == hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
@@ -206,6 +209,22 @@ def test_digests_are_made_when_first_read(monkeypatch):
     assert [interner.rec(tid).digest for tid in range(len(interner))] == digests
     assert len(hashed) == len(interner)
     assert glued.digest == compute_theory(glue(m1, m2, point), 1, Interner()).digest
+
+
+def test_one_theory_object_per_value():
+    interner = Interner()
+    m1, m2 = path_graph(3, 1, (1,)), path_graph(2, 1, (0,))
+    t1 = compute_theory(m1, 1, interner)
+    assert type(t1) is Theory and t1 is compute_theory(m1, 1, interner)
+    assert t1 is interner.rec(t1.intern_id)
+    assert all(c is interner.rec(tid) for c, tid in zip(t1.children(), t1.ids))
+    point = plain_union_scheme(1, 1, 1, ident=((0, 0),), result_refs=(("s", 0, 0),))
+    glued = transfer(t1, compute_theory(m2, 1, interner), point)
+    assert glued is interner.rec(glued.intern_id)
+    assert glued is compute_theory(glue(m1, m2, point), 1, interner)
+    # equal digests in two interners, yet two theories
+    elsewhere = compute_theory(m1, 1, Interner())
+    assert elsewhere.digest == t1.digest and elsewhere != t1
 
 
 def test_fresh_interner_sizes():
@@ -307,11 +326,10 @@ def test_bool_form_ids_are_engine_ids():
             m = rand_structure(Vocabulary(preds, k, num_sets), size, rng)
             t = compute_theory(m, 1, interner)
             for t0 in (compute_theory(m, 0, interner),) + t.children():
-                rec = t0._rec
                 assert [interner.diagram_id(d) for d in t0.payload] == sorted(
-                    rec.payload, key=interner.diagram)
-                assert interner.diagram_id(t0.const_diag) == rec.const_diag
-            assert interner.diagram_id(t.const_diag) == t._rec.const_diag
+                    t0.ids, key=interner.diagram)
+                assert interner.diagram_id(t0.const_diag) == t0.const_id
+            assert interner.diagram_id(t.const_diag) == t.const_id
 
 
 def test_payload_bound():
@@ -366,6 +384,18 @@ def test_realizable_subset_of_formal():
     # depth 1 membership via the symbolic powerset
     sp1 = enumerate_formal(v0, 1, budget=2 ** 22)
     assert sp1.contains(compute_theory(Structure(v0, 2), 1))
+
+
+def test_formal_space_refuses_theories_of_another_interner():
+    own, warmed = Interner(), Interner()
+    compute_theory(path_graph(3), 1, warmed)
+    v0 = Vocabulary(())
+    point = Structure(v0, 1)
+    for depth in (0, 1):
+        sp = enumerate_formal(v0, depth, budget=2 ** 22, interner=own)
+        assert sp.contains(compute_theory(point, depth, own))
+        with pytest.raises(SignatureError, match="theories come from different interners"):
+            sp.contains(compute_theory(point, depth, warmed))
 
 
 def test_small_model_theories_graphs():
@@ -428,3 +458,14 @@ def test_dump_format():
     assert head.startswith("theory depth=1 tau=E/2 m=0 k=0 digest=")
     assert len(head.split("digest=")[1]) == 64
     assert dump.splitlines()[1].startswith("{")
+
+
+def test_dump_prints_member_digests_in_digest_order():
+    fresh = compute_theory(path_graph(3), 2, Interner()).dump()
+    warmed = Interner()
+    for m in (k2_graph(), path_graph(4), path_graph(2, 1, (0,))):
+        compute_theory(m, 1, warmed)
+    assert compute_theory(path_graph(3), 2, warmed).dump() == fresh
+    t = compute_theory(path_graph(3), 1, warmed)
+    members = sorted(c.digest for c in t.children())
+    assert t.dump().splitlines()[1] == "{" + ",".join(members) + "}"
