@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain error, 2 budget refusal. All output is
 deterministic given the same inputs, config, and seeds; identifiers printed
-are stable digests, never process-local. Every command runs in one thread.
+are stable digests, never process-local. Every command runs in one thread,
+on an empty default interner, so nothing computed before ``run`` reaches it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .structures import (
     parse_vocab_sig,
     serialize_structure,
 )
-from .theory import compute_theory, default_interner, small_model_theories
+from .theory import compute_theory, default_interner, reset_default_interner, small_model_theories
 
 
 def _read(path: str) -> str:
@@ -147,7 +148,7 @@ def cmd_closure(args, config):
                     entries.append((interner.rec(tid), size, sm.witnesses.get(tid)))
     if not base:
         raise HintikkaError("no base: give --base-model and/or --small-models")
-    state = close(base, schemes, args.depth, args.max_iter, interner)
+    state = close(base, schemes, args.depth, args.max_iter)
     summary = [f"closure status={state.status} iterations={state.iterations} "
                f"facts={len(state.facts)}"]
     for k in sorted(state.per_k):
@@ -412,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    reset_default_interner()        # the output depends on the arguments alone
     try:
         config = load_config(args.config) if args.config else DEFAULT
         return args.fn(args, config)

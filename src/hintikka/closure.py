@@ -8,147 +8,116 @@ facts plus base sizes are the complete input for spectrum computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .composition import distinct_consts, glue, transfer
 from .config import DEFAULT, Config
 from .errors import HintikkaError
 from .lineformat import LineReader
 from .structures import Structure
-from .theory import Interner, compute_theory, default_interner
+from .theory import Theory, compute_theory
 
 
 @dataclass(frozen=True)
 class CompositionFact:
     """One derivation t = F(t1, t2, scheme), with size deficit j."""
 
-    t1: int
-    t2: int
+    t1: Theory
+    t2: Theory
     scheme_id: str
-    t: int
+    t: Theory
     j: int
 
 
 @dataclass
 class ClosureState:
-    per_k: dict                 # k -> frozenset of theory ids
-    facts: tuple                # sorted CompositionFacts
-    base_sizes: dict            # theory id -> tuple of sizes
-    base_witness: dict          # theory id -> Structure
+    per_k: dict                 # k -> frozenset of theories
+    facts: tuple                # CompositionFacts, by intern ids of t1, t2, then scheme
+    base_sizes: dict            # theory -> tuple of sizes
+    base_witness: dict          # theory -> Structure
     schemes: dict               # scheme_id -> Scheme
     depth: int
     iterations: int
     status: str                 # "converged" | "not-converged"
-    interner: Interner = field(repr=False, default=None)
 
     def reachable(self) -> frozenset:
-        out = set()
-        for ids in self.per_k.values():
-            out |= ids
-        return frozenset(out)
-
-    def digest_of(self, tid: int) -> str:
-        return self.interner.rec(tid).digest
+        return frozenset().union(*self.per_k.values())
 
 
-def close(base, schemes, depth: int, max_iter: int = 64,
-          interner: Interner = None) -> ClosureState:
+def close(base, schemes, depth: int, max_iter: int = 64) -> ClosureState:
     """Iterate T_k <- T_k + {transfer(t1, t2, s)} to the fixpoint.
 
     ``base`` maps a constant count k to an iterable of (Theory, size) or
-    (Theory, size, witness Structure) entries, every theory from
-    ``interner``. Stops at the first fully
-    stationary sweep, or reports "not-converged" after max_iter sweeps.
+    (Theory, size, witness Structure) entries, every theory from one
+    interner. Stops at the first sweep that adds no fact, or reports
+    "not-converged" after max_iter sweeps. Pairs are transferred in the
+    order of their intern ids, so the same base interns the same ids.
     Theories whose constants are not pairwise distinct stay reachable but
     are never used as gluing inputs (the scheme size law needs distinctness).
     """
     if max_iter < 1:
         raise HintikkaError("max_iter must be >= 1")
-    interner = default_interner() if interner is None else interner
     scheme_map = {s.scheme_id: s for s in schemes}
 
-    per_k = {}
-    base_sizes = {}
-    base_witness = {}
+    per_k, base_sizes, base_witness, interner = {}, {}, {}, None
     for k, entries in base.items():
-        ids = set()
-        for entry in entries:
-            theory, size = entry[0], entry[1]
-            witness = entry[2] if len(entry) > 2 else None
-            tid = theory.intern_id
-            if theory.interner is not interner:
-                raise HintikkaError(f"base theory filed under k={k} comes from another interner")
+        theories = per_k[k] = set()
+        for theory, size, *witness in entries:
+            if interner is None:
+                interner = theory.interner
+            elif theory.interner is not interner:
+                raise HintikkaError(f"base theory {theory.digest} filed under k={k} "
+                                    "comes from another interner than the first")
             if theory.k != k:
                 raise HintikkaError(f"base theory with k={theory.k} filed under k={k}")
-            ids.add(tid)
-            base_sizes.setdefault(tid, set()).add(size)
-            if witness is not None and tid not in base_witness:
-                base_witness[tid] = witness
-        per_k[k] = ids
+            theories.add(theory)
+            base_sizes.setdefault(theory, set()).add(size)
+            if witness and witness[0] is not None:
+                base_witness.setdefault(theory, witness[0])
 
-    facts = {}
-    fresh = {k: set(ids) for k, ids in per_k.items()}
-    iterations = 0
+    facts = []
+    fresh = per_k               # the first sweep pairs base with base
     status = "not-converged"
-
-    for _ in range(max_iter):
-        iterations += 1
+    for iterations in range(1, max_iter + 1):
+        known = len(facts)
         new_by_k = {}
-        added_fact = False
         for sid in sorted(scheme_map):
             s = scheme_map[sid]
-            t1_all = sorted(per_k.get(s.k1, ()))
-            t2_all = sorted(per_k.get(s.k2, ()))
-            t1_new = sorted(fresh.get(s.k1, ()))
-            t2_new = sorted(fresh.get(s.k2, ()))
-            pairs = set()
-            for a in t1_new:
-                for b in t2_all:
-                    pairs.add((a, b))
-            for a in t1_all:
-                for b in t2_new:
-                    pairs.add((a, b))
-            for a, b in sorted(pairs):
-                if (a, b, sid) in facts:
-                    continue
-                t1, t2 = interner.rec(a), interner.rec(b)
+            # new x all, then all x new: every pair holds a theory first
+            # reached in the sweep before, so none was transferred yet
+            pairs = {(a, b) for a in fresh.get(s.k1, ()) for b in per_k.get(s.k2, ())}
+            pairs.update((a, b) for a in per_k.get(s.k1, ()) for b in fresh.get(s.k2, ()))
+            for t1, t2 in sorted(pairs, key=lambda p: (p[0].intern_id, p[1].intern_id)):
                 if not (distinct_consts(t1) and distinct_consts(t2)):
                     continue
-                t = transfer(t1, t2, s, interner)
-                facts[(a, b, sid)] = CompositionFact(a, b, sid, t.intern_id, s.j)
-                added_fact = True
-                if t.intern_id not in per_k.setdefault(s.k, set()):
-                    new_by_k.setdefault(s.k, set()).add(t.intern_id)
-        grew = False
-        for k, new_ids in new_by_k.items():
-            if new_ids:
-                per_k[k] |= new_ids
-                grew = True
+                t = transfer(t1, t2, s)
+                facts.append(CompositionFact(t1, t2, sid, t, s.j))
+                if t not in per_k.setdefault(s.k, set()):
+                    new_by_k.setdefault(s.k, set()).add(t)
+        for k, new in new_by_k.items():
+            per_k[k] |= new
         fresh = new_by_k
-        if not grew and not added_fact:
+        if len(facts) == known:
             status = "converged"
             break
 
+    facts.sort(key=lambda f: (f.t1.intern_id, f.t2.intern_id, f.scheme_id))
     return ClosureState(
-        per_k={k: frozenset(ids) for k, ids in per_k.items()},
-        facts=tuple(sorted(facts.values(),
-                           key=lambda f: (f.t1, f.t2, f.scheme_id))),
-        base_sizes={tid: tuple(sorted(s)) for tid, s in base_sizes.items()},
+        per_k={k: frozenset(ts) for k, ts in per_k.items()},
+        facts=tuple(facts),
+        base_sizes={t: tuple(sorted(s)) for t, s in base_sizes.items()},
         base_witness=base_witness,
         schemes=scheme_map,
         depth=depth,
         iterations=iterations,
         status=status,
-        interner=interner,
     )
 
 
 def minimal_derivations(state: ClosureState):
     """Per theory, the smallest witness size and the fact (or None) that
     attains it; ties broken by fact order."""
-    best = {}
-    for tid, sizes in state.base_sizes.items():
-        best[tid] = (min(sizes), None)
+    best = {t: (min(sizes), None) for t, sizes in state.base_sizes.items()}
     changed = True
     while changed:
         changed = False
@@ -163,33 +132,34 @@ def minimal_derivations(state: ClosureState):
     return best
 
 
-def replay_witness(state: ClosureState, tid: int) -> Structure:
+def replay_witness(state: ClosureState, theory: Theory) -> Structure:
     """Build an explicit structure realizing a reachable theory by replaying
     its minimal derivation."""
     derivations = minimal_derivations(state)
 
     def build(t):
         if t not in derivations:
-            raise HintikkaError(f"theory {t} not reachable")
+            raise HintikkaError(f"theory {t.digest} not reachable")
         _, fact = derivations[t]
         if fact is None:
             witness = state.base_witness.get(t)
             if witness is None:
-                raise HintikkaError(f"no base witness stored for theory {t}")
+                raise HintikkaError(f"no base witness stored for theory {t.digest}")
             return witness
         scheme = state.schemes[fact.scheme_id]
         return glue(build(fact.t1), build(fact.t2), scheme)
 
-    return build(tid)
+    return build(theory)
 
 
 def validate_replay(state: ClosureState, config: Config = DEFAULT) -> dict:
-    """Check compute_theory(replay_witness(t)) == t for every reachable theory."""
+    """Check compute_theory(replay_witness(t)) is t for every reachable
+    theory, in intern order."""
     results = {}
-    for tid in sorted(state.reachable()):
-        witness = replay_witness(state, tid)
-        got = compute_theory(witness, state.depth, state.interner, config)
-        results[tid] = (got.intern_id == tid, witness.size)
+    for t in sorted(state.reachable(), key=lambda t: t.intern_id):
+        witness = replay_witness(state, t)
+        got = compute_theory(witness, state.depth, t.interner, config)
+        results[t] = (got is t, witness.size)
     return results
 
 
@@ -200,14 +170,12 @@ def validate_replay(state: ClosureState, config: Config = DEFAULT) -> dict:
 def write_facts(state: ClosureState) -> str:
     lines = []
     for k in sorted(state.per_k):
-        for tid in sorted(state.per_k[k], key=lambda t: state.digest_of(t)):
-            for size in state.base_sizes.get(tid, ()):
-                lines.append(f"base t={state.digest_of(tid)} size={size} k={k}")
-    for fact in state.facts:
-        lines.append(
-            f"fact t1={state.digest_of(fact.t1)} t2={state.digest_of(fact.t2)} "
-            f"scheme={fact.scheme_id} t={state.digest_of(fact.t)} j={fact.j}"
-        )
+        for t in sorted(state.per_k[k], key=lambda t: t.digest):
+            for size in state.base_sizes.get(t, ()):
+                lines.append(f"base t={t.digest} size={size} k={k}")
+    for f in state.facts:
+        lines.append(f"fact t1={f.t1.digest} t2={f.t2.digest} "
+                     f"scheme={f.scheme_id} t={f.t.digest} j={f.j}")
     return "\n".join(lines) + "\n"
 
 

@@ -59,9 +59,9 @@ DEFAULT = Config()
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def load_config(path, base: Config = DEFAULT) -> Config:
-    """Read ``key = value`` lines into a Config; every int is non-negative."""
-    kinds = {f: type(getattr(base, f)) for f in base.__dataclass_fields__}
+def load_config(path) -> Config:
+    """Read ``key = value`` lines overriding DEFAULT; every int is non-negative."""
+    kinds = {f: type(getattr(DEFAULT, f)) for f in DEFAULT.__dataclass_fields__}
     with open(path, "r", encoding="utf-8") as fh:
         reader = LineReader(fh.read())
     overrides = {}
@@ -77,4 +77,4 @@ def load_config(path, base: Config = DEFAULT) -> Config:
         else:
             raise reader.error(f"bad value for {key}: expected one of "
                                f"{', '.join(_BOOLEANS)}, got {value!r}")
-    return replace(base, **overrides)
+    return replace(DEFAULT, **overrides)

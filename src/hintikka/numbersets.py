@@ -554,7 +554,8 @@ def verify_certificate(sys: QuadrupleSystem, cert: PeriodicityCertificate) -> bo
     """Independent re-check: a fresh saturation (of a copy of ``sys``, so no
     memo filled while the certificate was made is read), exact periodicity
     on the verified range, and (when present) pump validity, increment
-    divisibility, and a few pumped members landing back in the reach set."""
+    divisibility, and a few pumped members landing back in the reach set.
+    A certificate that fails any of these is refused with False."""
     fresh = QuadrupleSystem(sys.m, sys.rules, sys.base)     # empty memo
     rr = reach(fresh, cert.verified_to)
     vals = set(rr.values(cert.label))
@@ -570,7 +571,10 @@ def verify_certificate(sys: QuadrupleSystem, cert: PeriodicityCertificate) -> bo
         if pair.delta <= 0 or pair.delta % cert.period != 0:
             return False
         for i in range(1, 4):
-            pumped = pump(tree, pair, i)
+            try:
+                pumped = pump(tree, pair, i)
+            except HintikkaError:           # a path names no node, or no pump pair
+                return False
             if validate_tree(sys, pumped) is not None:
                 return False
             if pumped.value != tree.value + i * pair.delta:

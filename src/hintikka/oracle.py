@@ -166,35 +166,58 @@ def _is_fo_block(phi, r: int) -> bool:
     return nvars <= r and quantifier_depth(phi) == 0
 
 
-def eval_formula(m: Structure, phi, env=None, config: Config = DEFAULT) -> bool:
-    """Standard MSO satisfaction by exhaustive assignment enumeration."""
+def _check_formula(phi, vocab: Vocabulary, fo=frozenset(), so=frozenset()) -> None:
+    """Refuse a formula that does not fit ``vocab``, before any evaluation
+    (which short-circuits, so it may never reach a bad atom): a relation
+    atom names a predicate with its number of terms, every ``c<i>`` and
+    ``P<j>`` exists, and every variable is bound (``fo`` and ``so`` hold the
+    bound first-order and set variables)."""
+    if isinstance(phi, (ExistsFO, ForallFO)):
+        fo = fo | {phi.var}
+    elif isinstance(phi, (ExistsSet, ForallSet)):
+        so = so | {phi.var}
+    terms, fault = (), None
+    if isinstance(phi, Rel):
+        terms, arity = phi.terms, dict(vocab.predicates).get(phi.name)
+        if arity is None:
+            fault = f"no predicate {phi.name} in the vocabulary {vocab.sig()}"
+        elif arity != len(terms):
+            fault = f"{phi.name} takes {arity} terms, not {len(terms)}"
+    elif isinstance(phi, Eq):
+        terms = (phi.left, phi.right)
+    elif isinstance(phi, InSet):
+        terms, sref = (phi.term,), phi.sref
+        if isinstance(sref, PSet) and sref.index >= vocab.num_sets:
+            fault = f"no set P{sref.index}: the vocabulary has {vocab.num_sets} sets"
+        elif isinstance(sref, SVar) and sref.name not in so:
+            fault = f"unbound set variable {sref.name}"
+    for t in terms:
+        if isinstance(t, Cst) and t.index >= vocab.num_consts:
+            fault = fault or (f"no constant c{t.index}: the vocabulary has "
+                              f"{vocab.num_consts} constants")
+        elif isinstance(t, Var) and t.name not in fo:
+            fault = fault or f"unbound variable {t.name}"
+    if fault is not None:
+        raise HintikkaError(f"atom {format_formula(phi)}: {fault}")
+    for child in _children(phi):
+        _check_formula(child, vocab, fo, so)
+
+
+def eval_formula(m: Structure, phi, config: Config = DEFAULT) -> bool:
+    """Standard MSO satisfaction by exhaustive assignment enumeration; a
+    formula that does not fit the structure's vocabulary is refused."""
+    _check_formula(phi, m.vocab)
     sd = set_depth(phi)
     fo_d = quantifier_depth(phi) - sd
     bits = m.size * sd + fo_d * max(1, m.size.bit_length())
     config.check("eval_bits", bits, config.eval_bits_max)
-    env = dict(env or {})
     universe = range(m.size)
-    subsets = None
 
     def term_val(t, env):
-        if isinstance(t, Cst):
-            if not (0 <= t.index < len(m.consts)):
-                raise HintikkaError(f"constant c{t.index} not in structure")
-            return m.consts[t.index]
-        val = env.get(("v", t.name))
-        if val is None:
-            raise HintikkaError(f"unbound variable {t.name}")
-        return val
+        return m.consts[t.index] if isinstance(t, Cst) else env[("v", t.name)]
 
     def set_val(s, env):
-        if isinstance(s, PSet):
-            if not (0 <= s.index < len(m.sets)):
-                raise HintikkaError(f"set P{s.index} not in structure")
-            return m.sets[s.index]
-        val = env.get(("S", s.name))
-        if val is None:
-            raise HintikkaError(f"unbound set variable {s.name}")
-        return val
+        return m.sets[s.index] if isinstance(s, PSet) else env[("S", s.name)]
 
     def rec(phi, env):
         if isinstance(phi, Rel):
@@ -227,11 +250,7 @@ def eval_formula(m: Structure, phi, env=None, config: Config = DEFAULT) -> bool:
             )
         raise HintikkaError(f"unknown formula node {phi!r}")
 
-    wrapped = {}
-    for key, val in env.items():
-        wrapped[("S" if isinstance(val, (set, frozenset)) else "v", key)] = \
-            frozenset(val) if isinstance(val, (set, frozenset)) else val
-    return rec(phi, wrapped)
+    return rec(phi, {})
 
 
 def spectrum_bruteforce(phi, vocab: Vocabulary, max_size: int,
@@ -241,6 +260,7 @@ def spectrum_bruteforce(phi, vocab: Vocabulary, max_size: int,
 
     if max_size < 0:
         raise HintikkaError("size bound must be a natural number")
+    _check_formula(phi, vocab)
     out = set()
     for size in range(1, max_size + 1):
         for m in enumerate_representatives(vocab, size, config):

@@ -44,7 +44,7 @@ from .structures import (
     path_graph,
     serialize_structure,
 )
-from .theory import compute_theory, default_interner, enumerate_formal
+from .theory import compute_theory, enumerate_formal
 
 
 def _rand_structure(vocab, size, rng):
@@ -166,19 +166,16 @@ def check_sentences(seed):
 
 
 def check_closure_spectra():
-    interner = default_interner()
     v = Vocabulary((("E", 2),))
     k2 = Structure(v, 2, (frozenset({(0, 1), (1, 0)}),))
-    st = close({0: [(compute_theory(k2, 0, interner), 2, k2)]},
-               [disjoint_union_scheme()], depth=0, interner=interner)
+    st = close({0: [(compute_theory(k2, 0), 2, k2)]}, [disjoint_union_scheme()], depth=0)
     ok = st.status == "converged"
     ok &= class_spectrum(st, 8) == (2, 4, 6, 8)
     ok &= all(good for good, _ in validate_replay(st).values())
     p2 = path_graph(2, 2, (0, 1))
     chain = plain_union_scheme(2, 2, 2, ((1, 0),),
                                result_refs=(("1", 0), ("2", 1)), name="chain")
-    st2 = close({2: [(compute_theory(p2, 0, interner), 2, p2)]},
-                [chain], depth=0, interner=interner)
+    st2 = close({2: [(compute_theory(p2, 0), 2, p2)]}, [chain], depth=0)
     ok &= st2.status == "converged"
     ok &= class_spectrum(st2, 8) == (2, 3, 4, 5, 6, 7, 8)
     certs = []

@@ -23,12 +23,8 @@ def induce_system(state: ClosureState):
     """The system of a closure state, built from its digest-level base
     sizes and facts: every reachable theory is a base theory or the result
     of a fact, so the labels are its reachable theories."""
-    digest = state.digest_of
-    base = {}
-    for tid, sizes in state.base_sizes.items():
-        base.setdefault(digest(tid), set()).update(sizes)
-    facts = [(digest(f.t1), digest(f.t2), f.scheme_id, digest(f.t), f.j)
-             for f in state.facts]
+    base = {t.digest: set(sizes) for t, sizes in state.base_sizes.items()}
+    facts = [(f.t1.digest, f.t2.digest, f.scheme_id, f.t.digest, f.j) for f in state.facts]
     return induce_system_from_facts(base, facts)
 
 
@@ -126,9 +122,8 @@ def sentence_spectrum(state: ClosureState, phi, bound: int,
     from .closure import replay_witness
     from .oracle import eval_formula, fragment_depth
 
-    some_tid = min(state.reachable())
-    vocab_key = state.interner.rec(some_tid).vocab_key
-    r = max([1] + [a for _, a in vocab_key]) + 1
+    reachable = sorted(state.reachable(), key=lambda t: t.intern_id)
+    r = max([1] + [a for _, a in reachable[0].vocab_key]) + 1
     d = fragment_depth(phi, r)
     if d is None:
         raise HintikkaError("sentence is outside the fragment decided by theories")
@@ -138,10 +133,9 @@ def sentence_spectrum(state: ClosureState, phi, bound: int,
     sys, digests = induce_system(state)
     rr = reach(sys, bound)
     out = set()
-    for tid in sorted(state.reachable()):
-        witness = replay_witness(state, tid)
-        if eval_formula(witness, phi, config=config):
-            label = digests.index(state.digest_of(tid))
+    for t in reachable:
+        if eval_formula(replay_witness(state, t), phi, config=config):
+            label = digests.index(t.digest)
             out.update(rr.values(label))
     return tuple(sorted(out))
 

@@ -207,6 +207,13 @@ def default_interner() -> Interner:
     return _DEFAULT_INTERNER
 
 
+def reset_default_interner() -> None:
+    """Make the default interner an empty one; theories made before are
+    refused wherever they meet theories made after."""
+    global _DEFAULT_INTERNER
+    _DEFAULT_INTERNER = Interner()
+
+
 class Theory:
     """One interned theory value. Its interner builds exactly one per
     value, so two theories of one interner are equal exactly when they are

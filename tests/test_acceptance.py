@@ -217,18 +217,18 @@ def test_criterion_4_closure_soundness_completeness():
     k2 = k2_graph()
     for depth in (0, 1):
         st = close({0: [(compute_theory(k2, depth, interner), 2, k2)]},
-                   [disjoint_union_scheme()], depth=depth, interner=interner)
+                   [disjoint_union_scheme()], depth=depth)
         legs.append(("disjoint-union", depth, st, [k2], disjoint_union_scheme()))
 
     p2 = path_graph(2, 2, (0, 1))
     st_paths0 = close({2: [(compute_theory(p2, 0, interner), 2, p2)]},
-                      [CHAIN], depth=0, interner=interner)
+                      [CHAIN], depth=0)
     legs.append(("glue-paths", 0, st_paths0, [p2], CHAIN))
 
     # paths at depth 1: three sweeps cover every <=3-composition witness;
     # full convergence is out of desk-scale reach (see the convergence test)
     st_paths1 = close({2: [(compute_theory(p2, 1, interner), 2, p2)]},
-                      [CHAIN], depth=1, max_iter=3, interner=interner)
+                      [CHAIN], depth=1, max_iter=3)
     legs.append(("glue-paths", 1, st_paths1, [p2], CHAIN))
 
     for name, depth, st, pieces, scheme in legs:
@@ -237,7 +237,7 @@ def test_criterion_4_closure_soundness_completeness():
         reachable = st.reachable()
         for witness in _compositions_up_to(pieces, scheme, 3):
             t = compute_theory(witness, depth, interner)
-            assert t.intern_id in reachable, \
+            assert t in reachable, \
                 f"{name} n={depth}: witness of size {witness.size} missing"
         results = validate_replay(st)
         assert all(ok for ok, _ in results.values()), f"{name} n={depth} replay"
@@ -256,7 +256,7 @@ def test_criterion_4_paths_depth1_convergence():
     interner = default_interner()
     p2 = path_graph(2, 2, (0, 1))
     st = close({2: [(compute_theory(p2, 1, interner), 2, p2)]},
-               [CHAIN], depth=1, max_iter=3, interner=interner)
+               [CHAIN], depth=1, max_iter=3)
     assert st.status == "converged"
 
 
@@ -301,14 +301,14 @@ def test_criterion_5_spectra_vs_oracle():
     interner = default_interner()
     k2 = k2_graph()
     st_match = close({0: [(compute_theory(k2, 0, interner), 2, k2)]},
-                     [disjoint_union_scheme()], depth=0, interner=interner)
+                     [disjoint_union_scheme()], depth=0)
     compositional = frozenset(class_spectrum(st_match, 8))
     oracle = _matching_oracle_sizes(8)
     assert compositional == oracle == frozenset({2, 4, 6, 8})
 
     p2 = path_graph(2, 2, (0, 1))
     st_paths = close({2: [(compute_theory(p2, 0, interner), 2, p2)]},
-                     [CHAIN], depth=0, interner=interner)
+                     [CHAIN], depth=0)
     assert class_spectrum(st_paths, 8) == (2, 3, 4, 5, 6, 7, 8)
     _report(5, "spectra vs oracle",
             "matching class = evens {2,4,6,8} = brute force; paths = {2..8}")
@@ -394,10 +394,10 @@ def test_criterion_9_gap_auditor():
     interner = default_interner()
     k2 = k2_graph()
     st_match = close({0: [(compute_theory(k2, 0, interner), 2, k2)]},
-                     [disjoint_union_scheme()], depth=0, interner=interner)
+                     [disjoint_union_scheme()], depth=0)
     p2 = path_graph(2, 2, (0, 1))
     st_paths = close({2: [(compute_theory(p2, 0, interner), 2, p2)]},
-                     [CHAIN], depth=0, interner=interner)
+                     [CHAIN], depth=0)
     audited = 0
     for st in (st_match, st_paths):
         _, digests = induce_system(st)

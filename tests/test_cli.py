@@ -19,6 +19,7 @@ from hintikka.structures import (
     path_graph,
     serialize_structure,
 )
+from hintikka.theory import compute_theory
 
 
 @pytest.fixture
@@ -116,8 +117,8 @@ def test_closure_spectrum_pipeline(files, capsys, tmp_path):
 
 
 def _fresh_run(*argv):
-    """stdout of the CLI run in a fresh interpreter, where no earlier test
-    has moved the intern order; the command must exit 0."""
+    """stdout of the CLI run in a fresh interpreter, through the module
+    entry point; the command must exit 0."""
     env = dict(os.environ, PYTHONPATH=str(Path(hintikka.__file__).resolve().parent.parent))
     done = subprocess.run([sys.executable, "-m", "hintikka.cli", *argv], env=env,
                           capture_output=True, timeout=300)
@@ -126,8 +127,8 @@ def _fresh_run(*argv):
 
 
 def test_theory_dump_is_the_same_fresh_and_after_a_warm_up(files, capsys):
-    """The dump names members by digest, so a fresh interpreter and this
-    one, whose default interner other commands have filled, print the same."""
+    """A fresh interpreter and this one, where other commands have run,
+    print the same dump."""
     argv = ["theory", "--model", files["p3.struct"], "--depth", "1", "--dump"]
     fresh = _fresh_run(*argv)
     _capture(capsys, ["theory", "--model", files["k2a.struct"], "--depth", "1"])
@@ -137,8 +138,8 @@ def test_theory_dump_is_the_same_fresh_and_after_a_warm_up(files, capsys):
 def test_spectrum_whole_file_golden(tmp_path):
     """Whole-file spectrum output of the depth-0 disjoint-union closure over
     all graphs of size at most 1, pinned byte for byte: 17 digests, one
-    system. Each command runs in a fresh interpreter, since the line order
-    of a facts file follows the intern order of the process's interner."""
+    system. Each command runs in a fresh interpreter, as from a shell; the
+    same closure run in-process after other work is pinned below."""
     facts = tmp_path / "du.facts"
     scheme_path = tmp_path / "du.scm"
     scheme_path.write_text("scheme k1=0 k2=0 k=0\n")
@@ -150,6 +151,26 @@ def test_spectrum_whole_file_golden(tmp_path):
     assert out.count(b"spectrum t=") == 17
     assert hashlib.sha256(out).hexdigest() == (
         "bd20abbfcd3a99bb4867efee030b085dc87517f931ea5e516c7e9525b6c79e2b")
+
+
+def test_closure_facts_do_not_follow_earlier_work(tmp_path, capsys):
+    """The facts file lists facts in intern order. Theories computed in
+    this process before the command do not move that order: every command
+    starts from an empty default interner, so the file is the one a fresh
+    interpreter writes."""
+    graphs = Vocabulary((("E", 2),))
+    for m in (path_graph(3), Structure(graphs, 1, (frozenset({(0, 0)}),)),
+              Structure(graphs, 2, (frozenset({(0, 0), (1, 1)}),))):
+        compute_theory(m, 0)
+    facts = tmp_path / "du.facts"
+    scheme_path = tmp_path / "du.scm"
+    scheme_path.write_text("scheme k1=0 k2=0 k=0\n")
+    code, _ = _capture(capsys, ["closure", "--vocab", "E/2", "--depth", "0",
+                                "--scheme", str(scheme_path), "--small-models", "1",
+                                "--facts-out", str(facts)])
+    assert code == 0
+    assert hashlib.sha256(facts.read_bytes()).hexdigest() == (
+        "19b8aefb284eaba4d6c57eb3765ac01bc5dad1b84d43dc360127878d7c8c8cf8")
 
 
 def test_periodicity_and_reach(files, capsys):
@@ -278,6 +299,11 @@ BAD_ARGUMENTS = {
     "smalleq-negative-size-max": "smalleq --model {p3} --depth 0 --size-max -1",
     "oracle-spectrum-negative-max-size":
         "oracle-spectrum --vocab E/2 --formula-file {phi} --max-size -1",
+    "oracle-eval-arity-mismatch": "oracle-eval --model {p3} --formula-file {unary_e}",
+    "oracle-spectrum-arity-mismatch":
+        "oracle-spectrum --vocab E/2 --formula-file {unary_e} --max-size 3",
+    "oracle-eval-unknown-predicate-after-true-part":
+        "oracle-eval --model {p3} --formula-file {or_f}",
     "theory-negative-depth": "theory --model {p3} --depth -1",
     "schemes-negative-k1": "schemes-enumerate --vocab E/2 --k1 -1 --k2 0 --k 0 --kstar 1",
     "schemes-negative-k2": "schemes-enumerate --vocab E/2 --k1 0 --k2 -1 --k 0 --kstar 1",
@@ -304,6 +330,10 @@ REFUSAL_NAMES = {
     "closure-negative-small-models-alone": "--small-models=-1 is not a natural number",
     "closure-base-model-other-signature":
         "signature S/1 sets=0, but --vocab/--sets give E/2 sets=0",
+    "oracle-eval-arity-mismatch": "atom (E x): E takes 2 terms, not 1",
+    "oracle-spectrum-arity-mismatch": "atom (E x): E takes 2 terms, not 1",
+    "oracle-eval-unknown-predicate-after-true-part":
+        "atom (F x x): no predicate F in the vocabulary E/2",
     "pattern-dump-unknown-predicate": "no table 'Q' in this vocabulary; tables: E",
     "pattern-dump-set-column-without-sets": "no table 'P0' in this vocabulary; tables: E",
     "pattern-dump-set-column-out-of-range": "no table 'P3' in this vocabulary; tables: E, P0",
@@ -316,13 +346,18 @@ def test_bad_arguments_refused(case, files, capsys, tmp_path):
     system.write_text("labels 1\nrule 0 0 0 1\nbase 0: 2\n", encoding="utf-8")
     sentence = tmp_path / "nonempty.mso"
     sentence.write_text("(exists x (= x x))\n", encoding="utf-8")
+    unary_e = tmp_path / "unary-e.mso"
+    unary_e.write_text("(exists x (E x))\n", encoding="utf-8")
+    or_f = tmp_path / "or-f.mso"
+    or_f.write_text("(or (exists x (= x x)) (exists x (F x x)))\n", encoding="utf-8")
     union = tmp_path / "du.scm"
     union.write_text("scheme k1=0 k2=0 k=0\n", encoding="utf-8")
     unary = tmp_path / "s1.struct"
     unary.write_text(serialize_structure(
         Structure(Vocabulary((("S", 1),)), 2, (frozenset({(0,)}),))), encoding="utf-8")
     argv = BAD_ARGUMENTS[case].format(p3=files["p3.struct"], qs=system, phi=sentence,
-                                      du=union, s1=unary).split()
+                                      du=union, s1=unary, unary_e=unary_e,
+                                      or_f=or_f).split()
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

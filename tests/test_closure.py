@@ -7,7 +7,8 @@ Claims:
       computation on explicit paths)
     - monotone growth, fixpoint stability under one extra sweep
     - facts files round-trip and feed spectra
-    - a base theory of another interner is refused, never closed over
+    - a base that mixes two interners is refused, never closed over
+    - a base theory whose constants coincide stays reachable, unglued
 """
 
 import itertools
@@ -43,10 +44,10 @@ def _k2_base(interner, depth=0):
 def test_no_schemes_is_base_only():
     interner = default_interner()
     base = _k2_base(interner)
-    st = close(base, [], depth=0, interner=interner)
+    st = close(base, [], depth=0)
     assert st.status == "converged"
     assert st.facts == ()
-    assert st.reachable() == frozenset([base[0][0][0].intern_id])
+    assert st.reachable() == frozenset([base[0][0][0]])
 
 
 def test_disjoint_union_matches_oracle():
@@ -62,14 +63,14 @@ def test_disjoint_union_matches_oracle():
     loop = Structure(GRAPHS, 1, (frozenset({(0, 0)}),))
     pieces = [vertex, loop, k2_graph()]
     base = {0: [(compute_theory(m, 0, interner), m.size, m) for m in pieces]}
-    st = close(base, [disjoint_union_scheme()], depth=0, interner=interner)
+    st = close(base, [disjoint_union_scheme()], depth=0)
     assert st.status == "converged"
 
-    oracle_ids = set()
+    oracle = set()
     seen_keys = set()
 
     def unions(current, total, start):
-        oracle_ids.add(compute_theory(current, 0, interner).intern_id)
+        oracle.add(compute_theory(current, 0, interner))
         for idx in range(start, len(pieces)):
             piece = pieces[idx]
             if total + piece.size > 8:
@@ -83,7 +84,7 @@ def test_disjoint_union_matches_oracle():
 
     for idx, piece in enumerate(pieces):
         unions(piece, piece.size, idx)
-    assert oracle_ids == st.reachable()
+    assert oracle == st.reachable()
 
 
 def _disjoint(m1, m2):
@@ -98,21 +99,20 @@ def test_paths_closure_contains_all_paths():
     interner = default_interner()
     p2 = path_graph(2, 2, (0, 1))
     st = close({2: [(compute_theory(p2, 0, interner), 2, p2)]}, [CHAIN],
-               depth=0, interner=interner)
+               depth=0)
     assert st.status == "converged"
     reachable = st.reachable()
     for length in range(2, 9):
         t = compute_theory(path_graph(length, 2, (0, length - 1)), 0, interner)
-        assert t.intern_id in reachable
+        assert t in reachable
 
 
 def test_fixpoint_stability_one_extra_sweep():
     interner = default_interner()
     p2 = path_graph(2, 2, (0, 1))
     base = {2: [(compute_theory(p2, 0, interner), 2, p2)]}
-    st = close(base, [CHAIN], depth=0, interner=interner)
-    again = close(base, [CHAIN], depth=0, max_iter=st.iterations + 1,
-                  interner=interner)
+    st = close(base, [CHAIN], depth=0)
+    again = close(base, [CHAIN], depth=0, max_iter=st.iterations + 1)
     assert again.status == "converged"
     assert again.per_k == st.per_k
     assert again.facts == st.facts
@@ -122,7 +122,7 @@ def test_not_converged_status():
     interner = default_interner()
     p2 = path_graph(2, 2, (0, 1))
     st = close({2: [(compute_theory(p2, 0, interner), 2, p2)]}, [CHAIN],
-               depth=0, max_iter=1, interner=interner)
+               depth=0, max_iter=1)
     assert st.status == "not-converged"
 
 
@@ -132,38 +132,35 @@ def test_monotone_growth():
     base = {2: [(compute_theory(p2, 0, interner), 2, p2)]}
     sizes = []
     for iters in range(1, 6):
-        st = close(base, [CHAIN], depth=0, max_iter=iters, interner=interner)
+        st = close(base, [CHAIN], depth=0, max_iter=iters)
         sizes.append(len(st.reachable()))
     assert sizes == sorted(sizes)
 
 
 def test_witness_replay_validates():
     interner = default_interner()
-    st = close(_k2_base(interner), [disjoint_union_scheme()], depth=0,
-               interner=interner)
+    st = close(_k2_base(interner), [disjoint_union_scheme()], depth=0)
     results = validate_replay(st)
     assert all(ok for ok, _ in results.values())
     derivs = minimal_derivations(st)
-    for tid, (size, fact) in derivs.items():
-        assert replay_witness(st, tid).size == size
+    for t, (size, fact) in derivs.items():
+        assert replay_witness(st, t).size == size
 
 
 def test_minimal_derivation_sizes():
     interner = default_interner()
-    st = close(_k2_base(interner), [disjoint_union_scheme()], depth=0,
-               interner=interner)
+    st = close(_k2_base(interner), [disjoint_union_scheme()], depth=0)
     derivs = minimal_derivations(st)
     assert sorted(size for size, _ in derivs.values()) == [2, 4, 6]
 
 
 def test_facts_file_roundtrip():
     interner = default_interner()
-    st = close(_k2_base(interner), [disjoint_union_scheme()], depth=0,
-               interner=interner)
+    st = close(_k2_base(interner), [disjoint_union_scheme()], depth=0)
     text = write_facts(st)
     base, facts = parse_facts(text)
     assert len(facts) == len(st.facts)
-    assert set(base) == {st.digest_of(t) for t in st.base_sizes}
+    assert set(base) == {t.digest for t in st.base_sizes}
     for t1, t2, sid, t, j in facts:
         assert j == 0
 
@@ -220,19 +217,37 @@ def test_parse_facts_mutation_fuzz(text):
 def test_depth1_disjoint_union_converges():
     interner = default_interner()
     st = close(_k2_base(interner, depth=1), [disjoint_union_scheme()],
-               depth=1, interner=interner)
+               depth=1)
     assert st.status == "converged"
     results = validate_replay(st)
     assert all(ok for ok, _ in results.values())
 
 
 def test_close_refuses_base_theories_of_another_interner():
-    """An id means nothing in another interner: there it names another
-    theory (the other interner's theory 0 is a single vertex) or none."""
+    """Ids mean nothing across interners, so a base that mixes two is
+    refused, naming the theory by digest."""
     own, other = Interner(), Interner()
     k2 = k2_graph()
-    t = compute_theory(k2, 0, own)
-    compute_theory(Structure(GRAPHS, 1), 0, other)
-    for interner in (other, Interner()):
-        with pytest.raises(HintikkaError, match="filed under k=0 comes from another interner"):
-            close({0: [(t, 2, k2)]}, [disjoint_union_scheme()], 0, interner=interner)
+    vertex = Structure(GRAPHS, 1)
+    t, elsewhere = compute_theory(k2, 0, own), compute_theory(vertex, 0, other)
+    for first, second in (((t, 2, k2), (elsewhere, 1, vertex)),
+                          ((elsewhere, 1, vertex), (t, 2, k2))):
+        with pytest.raises(HintikkaError, match=f"base theory {second[0].digest} filed "
+                           "under k=0 comes from another interner"):
+            close({0: [first, second]}, [disjoint_union_scheme()], 0)
+
+
+def test_base_theory_with_coinciding_constants_takes_part_in_no_fact():
+    """A base theory whose two constants name one element stays reachable
+    but is never glued: the scheme size law needs distinct constants."""
+    interner = default_interner()
+    p2 = path_graph(2, 2, (0, 1))
+    loop = Structure(Vocabulary((("E", 2),), 2), 1, (frozenset({(0, 0)}),), (0, 0))
+    same = compute_theory(loop, 0, interner)
+    st = close({2: [(compute_theory(p2, 0, interner), 2, p2), (same, 1, loop)]}, [CHAIN],
+               depth=0)
+    assert st.status == "converged" and st.facts
+    assert same in st.reachable()
+    assert all(same not in (f.t1, f.t2, f.t) for f in st.facts)
+    plain = close({2: [(compute_theory(p2, 0, interner), 2, p2)]}, [CHAIN], depth=0)
+    assert st.facts == plain.facts

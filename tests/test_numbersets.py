@@ -5,6 +5,7 @@ rules (frozen); periodicity thresholds follow the member-normalized rule
 the certificates use.
 """
 
+import dataclasses
 import random
 import time
 
@@ -20,6 +21,7 @@ from hintikka.numbersets import (
     Node,
     PeriodicityCertificate,
     PumpPair,
+    PumpWitness,
     QuadrupleSystem,
     chain_rank,
     dump_tree,
@@ -472,3 +474,101 @@ def test_parse_system_mutation_fuzz(text):
         parse_system(text)
     except HintikkaError:
         pass
+
+
+# Two labels: rule 0 = (0, 0, 1, 0), rule 1 = (1, 1, 0, 0); label 1 starts
+# from 1, so label 0 holds 2, 5, 8, ... and label 1 holds 1, 4, 7, ...
+FLIP = QuadrupleSystem(2, ((1, 1, 0, 0), (0, 0, 1, 0)), (frozenset(), frozenset({1})))
+
+
+def _flip_certificate(label=0):
+    """At label 0 the pump tree is 5 = 1 + 4 by rule 1, with 4 = 2 + 2 by
+    rule 0 below it; the pair runs from the label-1 leaf 1 at path 100 up
+    to the label-1 node 4 at path 1."""
+    cert = find_period(FLIP, label, 60, 8)
+    assert verify_certificate(FLIP, cert) and cert.pump.pair.delta == cert.period == 3
+    return cert
+
+
+def _with_tree(cert, tree):
+    return dataclasses.replace(cert, pump=PumpWitness(tree, cert.pump.pair))
+
+
+def _with_pair(cert, low, high, delta):
+    return dataclasses.replace(cert, pump=PumpWitness(cert.pump.tree, PumpPair(low, high, delta)))
+
+
+@pytest.mark.parametrize("clause, detail, mutate", [
+    ("b", "label 2 out of range", lambda t: dataclasses.replace(t, label=2)),
+    ("c", "value -1 is not a natural number", lambda t: dataclasses.replace(t, value=-1)),
+    ("d", "leaf with children", lambda t: dataclasses.replace(
+        t, left=Node(1, 1, None, Node(1, 1), Node(1, 1)))),
+    ("d", "rule index 5 out of range", lambda t: dataclasses.replace(t, rule=5)),
+    ("f", "internal node missing a child", lambda t: dataclasses.replace(t, right=None)),
+    ("f", "rule labels do not match children", lambda t: dataclasses.replace(t, rule=0)),
+    ("e", "leaf value 2 not in base", lambda t: dataclasses.replace(
+        t, value=6, left=Node(1, 2))),
+    ("f", "value 6 != 1+4-0", lambda t: dataclasses.replace(t, value=6)),
+], ids=["label", "negative-value", "leaf-children", "rule-index", "missing-child",
+        "rule-labels", "leaf-base", "arithmetic"])
+def test_verify_certificate_refuses_each_bad_pump_tree(clause, detail, mutate):
+    """One mutant of the pump tree per clause of ``validate_tree``; each
+    is named by the validator and refused by the re-check."""
+    cert = _flip_certificate()
+    tree = mutate(cert.pump.tree)
+    violation = validate_tree(FLIP, tree)
+    assert (violation.clause, violation.detail[:len(detail)]) == (clause, detail)
+    assert verify_certificate(FLIP, _with_tree(cert, tree)) is False
+
+
+@pytest.mark.parametrize("low, high, delta", [
+    ((1, 0, 0), (1,), 0),                   # no increment
+    ((1, 0, 0), (1,), -3),
+    ((1, 0, 0), (1,), 4),                   # the period 3 does not divide it
+    ((1, 0, 0), (1,), 6),                   # not the increment the pair adds
+    ((1,), (1, 0, 0), 3),                   # endpoints swapped
+    ((0, 0, 0, 0, 0, 0), (1,), 3),          # no node at the low path
+    ((1, 0), (1,), 3),                      # labels 0 and 1 differ
+], ids=["zero", "negative", "not-a-multiple", "wrong-increment", "swapped",
+        "missing-node", "labels-differ"])
+def test_verify_certificate_refuses_bad_pump_pairs(low, high, delta):
+    """Every tampered pair is refused with False, never an exception."""
+    assert verify_certificate(FLIP, _with_pair(_flip_certificate(), low, high, delta)) is False
+
+
+def test_verify_certificate_refuses_a_pump_tree_of_another_label():
+    cert = _flip_certificate()
+    assert verify_certificate(FLIP, dataclasses.replace(cert, pump=_flip_certificate(1).pump)) \
+        is False
+
+
+def test_verify_certificate_refuses_a_pump_that_leaves_the_naturals():
+    """Under rule (0, 0, 0, 5) the root 1 = 5 + 1 - 5 sits above its child
+    5, so stacking the context takes the root to 1 + 1 - 5 < 0, although
+    the claimed increment is positive."""
+    sysq = QuadrupleSystem(1, ((0, 0, 0, 5),), (frozenset({1, 5}),))
+    tree = Node(0, 1, 0, Node(0, 5), Node(0, 1))
+    assert validate_tree(sysq, tree) is None
+    cert = PeriodicityCertificate(0, 6, 1, 20, "certified-progression",
+                                  PumpWitness(tree, PumpPair((0,), (), 1)))
+    assert validate_tree(sysq, pump(tree, cert.pump.pair, 1)).clause == "c"
+    assert verify_certificate(sysq, cert) is False
+
+
+def test_verify_certificate_refuses_pumped_values_outside_the_reach_set():
+    """Label 0 counts down from 50 by rule (0, 1, 0, 1) and up by rule
+    (0, 2, 0, 0); 50 lies beyond the saturation window of verified_to 30,
+    so the re-check reaches nothing at label 0, and the pumped value 22 is
+    not among its members."""
+    sysq = QuadrupleSystem(3, ((0, 1, 0, 1), (0, 2, 0, 0)),
+                           (frozenset({50}), frozenset({0}), frozenset({1})))
+    tree = Node(0, 50)
+    for _ in range(30):
+        tree = Node(0, tree.value - 1, 0, tree, Node(1, 0))
+    tree = Node(0, tree.value + 1, 1, tree, Node(2, 1))
+    pair = PumpPair((0,), (), 1)
+    assert validate_tree(sysq, tree) is None and tree.value == 21
+    assert validate_tree(sysq, pump(tree, pair, 1)) is None
+    assert reach(sysq, 30).values(0) == ()
+    cert = PeriodicityCertificate(0, 0, 1, 30, "certified-progression", PumpWitness(tree, pair))
+    assert verify_certificate(sysq, cert) is False

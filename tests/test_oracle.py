@@ -4,6 +4,8 @@ The hand-truth table below is the committed oracle for eval: each entry was
 derived by direct enumeration of assignments on the named structure.
 """
 
+import re
+
 import pytest
 
 from conftest import k2_graph, matching_graph, triangle
@@ -67,6 +69,26 @@ def test_parse_errors():
 def test_unbound_variable_error():
     with pytest.raises(HintikkaError):
         eval_formula(k2_graph(), parse_formula("(E x y)"))
+
+
+@pytest.mark.parametrize("text, names", [
+    ("(exists x (E x))", "atom (E x): E takes 2 terms, not 1"),
+    ("(or (exists x (= x x)) (exists x (F x x)))",
+     "atom (F x x): no predicate F in the vocabulary E/2"),
+    ("(or (exists x (= x x)) (exists x (in P7 x)))", "atom (in P7 x): no set P7"),
+    ("(or (exists x (= x x)) (exists x (E x c3)))", "atom (E x c3): no constant c3"),
+    ("(or (exists x (= x x)) (E x x))", "atom (E x x): unbound variable x"),
+    ("(or (exists x (= x x)) (exists x (in X x)))", "atom (in X x): unbound set variable X"),
+])
+def test_formula_that_does_not_fit_the_vocabulary_is_refused(text, names):
+    """Refused before evaluation, also where short-circuiting would never
+    reach the atom: the first part of each ``or`` holds on a nonempty
+    structure."""
+    phi = parse_formula(text)
+    with pytest.raises(HintikkaError, match=re.escape(names)):
+        eval_formula(path_graph(3), phi)
+    with pytest.raises(HintikkaError, match=re.escape(names)):
+        spectrum_bruteforce(phi, GRAPHS, 3)
 
 
 def test_constant_terms():

@@ -29,20 +29,19 @@ CHAIN = plain_union_scheme(2, 2, 2, ident=((1, 0),),
 def _matching_state(interner, depth=0):
     m = k2_graph()
     return close({0: [(compute_theory(m, depth, interner), 2, m)]},
-                 [disjoint_union_scheme()], depth=depth, interner=interner)
+                 [disjoint_union_scheme()], depth=depth)
 
 
 def _paths_state(interner):
     p2 = path_graph(2, 2, (0, 1))
     return close({2: [(compute_theory(p2, 0, interner), 2, p2)]},
-                 [CHAIN], depth=0, interner=interner)
+                 [CHAIN], depth=0)
 
 
 def test_induce_system_no_schemes():
     interner = default_interner()
     m = k2_graph()
-    st = close({0: [(compute_theory(m, 0, interner), 2, m)]}, [], depth=0,
-               interner=interner)
+    st = close({0: [(compute_theory(m, 0, interner), 2, m)]}, [], depth=0)
     sysq, digests = induce_system(st)
     assert sysq.rules == () and len(digests) == 1
     assert sysq.base == (frozenset({2}),)
@@ -107,8 +106,7 @@ def test_finite_spectrum_status():
     interner = default_interner()
     vertex = Structure(GRAPHS, 1)
     t = compute_theory(vertex, 0, interner)
-    st = close({0: [(t, 1, vertex), (t, 2, vertex)]}, [], depth=0,
-               interner=interner)
+    st = close({0: [(t, 1, vertex), (t, 2, vertex)]}, [], depth=0)
     rep = spectrum(st, t.digest, 8)
     assert rep.sizes == (1, 2)
     assert rep.certificate.status == "finite"
