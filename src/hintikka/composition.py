@@ -376,7 +376,9 @@ def _transfer_base(t1: Theory, t2: Theory, scheme: Scheme, interner: Interner,
     sequence of result classes, each part's side table lists the pack ids
     of its distinct packed sides; the memo's join table maps a pair of pack
     ids to the result diagram ids, one per equality type of the result
-    variables, and only a pair seen for the first time is joined."""
+    variables, and only a pair seen for the first time is joined. A memo
+    is skipped where a part has no side, and its sides are packed where
+    both parts first have one."""
     preds = t1.vocab_key
     arities = tuple(a for _, a in preds)
     base_m = t1.m - lift
@@ -384,12 +386,23 @@ def _transfer_base(t1: Theory, t2: Theory, scheme: Scheme, interner: Interner,
     ckey = (scheme.scheme_id, preds, r, base_m)
     memos = interner.config_memos.get(ckey)
     if memos is None:
-        memos = interner.config_memos[ckey] = _scheme_configs(scheme, preds, r, base_m)
+        memos = interner.config_memos[ckey] = _scheme_configs(scheme, r)
     tables = (_side_table(interner, t1, 0, ckey, memos, r, arities, lift),
               _side_table(interner, t2, 1, ckey, memos, r, arities, lift))
 
     realized = set()
     for memo, xs, ys in zip(memos, *tables):
+        if not (xs and ys):
+            # skip a memo that a part has no side for; else pack what is
+            # still unpacked, with the recipe built at the memo's first join
+            if xs == () or ys == ():
+                continue
+            if memo.parts is None:
+                _config_recipe(interner, scheme, memo, preds, base_m)
+            if xs is None:
+                xs = _pack_entry(interner, tables[0], memo, 0, arities, lift)
+            if ys is None:
+                ys = _pack_entry(interner, tables[1], memo, 1, arities, lift)
         joins = memo.joins
         for x in xs:
             row = joins.setdefault(x, {})
@@ -416,24 +429,58 @@ _LIFT0 = 1 << 32
 _BASE = _LIFT0 - 1
 
 
+class _PartMemo:
+    """One part's recipe and packs, kept once per interner for the config
+    memos of every scheme whose side has this recipe: the arities, the
+    part's constant and variable counts, ``dslot`` (each result class's
+    slot in the part's projections, None where the part lacks it) and
+    ``sub_slots`` (per tabled predicate and entry, the slots of the part's
+    classes in it). ``atom_idx`` indexes each entry's atom in a
+    projection's relation. A pack reads only these and its projection, so
+    equal recipes give equal packs and pack ids: ``pack_of`` maps a
+    projection key to its pack id, ``pack_ids`` gives each distinct base
+    pack a base id, and ``packs`` lists them by base id; a pack id adds
+    lifted column j as class bits j * len(dslot) + c above its base id."""
+
+    __slots__ = ("dslot", "sub_slots", "atom_idx", "pack_of", "pack_ids", "packs")
+
+    def __init__(self, arities, nslots: int, dslot, sub_slots):
+        self.dslot, self.sub_slots = dslot, sub_slots
+        self.atom_idx = tuple(tuple(None if None in slots else rel_index(slots, nslots)
+                                    for slots in itertools.product(dslot, repeat=a))
+                              for a in arities)
+        self.pack_of, self.pack_ids, self.packs = {}, {}, []
+
+
 class _ConfigMemo:
     """The kernel's memo for one sequence of result classes (the origin of
     each class) of one scheme config key, at every lift.
 
-    ``res_eqs`` lists the equality types over the r + k result slots that
-    have these classes, one per partition of the result variables. Per
-    side: ``pack_of`` maps a projection key to its pack id, ``pack_ids``
-    gives each distinct packed base projection a base id, ``packs`` lists
-    them by base id. A pack id is a base id with lifted column j as class
-    bits j * nclasses + c. ``joins`` maps a side-1 pack id to a dict from
-    side-2 pack id to the result diagram ids, one per entry of ``res_eqs``."""
+    ``index`` is its place among its config key's memos and side table
+    entries, ``nvars`` each part's variable count, and ``res_eqs`` the
+    equality types over the r + k result slots that have these classes.
+    The recipe waits for the memo's first join: ``tabled`` lists the
+    tabled predicates with a pattern skeleton per entry, and ``parts``
+    holds the two ``_PartMemo``s. ``joins`` maps a side-1 pack id to a
+    dict from side-2 pack id to the result diagram ids, one per entry of
+    ``res_eqs``."""
 
-    __slots__ = ("res_eqs", "parts", "tabled", "pack_of", "pack_ids", "packs", "joins")
+    __slots__ = ("index", "class_origin", "nvars", "res_eqs", "tabled", "parts", "joins")
 
-    def __init__(self, parts, tabled):
-        self.res_eqs, self.parts, self.tabled = [], parts, tabled
-        self.pack_of, self.pack_ids, self.packs = ({}, {}), ({}, {}), ([], [])
-        self.joins = {}
+    def __init__(self, index: int, class_origin):
+        self.index, self.class_origin = index, class_origin
+        self.nvars = (class_origin.count(("n1",)), class_origin.count(("n2",)))
+        self.res_eqs, self.tabled, self.parts, self.joins = [], None, None, {}
+
+
+class _SideTable(list):
+    """One part's side table for one config key: per memo, () where the
+    part has no projection with the memo's variable count, None where it
+    has some that no partner has needed packed yet, else the pack ids of
+    its distinct packed projections. ``keys`` lists the part's projection
+    keys per variable count."""
+
+    __slots__ = ("keys",)
 
 
 def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
@@ -451,12 +498,13 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
         if base is None:
             base = row[by] = _join(interner, scheme, memo, bx, by, r, arities)
         return tuple(interner.extend(d, lifted) for d in base)
-    masks1, subs1 = memo.packs[0][x & _BASE]
-    masks2, subs2 = memo.packs[1][y & _BASE]
+    part1, part2 = memo.parts
+    masks1, subs1 = part1.packs[x & _BASE]
+    masks2, subs2 = part2.packs[y & _BASE]
     sig = list(map(or_, masks1, masks2))
     for t, (pos, name, skeletons) in enumerate(memo.tabled):
         sig[pos] = _table_mask(interner, scheme, name, skeletons, subs1[t], subs2[t], sig[pos])
-    n, cols = len(memo.parts[0][2]), sig[len(arities):]
+    n, cols = len(memo.class_origin), sig[len(arities):]
     rel = unpack_rel(sig, n, arities)
     word = set_word(sum(bits << j * n for j, bits in enumerate(cols)), len(cols), n)
     return tuple(interner.key_id(interner.shape_id(r, eq, rel) | word << SHAPE_BITS)
@@ -464,44 +512,61 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
 
 
 def _side_table(interner: Interner, t: Theory, side: int, ckey, memos,
-                r: int, arities, lift: int):
-    """Per memo, the pack ids of one part's distinct packed sides, from the
-    keys of its realized prefix projections. A table depends only on
-    (theory, config key, side), so it is built once."""
+                r: int, arities, lift: int) -> _SideTable:
+    """The side table of one part for one config key, from the keys of its
+    realized prefix projections, with every entry still unpacked. A table
+    depends only on (theory, config key, side), so it is built once, and
+    the theory's table on the other side lends it its keys."""
     key = (t.intern_id, ckey, side)
     table = interner.side_tables.get(key)
     if table is None:
-        keys = [_prefix_keys(interner, t.const_id, arities, lift)]
-        keys += [{} for _ in range(r)]
-        for d in t.ids:
-            for v, p in enumerate(_prefix_keys(interner, d, arities, lift), 1):
-                if p >= 0:
-                    keys[v][p] = None
-        table = interner.side_tables[key] = tuple(
-            tuple(dict.fromkeys(_pack_id(interner, memo, side, p, arities, lift)
-                                for p in keys[memo.parts[side][0]]))
-            for memo in memos)
+        other = interner.side_tables.get((t.intern_id, ckey, 1 - side))
+        if other is not None:
+            keys = other.keys
+        else:
+            keys = [_prefix_keys(interner, t.const_id, arities, lift)]
+            keys += [{} for _ in range(r)]
+            for d in t.ids:
+                for v, p in enumerate(_prefix_keys(interner, d, arities, lift), 1):
+                    if p >= 0:
+                        keys[v][p] = None
+            keys = tuple(map(tuple, keys))
+        table = interner.side_tables[key] = _SideTable(
+            None if keys[memo.nvars[side]] else () for memo in memos)
+        table.keys = keys
     return table
 
 
-def _pack_id(interner: Interner, memo: _ConfigMemo, side: int, p: int, arities,
-             lift: int) -> int:
-    """The pack id of projection key p, memoized per (memo, side). A base
+def _pack_entry(interner: Interner, table: _SideTable, memo: _ConfigMemo, side: int,
+                arities, lift: int) -> tuple:
+    """Pack the memo's entry of one side table. Memos that share a part
+    memo read each pack id from its ``pack_of``, so a projection is packed
+    once per part memo."""
+    part, keys = memo.parts[side], table.keys[memo.nvars[side]]
+    ids = list(map(part.pack_of.get, keys))
+    if None in ids:
+        ids = [x or _pack_id(interner, part, p, arities, lift) for x, p in zip(ids, keys)]
+    xs = table[memo.index] = tuple(dict.fromkeys(ids))
+    return xs
+
+
+def _pack_id(interner: Interner, part: _PartMemo, p: int, arities, lift: int) -> int:
+    """The pack id of projection key p, memoized per part memo. A base
     projection is packed and its distinct packs get base ids; a lifted one
     adds to its base projection's id its lifted slot bits as class bits."""
-    pack_of = memo.pack_of[side]
+    pack_of = part.pack_of
     x = pack_of.get(p)
     if x is None and lift:
-        dslot = memo.parts[side][2]
+        dslot = part.dslot
         width = ((p >> 32).bit_length() - 1) // lift - 1
         bits = sum((p >> 32 + j * width + slot & 1) << j * len(dslot) + c
                    for j in range(lift) for c, slot in enumerate(dslot) if slot is not None)
-        x = pack_of[p] = (_pack_id(interner, memo, side, p & _BASE | _LIFT0, arities, 0)
+        x = pack_of[p] = (_pack_id(interner, part, p & _BASE | _LIFT0, arities, 0)
                           & _BASE | (bits | 1 << lift * len(dslot)) << 32)
     elif x is None:
-        packed = _pack_side(interner, p & _BASE, memo.parts[side], arities)
-        packs = memo.packs[side]
-        x = memo.pack_ids[side].setdefault(packed, len(packs))
+        packed = _pack_side(interner, p & _BASE, part, arities)
+        packs = part.packs
+        x = part.pack_ids.setdefault(packed, len(packs))
         if x == len(packs):
             packs.append(packed)
         x = pack_of[p] = x | _LIFT0
@@ -543,7 +608,7 @@ def _prefix_keys(interner: Interner, did: int, arities, lift: int) -> tuple:
     return keys
 
 
-def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
+def _scheme_configs(scheme: Scheme, r: int):
     """One ``_ConfigMemo`` per sequence of result classes of the r result
     variables and the k result constants.
 
@@ -553,7 +618,32 @@ def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
     equality type is the partition followed by each constant's class. All
     that packs and joins read, the recipe, follows from the class origins
     alone, so every configuration with the same class origins shares one
-    memo and adds its equality type to the memo's ``res_eqs``.
+    memo and adds its equality type to the memo's ``res_eqs``. The recipe
+    itself waits for the memo's first join (``_config_recipe``).
+    """
+    kept, refs = scheme.kept_refs(), scheme.result_refs
+    by_blocks = {}
+    for eq_vars in partitions(r):
+        by_blocks.setdefault(max(eq_vars) + 1, []).append(eq_vars)
+    memos = {}
+    for nblocks, eqs in by_blocks.items():
+        for origins in _block_origins(nblocks, kept):
+            class_origin = origins + tuple(ref for ref in refs if ref not in origins)
+            memo = memos.get(class_origin)
+            if memo is None:
+                memo = memos[class_origin] = _ConfigMemo(len(memos), class_origin)
+            const_eq = tuple(class_origin.index(ref) for ref in refs)
+            memo.res_eqs.extend(eq + const_eq for eq in eqs)
+    return tuple(memos.values())
+
+
+def _config_recipe(interner: Interner, scheme: Scheme, memo: _ConfigMemo, preds,
+                   base_m: int):
+    """Build a memo's recipe: the tabled predicates with a pattern skeleton
+    per entry, and per part its ``_PartMemo``, which the interner shares
+    with every memo whose side has the same recipe. An entry lists each
+    class as its origin and its slot per part, so equal entries share one
+    skeleton (``interner.pattern_skeletons``).
 
     Entries of a predicate are its class tuples in atom order; entries of a
     set column are the classes. Tables cover the vocabulary's predicates and
@@ -564,48 +654,23 @@ def _scheme_configs(scheme: Scheme, preds, r: int, base_m: int):
     names = table_names(preds, base_m)
     tabled_pos = [pos for pos, name in enumerate(names)
                   if scheme.table_spec(name)[0] != "union"]
-    kept, refs = scheme.kept_refs(), scheme.result_refs
-    by_blocks = {}
-    for eq_vars in partitions(r):
-        by_blocks.setdefault(max(eq_vars) + 1, []).append(eq_vars)
-    memos = {}
-    pool = {}       # one copy of each pattern skeleton
-    for nblocks, eqs in by_blocks.items():
-        for origins in _block_origins(nblocks, kept):
-            class_origin = origins + tuple(ref for ref in refs if ref not in origins)
-            memo = memos.get(class_origin)
-            if memo is None:
-                memo = memos[class_origin] = _ConfigMemo(*_config_recipe(
-                    scheme, arities, names, tabled_pos, base_m, class_origin, pool))
-            const_eq = tuple(class_origin.index(ref) for ref in refs)
-            memo.res_eqs.extend(eq + const_eq for eq in eqs)
-    return tuple(memos.values())
-
-
-def _config_recipe(scheme: Scheme, arities, names, tabled_pos, base_m: int,
-                   class_origin, pool: dict):
-    """Per part the recipe that packs a projection, and the tabled
-    predicates with a pattern skeleton per entry: all that a configuration
-    reads of its class origins. An entry lists each class as its origin and
-    its slot per part, so configurations share equal entries' skeletons."""
-    dslots = (_class_slots(class_origin, 0), _class_slots(class_origin, 1))
-    chars = tuple(zip(class_origin, *dslots))
-    entries = [tuple(itertools.product(chars, repeat=a)) for a in arities]
-    entries += [tuple((ch,) for ch in chars)] * base_m
-    skeletons = {pos: tuple(_pattern_skeleton(ct, pool) for ct in entries[pos])
-                 for pos in tabled_pos}
-    tabled = tuple((pos, names[pos], tuple(pattern for pattern, _ in skeletons[pos]))
-                   for pos in tabled_pos)
+    dslots = (_class_slots(memo.class_origin, 0), _class_slots(memo.class_origin, 1))
+    chars = tuple(zip(memo.class_origin, *dslots))
+    pool = interner.pattern_skeletons
+    # per tabled predicate: its entries' patterns, then their slots per part
+    skeletons = [tuple(zip(*(_pattern_skeleton(ct, pool) for ct in itertools.product(
+        chars, repeat=(arities + (1,) * base_m)[pos])))) for pos in tabled_pos]
+    memo.tabled = tuple((pos, names[pos], patterns)
+                        for pos, (patterns, _, _) in zip(tabled_pos, skeletons))
     parts = []
-    for side, (own, dslot, kc) in enumerate(zip((IN_P1, IN_P2), dslots, (scheme.k1, scheme.k2))):
-        v = class_origin.count((own[0],))
-        atom_idx = tuple(tuple(None if None in slots else rel_index(slots, v + kc)
-                               for slots in itertools.product(dslot, repeat=a))
-                         for a in arities)
-        sub_slots = tuple(tuple(slots[side] for _, slots in skeletons[pos])
-                          for pos in tabled_pos)
-        parts.append((v, atom_idx, dslot, sub_slots))
-    return tuple(parts), tabled
+    for side, (dslot, kc, v) in enumerate(zip(dslots, (scheme.k1, scheme.k2), memo.nvars)):
+        subs = tuple(slots[1 + side] for slots in skeletons)
+        key = (arities, kc, v, dslot, subs)
+        part = interner.part_memos.get(key)
+        if part is None:
+            part = interner.part_memos[key] = _PartMemo(arities, v + kc, dslot, subs)
+        parts.append(part)
+    memo.parts = tuple(parts)
 
 
 def _class_slots(class_origin, side: int):
@@ -624,14 +689,14 @@ def _class_slots(class_origin, side: int):
 
 def _pattern_skeleton(ct, pool: dict):
     """Config-constant part of an entry's pattern, one copy per ``pool``:
-    its (equalities, origins), and per part the projection slots feeding
+    its (equalities, origins), then per part the projection slots feeding
     its sub-diagram."""
     skeleton = pool.get(ct)
     if skeleton is None:
         classes = tuple(dict.fromkeys(ct))
-        slots = tuple(tuple(ch[side] for ch in classes if ch[side] is not None)
-                      for side in (1, 2))
-        skeleton = pool[ct] = ((canonical_eq(ct), tuple(ch[0] for ch in classes)), slots)
+        skeleton = pool[ct] = ((canonical_eq(ct), tuple(ch[0] for ch in classes)),
+                               *(tuple(ch[side] for ch in classes if ch[side] is not None)
+                                 for side in (1, 2)))
     return skeleton
 
 
@@ -646,22 +711,21 @@ def _block_origins(nblocks, kept_refs):
         yield combo
 
 
-def _pack_side(interner: Interner, did: int, part, arities):
+def _pack_side(interner: Interner, did: int, part: _PartMemo, arities):
     """One part's share of a config, from a base projection: per predicate
     and set column a bitmask of the entries the part makes true (bit e for
     entry e), and per tabled predicate the id of the part-projected
     sub-diagram of each entry. Projections have pairwise-distinct slots, so
     their atoms are indexed by slot tuples directly."""
-    _, atom_idx, dslot, sub_slots = part
     _, eq, rel, word = interner.split(did)
     n = len(eq)
     masks = [sum(1 << e for e, idx in enumerate(idxs) if idx is not None and atoms[idx])
-             for idxs, atoms in zip(atom_idx, rel)]
-    masks += [sum(1 << c for c, slot in enumerate(dslot)
+             for idxs, atoms in zip(part.atom_idx, rel)]
+    masks += [sum(1 << c for c, slot in enumerate(part.dslot)
                   if slot is not None and word >> j * n + slot & 1)
               for j in range(column_count(word, n))]
     subs = tuple(tuple(_sub_diagram(interner, did, slots, arities) for slots in entry_slots)
-                 for entry_slots in sub_slots)
+                 for entry_slots in part.sub_slots)
     return tuple(masks), subs
 
 

@@ -4,10 +4,11 @@ witnesses, pumping, and eventual-periodicity certificates.
 A quadruple system has labels 0..m-1, rules (l1, l2, l3, j) producing
 n1 + n2 - j at label l3 from values at labels l1, l2, and finite base sets.
 Values can locally decrease when j exceeds a child value, so reachability
-saturates over an enlarged window [0, bound + slack] before filtering; the
-computation retries once with doubled slack and reports whether the answer
-below the bound changed. Certificates record exactly what was verified;
-periodicity beyond the scan bound is never claimed.
+saturates over an enlarged window [0, max(bound, largest base value) +
+slack] before filtering; the computation retries once with doubled slack
+and reports whether the answer below the bound changed. Certificates
+record exactly what was verified; periodicity beyond the scan bound is
+never claimed.
 
 Saturation works on bitsets: the values of a label are one int (bit n set
 when n is reachable), and a rule adds the sumset of its operands shifted
@@ -142,16 +143,19 @@ def _saturate(sys: QuadrupleSystem, limit: int):
 def reach(sys: QuadrupleSystem, bound: int, slack: int = None) -> ReachResult:
     """Values <= bound reachable at each label (deterministic).
 
-    Saturates over [0, bound + slack]; retries once with doubled slack and
-    records whether that changed anything at or below the bound.
+    Saturates over [0, top + slack], where top is the larger of the bound
+    and the largest base value, so that no base value is cut off; retries
+    once with doubled slack and records whether that changed anything at
+    or below the bound.
     """
     if bound < 0:
         raise HintikkaError("bound must be a natural number")
     slack = sys.default_slack() if slack is None else slack
     if slack < 0:
         raise HintikkaError("slack must be a natural number")
-    members, _ = _saturate(sys, bound + slack)
-    members2, _ = _saturate(sys, bound + 2 * slack)
+    top = max(bound, sys.max_base)
+    members, _ = _saturate(sys, top + slack)
+    members2, _ = _saturate(sys, top + 2 * slack)
     low = (1 << (bound + 1)) - 1
     stable = all(a & low == b & low for a, b in zip(members, members2))
     return ReachResult(tuple(tuple(_bits(ms & low)) for ms in members2), bound, slack, stable)
@@ -236,11 +240,12 @@ def witness_tree(sys: QuadrupleSystem, label: int, value: int,
     """A derivation tree for a reachable value, rebuilt from the stages of
     the saturation: a value first reached in round r > 0 takes the first
     rule (by index), then the smallest n1, whose two children were both
-    reached before round r; a base value is a leaf."""
+    reached before round r; a base value is a leaf. It reads the wider
+    saturation of ``reach``."""
     slack = sys.default_slack() if slack is None else slack
     if slack < 0:
         raise HintikkaError("slack must be a natural number")
-    members, stages = _saturate(sys, bound + 2 * slack)
+    members, stages = _saturate(sys, max(bound, sys.max_base) + 2 * slack)
     if value < 0 or not (members[label] >> value) & 1:
         raise HintikkaError(f"value {value} not reachable at label {label}")
     before = [(0,) * sys.m]          # before[r]: values reached before round r

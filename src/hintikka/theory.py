@@ -39,6 +39,12 @@ class Interner:
     digests, not ids), so they are stable across runs, platforms, and
     interner instances.
 
+    The memos of every layer live here too. The transfer kernel keeps one
+    memo per sequence of result classes of each scheme config key
+    (``config_memos``), and one per part recipe (``part_memos``) that the
+    config memos of every scheme with that recipe share, so a projection
+    is packed once per part recipe.
+
     Digests are made when first read, never at interning. A new depth-0
     theory waits on a pending list; the first read of any depth-0 digest
     digests every pending theory in one batch (``_digest_pending``).
@@ -62,8 +68,13 @@ class Interner:
         # memos of the depth-0 transfer kernel (composition._transfer_base),
         # keyed by this interner's ids: config_memos holds, per scheme config
         # key, one memo per sequence of result classes that serves every lift
-        # (its recipe, base packs, pack ids with lifted bits and join table)
+        # (its equality types, recipe and join table); part_memos holds one
+        # memo per part recipe, shared by the config memos of every scheme
+        # (its atom indices, base packs and pack ids with lifted bits);
+        # pattern_skeletons one copy of each table entry's pattern skeleton
         self.config_memos = {}
+        self.part_memos = {}
+        self.pattern_skeletons = {}
         self.diagram_projections = {}
         self.side_tables = {}
         self.sub_diagrams = {}

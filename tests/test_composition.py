@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import k2_graph, mutated, rand_structure, triangle
+from hintikka import composition
 from hintikka.composition import (
     REF_P1,
     REF_P2,
@@ -21,6 +22,7 @@ from hintikka.composition import (
     _BASE,
     _LIFT0,
     _block_origins,
+    _config_recipe,
     _scheme_configs,
     count_patterns,
     count_schemes,
@@ -236,10 +238,12 @@ def test_transfer_digest_independent_of_diagram_ids():
 
 def test_config_memo_sharing():
     # the kernel keeps one memo per sequence of result classes, shared by
-    # every lift: base ids for the distinct packed base projections, pack
-    # ids that add the lifted columns as class bits, and a join table per
-    # pair of pack ids; filling it in either order must give the same
-    # digests as the glue oracle, and equal packs must share one id
+    # every lift, and one part memo per side recipe, shared by every config
+    # memo with that recipe: base ids for the distinct packed base
+    # projections, pack ids that add the lifted columns as class bits, and
+    # per config memo a join table per pair of pack ids; filling it in
+    # either order must give the same digests as the glue oracle, and equal
+    # packs must share one id
     rng = random.Random(31)
     v = Vocabulary((("S", 1), ("E", 2)), 1)
     prf = random_table_scheme(v, 1, 1, 1, 90, ((0, 0),), result_refs=(("s", 0, 0),))
@@ -259,33 +263,38 @@ def test_config_memo_sharing():
         assert digests[0][i] == digests[1][i] == compute_theory(glue(m1, m2, s), n,
                                                                 Interner()).digest
     for interner in (forward, backward):
+        for part in interner.part_memos.values():
+            packs = part.packs
+            assert len(set(packs)) == len(packs)
+            # base ids are dense and in order of first sight
+            assert [part.pack_ids[p] for p in packs] == list(range(len(packs)))
+            # a pack id is a base id with the lift sentinel above it
+            assert all(x & _BASE < len(packs) and x >> 32 > 0 for x in part.pack_of.values())
         memos = [memo for ms in interner.config_memos.values() for memo in ms]
         for memo in memos:
-            for side in (0, 1):
-                packs = memo.packs[side]
-                assert len(set(packs)) == len(packs)
-                # base ids are dense and in order of first sight
-                assert [memo.pack_ids[side][p] for p in packs] == list(range(len(packs)))
-                # a pack id is a base id with the lift sentinel above it
-                assert all(x & _BASE < len(packs) and x >> 32 > 0
-                           for x in memo.pack_of[side].values())
-            # joins are keyed by pack ids of side 1, then of side 2, and a
-            # lifted join extends the join of its base packs
+            if memo.parts is None:
+                assert memo.joins == {}
+                continue
+            # joins are keyed by pack ids of the side-1 part memo, then of
+            # the side-2 one, and a lifted join extends the join of its base
+            # packs
+            packs1, packs2 = (part.packs for part in memo.parts)
             for x, row in memo.joins.items():
                 for y, dids in row.items():
-                    assert x & _BASE < len(memo.packs[0]) and y & _BASE < len(memo.packs[1])
+                    assert x & _BASE < len(packs1) and y & _BASE < len(packs2)
                     if (x | y) >> 32 != 1:
                         base = memo.joins[x & _BASE | _LIFT0][y & _BASE | _LIFT0]
                         assert len(base) == len(dids) == len(memo.res_eqs)
         # on the chain scheme, distinct base projections of P2 and P3 pack
         # alike, and at depth 1 one base pack comes with several lifted masks
-        chain = [memo for key, ms in interner.config_memos.items()
-                 if key[0] == CHAIN.scheme_id for memo in ms]
-        assert any(sum(p >> 32 == 1 for p in memo.pack_of[side]) > len(memo.packs[side])
-                   for memo in chain for side in (0, 1))
-        assert any(max(Counter(x & _BASE for x in set(memo.pack_of[side].values())
+        chain = [part for key, ms in interner.config_memos.items()
+                 if key[0] == CHAIN.scheme_id for memo in ms if memo.parts
+                 for part in memo.parts]
+        assert any(sum(p >> 32 == 1 for p in part.pack_of) > len(part.packs)
+                   for part in chain)
+        assert any(max(Counter(x & _BASE for x in set(part.pack_of.values())
                                if x >> 32 != 1).values(), default=0) >= 2
-                   for memo in chain for side in (0, 1))
+                   for part in chain)
 
 
 def test_lifts_share_memos_in_one_interner():
@@ -303,6 +312,96 @@ def test_lifts_share_memos_in_one_interner():
         for s in (union, prf):
             got = transfer(compute_theory(m1, n, interner), compute_theory(m2, n, interner), s)
             assert got.digest == compute_theory(glue(m1, m2, s), n, Interner()).digest
+
+
+def test_part_memos_shared_across_schemes(monkeypatch):
+    # union and PRF schemes over one vocabulary, with different tables and
+    # the same result classes, fill one interner in either order: every
+    # transfer equals the glue oracle, config memos of different schemes
+    # with equal side recipes hold one part memo, and each (projection,
+    # part memo) pair is packed once. A part memo keyed without its tabled
+    # slots (the union and PRF schemes) or without its side's constant
+    # count (k1 = 1 against k1 = 2 with constant 1 dropped) breaks this
+    rng = random.Random(83)
+    v = Vocabulary((("S", 1), ("E", 2)), 0, 1)
+    one = dict(k1=1, k2=1, k=1, ident=((0, 0),), result_refs=(("s", 0, 0),))
+    two = dict(k1=2, k2=1, k=1, ident=((0, 0),), keep1=(True, False),
+               result_refs=(("s", 0, 0),))
+    union1, union2 = plain_union_scheme(**one), plain_union_scheme(**two)
+    prf1, prf2 = random_table_scheme(v, seed=3, **one), random_table_scheme(v, seed=8, **one)
+    prf3 = random_table_scheme(v, seed=5, **two)
+    colour = Scheme(tables=(("S", ("const", True)),), **one)
+    parts = {k1: [rand_structure(Vocabulary(v.predicates, k1, 1), size, rng)
+                  for size in (k1 + 1, k1 + 2)] for k1 in (1, 2)}
+    cases = [(m1, m2, s, n)
+             for s in (union1, union2, prf1, prf2, prf3, colour)
+             for m1 in parts[s.k1] for m2 in parts[1][:1] for n in (0, 1)]
+    packed = Counter()
+    real = composition._pack_side
+
+    def counted(interner, did, part, arities):
+        packed[(did, part)] += 1
+        return real(interner, did, part, arities)
+
+    monkeypatch.setattr(composition, "_pack_side", counted)
+    for order in (cases, cases[::-1]):
+        interner = Interner()
+        for m1, m2, s, n in order:
+            got = transfer(compute_theory(m1, n, interner), compute_theory(m2, n, interner), s)
+            assert got.digest == compute_theory(glue(m1, m2, s), n, Interner()).digest
+        assert set(packed.values()) == {1}
+        assert len(packed) == sum(sum(p >> 32 == 1 for p in part.pack_of)
+                                  for part in interner.part_memos.values())
+        packed.clear()
+
+        def memos(s):
+            return {memo.class_origin: memo for key, ms in interner.config_memos.items()
+                    if key[0] == s.scheme_id and key[3] == 1 for memo in ms if memo.parts}
+
+        by_scheme = {s: memos(s) for s in (union1, union2, prf1, prf2, prf3, colour)}
+        shared = set(by_scheme[union1]) & set(by_scheme[union2]) & set(by_scheme[prf1])
+        assert shared
+        for origin in shared:
+            u1, u2, p1 = (by_scheme[s][origin] for s in (union1, union2, prf1))
+            # side 2 has one recipe under both constant counts of part 1
+            assert u1.parts[1] is u2.parts[1]
+            assert u1.parts[0] is not u2.parts[0]
+            # tables that read part types need their slots; PRF seeds do not
+            assert all(a is not b for a, b in zip(u1.parts, p1.parts))
+            if origin in by_scheme[prf2]:
+                assert all(a is b for a, b in zip(by_scheme[prf2][origin].parts, p1.parts))
+            if origin in by_scheme[prf3]:
+                assert by_scheme[prf3][origin].parts[1] is p1.parts[1]
+            if origin in by_scheme[colour]:
+                assert all(a is not b for a, b in zip(by_scheme[colour][origin].parts,
+                                                      p1.parts))
+
+
+def test_one_sided_memos_build_nothing():
+    # a memo whose variables part 1 cannot supply (one element, no
+    # constants, against two fresh part-1 variables) is skipped: no
+    # recipe, no packs and no join row, and part 2's entry stays unpacked
+    v = Vocabulary((("E", 2),))
+    small = Structure(v, 1, (frozenset({(0, 0)}),))
+    interner = Interner()
+    got = transfer(compute_theory(small, 0, interner), compute_theory(triangle(), 0, interner),
+                   disjoint_union_scheme())
+    assert got.digest == compute_theory(glue(small, triangle(), disjoint_union_scheme()), 0,
+                                        Interner()).digest
+    (ckey, memos), = interner.config_memos.items()
+    tables = [interner.side_tables[(t.intern_id, ckey, side)]
+              for side, t in enumerate((compute_theory(small, 0, interner),
+                                        compute_theory(triangle(), 0, interner)))]
+    one_sided = [memo for memo in memos if memo.nvars[0] >= 2 and memo.nvars[1] >= 1]
+    assert one_sided
+    for memo in one_sided:
+        assert memo.parts is memo.tabled is None and memo.joins == {}
+        assert tables[0][memo.index] == () and tables[1][memo.index] is None
+    for memo in memos:
+        assert (memo.parts is not None) == bool(memo.joins)
+        assert all(row for row in memo.joins.values())
+    assert len(interner.part_memos) == len({part for memo in memos if memo.parts
+                                           for part in memo.parts})
 
 
 def _reference_config(eq_vars, origins_blocks, scheme, r):
@@ -361,7 +460,7 @@ def _reference_config(eq_vars, origins_blocks, scheme, r):
 
 def _memo_class_origin(memo):
     """The class origins a memo's projection slots encode."""
-    (v1, _, d1, _), (v2, _, d2, _) = memo.parts
+    (v1, v2), (d1, d2) = memo.nvars, (part.dslot for part in memo.parts)
     origin = []
     for s1, s2 in zip(d1, d2):
         if s1 is not None and s1 < v1:
@@ -380,7 +479,8 @@ def _memo_class_origin(memo):
 def test_scheme_configs_cover_each_configuration_once():
     # one memo per sequence of result classes: its equality types are
     # exactly the configurations that resolve to its class origins and
-    # slots, each configuration once
+    # slots, each configuration once; recipes wait for a join, so each is
+    # built here
     v = Vocabulary((("S", 1), ("E", 2)), 0, 1)
     shapes = [
         dict(k1=2, k2=2, k=2, ident=((1, 0),), keep1=(False, True),
@@ -393,21 +493,25 @@ def test_scheme_configs_cover_each_configuration_once():
     ]
     schemes = [plain_union_scheme(**shape) for shape in shapes]
     schemes += [random_table_scheme(v, seed=5 + i, **shape) for i, shape in enumerate(shapes)]
+    interner = Interner()
     for s in schemes:
         for r in (2, 3):
-            memos = _scheme_configs(s, v.predicates, r, v.num_sets)
+            memos = _scheme_configs(s, r)
+            assert all(memo.parts is memo.tabled is None for memo in memos)
+            for memo in memos:
+                _config_recipe(interner, s, memo, v.predicates, v.num_sets)
             got = Counter()
             origins = [_memo_class_origin(memo) for memo in memos]
             assert len(set(origins)) == len(origins)
             for memo, class_origin in zip(memos, origins):
+                assert memo.class_origin == class_origin
                 if s.tables:
                     # the set column's entries are the classes, each with
                     # its own origin
                     (_, _, skeletons), = [t for t in memo.tabled if t[1] == "P0"]
                     assert tuple(porig for _, (porig,) in skeletons) == class_origin
-                dslots = tuple(part[2] for part in memo.parts)
-                nvars = tuple(part[0] for part in memo.parts)
-                got.update((res_eq, class_origin, dslots, nvars) for res_eq in memo.res_eqs)
+                dslots = tuple(part.dslot for part in memo.parts)
+                got.update((res_eq, class_origin, dslots, memo.nvars) for res_eq in memo.res_eqs)
             want = Counter(
                 _reference_config(eq_vars, origins_blocks, s, r)
                 for eq_vars in partitions(r)

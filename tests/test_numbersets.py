@@ -250,10 +250,12 @@ def small_systems(draw, max_rules=6):
 @given(small_systems(), st.integers(min_value=0, max_value=16))
 @settings(max_examples=80, deadline=None)
 def test_reach_matches_naive_fixpoint(sysq, bound):
+    # reach saturates above the bound and every base value
     slack = sysq.default_slack()
+    top = max(bound, sysq.max_base)
     rr = reach(sysq, bound)
     naive = {}
-    for limit in (bound + slack, bound + 2 * slack):
+    for limit in (top + slack, top + 2 * slack):
         naive[limit] = naive_fixpoint(sysq, limit)
         members, _ = numbersets._saturate(sysq, limit)
         assert [tuple(numbersets._bits(x)) for x in members] == naive[limit]
@@ -261,8 +263,8 @@ def test_reach_matches_naive_fixpoint(sysq, bound):
     def upto(sets):
         return tuple(tuple(v for v in vals if v <= bound) for vals in sets)
 
-    first = upto(naive[bound + slack])
-    second = upto(naive[bound + 2 * slack])
+    first = upto(naive[top + slack])
+    second = upto(naive[top + 2 * slack])
     assert rr.sets == second
     assert rr.slack_stable == (first == second)
     for label in range(sysq.m):
@@ -272,7 +274,7 @@ def test_reach_matches_naive_fixpoint(sysq, bound):
             assert (tree.label, tree.value) == (label, value)
     # the memo is keyed by limit, answers like a fresh saturation, and stays
     # outside the system's equality and hash
-    limit = bound + 2 * slack
+    limit = top + 2 * slack
     memo = sysq._saturated[limit]
     assert numbersets._saturate(sysq, limit) is memo
     fresh = QuadrupleSystem(sysq.m, sysq.rules, sysq.base)
@@ -555,17 +557,42 @@ def test_verify_certificate_refuses_a_pump_that_leaves_the_naturals():
     assert verify_certificate(sysq, cert) is False
 
 
+def test_reach_keeps_base_values_above_the_bound():
+    """Label 0 counts down from its base value 50 by rule (0, 1, 0, 1) and
+    up by rule (0, 2, 0, 0), so it reaches every value; 50 lies above
+    bound + 2 * slack (30 + 12), and a window that cut it off reached
+    nothing at label 0 and still called its answer slack-stable."""
+    text = "labels 3\nrule 0 1 0 1\nrule 0 2 0 0\nbase 0: 50\nbase 1: 0\nbase 2: 1\n"
+    sysq = parse_system(text)
+    rr = reach(sysq, 30)
+    assert sysq.default_slack() == 6
+    assert rr.values(0) == tuple(range(31)) and rr.slack_stable
+    assert rr.values(1) == (0,) and rr.values(2) == (1,)
+    for value in (0, 30):
+        tree = witness_tree(sysq, 0, value, 30)
+        assert validate_tree(sysq, tree) is None and tree.value == value
+
+
 def test_verify_certificate_refuses_pumped_values_outside_the_reach_set():
-    """Label 0 counts down from 50 by rule (0, 1, 0, 1) and up by rule
-    (0, 2, 0, 0); 50 lies beyond the saturation window of verified_to 30,
-    so the re-check reaches nothing at label 0, and the pumped value 22 is
-    not among its members."""
-    sysq = QuadrupleSystem(3, ((0, 1, 0, 1), (0, 2, 0, 0)),
-                           (frozenset({50}), frozenset({0}), frozenset({1})))
-    tree = Node(0, 50)
-    for _ in range(30):
-        tree = Node(0, tree.value - 1, 0, tree, Node(1, 0))
-    tree = Node(0, tree.value + 1, 1, tree, Node(2, 1))
+    """A pumped tree that validates derives its value, so its value lies
+    outside the re-checked reach set only where saturation misses a
+    derivable value. Here it does: label 0 counts down by rule (0, 5, 0, 1)
+    from 79 = 80 - 1, where 80 = 10 doubled three times (labels 1 to 4),
+    and up by rule (0, 6, 0, 0). Derivations climb to 80, above the window
+    max(30, 10) + 2 * slack = 58, so the re-check reaches nothing at label
+    0 and the pumped values 22, 23 and 24 are not among its members."""
+    sysq = QuadrupleSystem(7, ((0, 5, 0, 1), (0, 6, 0, 0), (1, 1, 2, 0), (2, 2, 3, 0),
+                               (3, 3, 4, 0), (4, 5, 0, 1)),
+                           (frozenset(), frozenset({10}), frozenset(), frozenset(),
+                            frozenset(), frozenset({0}), frozenset({1})))
+    assert sysq.default_slack() == 14
+    tree = Node(1, 10)
+    for label in (2, 3, 4):         # rule `label` doubles label - 1 into label
+        tree = Node(label, 2 * tree.value, label, tree, tree)
+    tree = Node(0, tree.value - 1, 5, tree, Node(5, 0))
+    while tree.value > 20:
+        tree = Node(0, tree.value - 1, 0, tree, Node(5, 0))
+    tree = Node(0, tree.value + 1, 1, tree, Node(6, 1))
     pair = PumpPair((0,), (), 1)
     assert validate_tree(sysq, tree) is None and tree.value == 21
     assert validate_tree(sysq, pump(tree, pair, 1)) is None

@@ -232,7 +232,7 @@ def test_fresh_interner_sizes():
     fresh = Interner()
     sizes = fresh.sizes()
     assert {"theories", "diagrams", "theory_memo", "transfer_memo", "side_tables",
-            "config_memos"} <= set(sizes)
+            "config_memos", "part_memos"} <= set(sizes)
     assert not {"side_packs", "unpacked_diagrams"} & set(sizes)
     assert set(sizes.values()) == {0}
     t = compute_theory(path_graph(3), 1, fresh)
@@ -241,7 +241,8 @@ def test_fresh_interner_sizes():
     grown = fresh.sizes()
     assert grown.keys() == sizes.keys()
     assert all(grown[name] > 0 for name in ("theories", "diagrams", "theory_memo",
-                                            "transfer_memo", "side_tables", "config_memos"))
+                                            "transfer_memo", "side_tables", "config_memos",
+                                            "part_memos"))
     assert default_interner().sizes() == before
 
 
