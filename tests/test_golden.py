@@ -6,6 +6,8 @@ Claims:
     - theory digests of seeded structures at depths 0-2 (constants, repeated
       constants, a set column) are fixed
     - pattern-dump and schemes-enumerate stdout is fixed
+    - theory --dump stdout of a ternary model, whose relation words hold
+      more than 64 atoms (125 over five classes), is fixed at depths 0 and 1
     - formal theory spaces have fixed cardinalities and member digests
 """
 
@@ -74,6 +76,29 @@ def test_repeated_constants_digest(depth, digest):
 def _stdout_sha(capsys, argv):
     assert run(argv) == 0
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+# a ternary predicate over the five classes of a 4-tuple and two constants
+# has 125 atoms, more than one machine word holds
+TERNARY_TEXT = """vocab R/3 E/2
+consts 2
+size 5
+const 0 = 0
+const 1 = 3
+rel R: (0,1,2) (2,2,1) (1,0,0) (4,3,2) (3,4,4) (2,4,0)
+rel E: (0,1) (1,2) (2,2) (4,0) (3,1)
+"""
+
+
+@pytest.mark.parametrize("depth, stdout_sha", [
+    (0, "047265a0699d2950fd1ac36b754dc1dcd57204f0c5dfd662c5cb54e94800fd34"),
+    (1, "13b14138be79248c0cd0e083ab042df7fd8248af705259af888407c2892d1c4f"),
+])
+def test_wide_relation_words_dump_golden(capsys, tmp_path, depth, stdout_sha):
+    path = tmp_path / "ternary.struct"
+    path.write_text(TERNARY_TEXT)
+    assert _stdout_sha(capsys, ["theory", "--model", str(path), "--depth", str(depth),
+                                "--dump"]) == stdout_sha
 
 
 def test_pattern_dump_golden(capsys, tmp_path):

@@ -14,7 +14,9 @@ Claims:
     - a fresh interner starts with every table empty, and work in it leaves
       the default interner alone
     - Th^0 from the diagram engine equals a brute-force build, one diagram
-      per tuple, on the subset-table path and on the per-mask path
+      per tuple, on the subset-table path and on the per-mask path, also
+      with a ternary predicate whose 125 atoms over five classes pass one
+      machine word
     - every realizable theory is a member of the formal space, which
       refuses a theory of another interner
     - formal spaces obey the powerset law and refuse over budget
@@ -35,7 +37,7 @@ from conftest import k2_graph, rand_structure
 from hintikka import theory as theory_module
 from hintikka.composition import disjoint_union_scheme, glue, plain_union_scheme, transfer
 from hintikka.config import Config
-from hintikka.diagrams import DiagramEngine, complete_diagrams, partitions, qf_core
+from hintikka.diagrams import DiagramEngine, complete_diagrams, partitions
 from hintikka.errors import BudgetError, SignatureError
 from hintikka.structures import (
     Structure,
@@ -247,14 +249,18 @@ def test_fresh_interner_sizes():
 
 
 def _brute_th0(m, r, interner, extra_masks):
-    """Th^0 of m with extra set columns, one diagram per tuple: the qf core
-    of the r-tuple and the constants, plus its class bits in every set."""
+    """Th^0 of m with extra set columns, one diagram per tuple in bool form:
+    the equality type of the r-tuple and the constants, each relation's
+    membership per class tuple, and the class bits in every set."""
     columns = list(m.sets) + [{e for e in range(m.size) if u >> e & 1} for u in extra_masks]
 
     def diagram_id(v, elems):
-        eq, rel, reps = qf_core(m, elems)
+        reps = tuple(dict.fromkeys(elems))
+        rel = tuple(tuple(t in tuples for t in itertools.product(reps, repeat=arity))
+                    for (_, arity), tuples in zip(m.vocab.predicates, m.relations))
         return interner.diagram_id(
-            (v, eq, rel, tuple(tuple(e in col for e in reps) for col in columns)))
+            (v, tuple(map(reps.index, elems)), rel,
+             tuple(tuple(e in col for e in reps) for col in columns)))
 
     ids = {diagram_id(r, elems + m.consts)
            for elems in itertools.product(range(m.size), repeat=r)}
@@ -273,6 +279,8 @@ def _th0_cases():
         yield Structure(vocab, size, m.relations, consts, m.sets)
     for vocab in (Vocabulary(()), Vocabulary((("S", 1),), 1, 1)):
         yield rand_structure(vocab, 13, rng)     # 2^13 masks: the per-mask path
+    # a ternary predicate over five classes: 125 atoms in one relation word
+    yield rand_structure(Vocabulary((("R", 3), ("E", 2)), 2), 5, rng)
 
 
 def test_th0_matches_brute_force():
@@ -290,7 +298,7 @@ def test_th0_matches_brute_force():
             mask_path += 1
         else:
             table_path += 1
-    assert table_path == 24 and mask_path == 2
+    assert table_path == 25 and mask_path == 2
 
 
 # the vocabularies of the id tests: their bool forms overlap (S/1 and E/2
