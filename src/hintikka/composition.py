@@ -25,7 +25,8 @@ from operator import or_
 
 from .config import DEFAULT, Config
 from .diagrams import (SHAPE_BITS, canonical_eq, column_count, complete_diagrams, diagram_bits,
-                       nclasses, partitions, qf_core, rel_index, set_word, subdiagram, unpack_rel)
+                       gather, nclasses, partitions, qf_core, rel_index, set_word, subdiagram,
+                       unpack_rel)
 from .errors import BudgetError, HintikkaError, ParseError, SignatureError
 from .lineformat import LineReader
 from .structures import Structure, Vocabulary
@@ -262,7 +263,7 @@ def glue(m1: Structure, m2: Structure, scheme: Scheme) -> Structure:
             part = [e[side] for e in class_elem if e[side] is not None]
             part_eq, part_rel, reps = qf_core(m, part)
             part_sets = tuple(tuple(e in col for e in reps) for col in m.sets)
-            parts.append((len(part), part_eq, part_rel, part_sets))
+            parts.append((len(part), part_eq, unpack_rel(part_rel), part_sets))
         return (pred_name, canonical_eq(tuple_idx), tuple(origins), *parts)
 
     def tuple_value(pred_name, rel1, rel2, tuple_idx):
@@ -435,20 +436,23 @@ class _PartMemo:
     part's constant and variable counts, ``dslot`` (each result class's
     slot in the part's projections, None where the part lacks it) and
     ``sub_slots`` (per tabled predicate and entry, the slots of the part's
-    classes in it). ``atom_idx`` indexes each entry's atom in a
-    projection's relation. A pack reads only these and its projection, so
+    classes in it). ``atom_reads`` reads each entry's atom from a
+    projection's relation word (``diagrams.gather``), a 0 where the part
+    lacks one of the entry's classes. A pack reads only these and its
+    projection, so
     equal recipes give equal packs and pack ids: ``pack_of`` maps a
     projection key to its pack id, ``pack_ids`` gives each distinct base
     pack a base id, and ``packs`` lists them by base id; a pack id adds
     lifted column j as class bits j * len(dslot) + c above its base id."""
 
-    __slots__ = ("dslot", "sub_slots", "atom_idx", "pack_of", "pack_ids", "packs")
+    __slots__ = ("dslot", "sub_slots", "atom_reads", "pack_of", "pack_ids", "packs")
 
     def __init__(self, arities, nslots: int, dslot, sub_slots):
         self.dslot, self.sub_slots = dslot, sub_slots
-        self.atom_idx = tuple(tuple(None if None in slots else rel_index(slots, nslots)
-                                    for slots in itertools.product(dslot, repeat=a))
-                              for a in arities)
+        self.atom_reads = tuple(tuple(nslots ** a + 1 if None in slots
+                                      else rel_index(slots, nslots)
+                                      for slots in itertools.product(dslot[::-1], repeat=a))
+                                for a in arities)
         self.pack_of, self.pack_ids, self.packs = {}, {}, []
 
 
@@ -487,7 +491,8 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
           r: int, arities) -> tuple:
     """The result diagram ids of the packs x and y. Base packs are joined
     once: OR their masks, replace each tabled predicate's mask by its table
-    values, one shape per equality type. A lifted join ORs into each
+    values, one shape per equality type, whose relation words are the
+    predicates' masks. A lifted join ORs into each
     result of its base packs' join the OR of the two sides' lifted bits,
     which are the result's trailing set columns under their sentinel."""
     lifted = (x | y) >> 32
@@ -504,8 +509,7 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
     sig = list(map(or_, masks1, masks2))
     for t, (pos, name, skeletons) in enumerate(memo.tabled):
         sig[pos] = _table_mask(interner, scheme, name, skeletons, subs1[t], subs2[t], sig[pos])
-    n, cols = len(memo.class_origin), sig[len(arities):]
-    rel = unpack_rel(sig, n, arities)
+    n, rel, cols = len(memo.class_origin), tuple(sig[:len(arities)]), sig[len(arities):]
     word = set_word(sum(bits << j * n for j, bits in enumerate(cols)), len(cols), n)
     return tuple(interner.key_id(interner.shape_id(r, eq, rel) | word << SHAPE_BITS)
                  for eq in memo.res_eqs)
@@ -714,13 +718,13 @@ def _block_origins(nblocks, kept_refs):
 def _pack_side(interner: Interner, did: int, part: _PartMemo, arities):
     """One part's share of a config, from a base projection: per predicate
     and set column a bitmask of the entries the part makes true (bit e for
-    entry e), and per tabled predicate the id of the part-projected
+    entry e; a predicate's under a sentinel bit at its entry count, as in a
+    relation word), and per tabled predicate the id of the part-projected
     sub-diagram of each entry. Projections have pairwise-distinct slots, so
     their atoms are indexed by slot tuples directly."""
     _, eq, rel, word = interner.split(did)
     n = len(eq)
-    masks = [sum(1 << e for e, idx in enumerate(idxs) if idx is not None and atoms[idx])
-             for idxs, atoms in zip(part.atom_idx, rel)]
+    masks = list(map(gather, rel, part.atom_reads))
     masks += [sum(1 << c for c, slot in enumerate(part.dslot)
                   if slot is not None and word >> j * n + slot & 1)
               for j in range(column_count(word, n))]
@@ -741,11 +745,12 @@ def _sub_diagram(interner: Interner, did: int, slots, arities) -> int:
 
 def _table_mask(interner: Interner, scheme: Scheme, name, skeletons, subs1, subs2,
                 union: int) -> int:
-    """A tabled predicate's entries under its table, as a bitmask; values
-    are memoized per pattern and union bit."""
+    """A tabled predicate's entries under its table, as a bitmask that
+    keeps the union mask's bits above the entries (a sentinel); values are
+    memoized per pattern and union bit."""
     memo = interner.table_values
     sid = scheme.scheme_id
-    mask = 0
+    mask = union >> len(skeletons) << len(skeletons)
     for e, ((peq, porig), sub1, sub2) in enumerate(zip(skeletons, subs1, subs2)):
         bit = union >> e & 1
         key = (sid, name, peq, porig, sub1, sub2, bit)

@@ -1,7 +1,7 @@
 """Canonical quantifier-free diagrams: the one module that builds them.
 
 ``qf_core`` turns a tuple of elements of a structure into the equality
-type, relation atoms and class representatives of its diagram; Th^0
+type, relation words and class representatives of its diagram; Th^0
 (``DiagramEngine``) and glue's pattern part types are read from it.
 ``complete_diagrams`` enumerates every syntactically complete diagram of an
 equality type; the formal theory space and the pattern space are built
@@ -11,8 +11,9 @@ A diagram is a shape (v, eq, rel) and a set word:
 
   v     number of variable slots; slots v.. are constant slots
   eq    class index per slot, numbered by first occurrence (n classes)
-  rel   per predicate (vocabulary order), a flat bool tuple indexed by
-        class-index tuples in lexicographic order
+  rel   per predicate (vocabulary order), one int: bit e is the atom of
+        the e-th class tuple in lexicographic order, under a sentinel bit
+        at n ** arity that fixes the atom count without the arity
   word  the m set columns: column j, class c at bit j * n + c, under a
         sentinel bit at m * max(n, 1) that fixes m, also when n = 0
 
@@ -23,8 +24,8 @@ operations need the predicate arities, which diagrams do not carry.
 ``theory.Interner`` keeps each shape once under a shape id; a diagram's key
 is ``shape id | word << SHAPE_BITS``, and its id, the interner's id of that
 key, is the one name that Th^0, payloads and the transfer kernel use. The
-bool form (v, eq, rel, sets), a bool tuple per set column indexed by class,
-is built only to sort or print diagrams: digests, patterns, payloads.
+bool form (v, eq, rel, sets), a bool tuple per relation word and set
+column, is built only to sort or print diagrams: digests, patterns, payloads.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .structures import Structure
 # a diagram key: the shape id in the low SHAPE_BITS bits, the set word above
 SHAPE_BITS = 32
 SHAPE_MASK = (1 << SHAPE_BITS) - 1
+_DIGITS = bytes.maketrans(b"\0\1", b"01")       # bytes of bools to binary digits
 
 
 def canonical_eq(classes_by_slot) -> tuple:
@@ -79,13 +81,35 @@ def column_count(word: int, n: int) -> int:
     return (word.bit_length() - 1) // (n or 1)
 
 
+def bits_word(bools) -> int:
+    """The word of a sequence of bools: bit e for the e-th, under a sentinel
+    bit at its length."""
+    return int(b"1" + bytes(bools)[::-1].translate(_DIGITS), 2)
+
+
+def gather(word: int, reads) -> int:
+    """The word of the bits of ``word`` at positions ``reads`` (highest bit
+    first) under a sentinel bit; position width + 1 of a word reads a 0."""
+    digits = format(word, "b")[::-1] + "0"
+    return int("1" + "".join(map(digits.__getitem__, reads)), 2)
+
+
+def tuple_positions(reps, n: int, arity: int) -> list:
+    """The atom index, over n classes, of each class tuple over ``reps`` in
+    lexicographic order (highest first for reversed ``reps``)."""
+    idx = [0]
+    for _ in range(arity):
+        idx = [i * n + c for i in idx for c in reps]
+    return idx
+
+
 def qf_core(m: Structure, elements) -> tuple:
     """(eq, rel, reps) of a tuple of elements of m: its diagram without the
     set columns, and the element representing each class, by first
     occurrence. Set columns are read from ``reps``."""
     reps = tuple(dict.fromkeys(elements))
     eq = tuple(map({e: c for c, e in enumerate(reps)}.__getitem__, elements))
-    rel = tuple(tuple(map(tuples.__contains__, itertools.product(reps, repeat=arity)))
+    rel = tuple(bits_word(map(tuples.__contains__, itertools.product(reps, repeat=arity)))
                 for (_, arity), tuples in zip(m.vocab.predicates, m.relations))
     return eq, rel, reps
 
@@ -108,10 +132,10 @@ def complete_diagrams(v: int, eq, arities, m: int):
             yield (v, eq, rel, sets)
 
 
-def unpack_rel(masks, n: int, arities) -> tuple:
-    """rel over n classes whose atoms of each predicate are the bits of one
-    int, bit e for the e-th class tuple."""
-    return tuple(unpack_bits(bits, n ** a) for bits, a in zip(masks, arities))
+def unpack_rel(rel) -> tuple:
+    """The bool form of relation words: per word, its bits under its
+    sentinel as bools, bit 0 first."""
+    return tuple(tuple(map("1".__eq__, format(word, "b")[:0:-1])) for word in rel)
 
 
 def subdiagram(interner, did: int, slots, arities, new_v=None) -> int:
@@ -124,8 +148,7 @@ def subdiagram(interner, did: int, slots, arities, new_v=None) -> int:
     old_classes = [eq[s] for s in slots]
     reps = tuple(dict.fromkeys(old_classes))        # old class of each new class
     n_old, n = nclasses(eq), len(reps)
-    new_rel = tuple(tuple(atoms[rel_index(ct, n_old)]
-                          for ct in itertools.product(reps, repeat=arity))
+    new_rel = tuple(gather(atoms, tuple_positions(reps[::-1], n_old, arity))
                     for atoms, arity in zip(rel, arities))
     m = column_count(word, n_old)
     bits = sum((word >> j * n_old + c & 1) << j * n + i
@@ -138,52 +161,66 @@ def subdiagram(interner, did: int, slots, arities, new_v=None) -> int:
 class DiagramEngine:
     """Th^0 of one structure under extra set columns, as ids of the
     interner it is given. Each r-tuple (followed by the constants) is a row,
-    and the constants alone are one more row, with v = 0. A row keeps its
-    shape id, class count, base set bits and class representatives; a call
-    adds the class bits of each extra column (bitmasks over the universe)
-    and hands the row's key to the interner.
+    and the constants alone are one more row, with v = 0. Rows are grouped
+    by class representatives, which fix the relation words and set bits: a
+    group keeps its representatives, base set bits and its rows' shape ids;
+    a call adds the class bits of each extra column (bitmasks over the
+    universe) once per group and hands the rows' keys to the interner. The
+    constant row is the last row of group ``_const``.
     """
 
     def __init__(self, m: Structure, r: int, interner):
         self.m = m
         self.interner = interner
+        shape_id = interner.shape_id
         base_masks = tuple(sum(1 << e for e in s) for s in m.sets)
-        self._rows = []             # per row: (shape id, class count, base set bits, reps)
-        tuples = [(r, elems + m.consts)
-                  for elems in itertools.product(range(m.size), repeat=r)]
-        for v, elems in tuples + [(0, m.consts)]:
-            eq, rel, reps = qf_core(m, elems)
-            n = len(reps)
-            bits = sum(_pack(mask, reps) << j * n for j, mask in enumerate(base_masks))
-            self._rows.append((interner.shape_id(v, eq, rel), n, bits, reps))
+        groups = {}                 # reps -> (class of each element, rel words, shape ids)
+        rows = [(r, elems + m.consts) for elems in itertools.product(range(m.size), repeat=r)]
+        for v, elements in rows + [(0, m.consts)]:
+            reps = tuple(dict.fromkeys(elements))
+            group = groups.get(reps)
+            if group is None:
+                group = groups[reps] = ({e: c for c, e in enumerate(reps)}.__getitem__,
+                                        qf_core(m, reps)[1], [])
+            index, rel, sids = group
+            sids.append(shape_id(v, tuple(map(index, elements)), rel))
+        self._groups = [(reps, sum(_pack(mask, reps) << j * len(reps)
+                                   for j, mask in enumerate(base_masks)), sids)
+                        for reps, (_, _, sids) in groups.items()]
+        self._const = list(groups).index(tuple(dict.fromkeys(m.consts)))
         self._subset_table = None
 
     def _subset_rows(self):
-        """Per row, the packed class bits of every subset mask; feasible
+        """Per group, the packed class bits of every subset mask; feasible
         only for small universes (None otherwise). Built on the first call
         with two or more extra set columns, the first to read entries twice."""
         nmasks = 2 ** self.m.size
         if self._subset_table is None and nmasks <= 4096:
             self._subset_table = [[_pack(u, reps) for u in range(nmasks)]
-                                  for _, _, _, reps in self._rows]
+                                  for reps, _, _ in self._groups]
         return self._subset_table
 
     def th0_local(self, extra_masks: tuple):
         """The ids of the realized r-diagrams and the id of the constant
         diagram, under the given extra set columns."""
-        key_id = self.interner.key_id
         table = self._subset_rows() if len(extra_masks) > 1 else None
         base_m = len(self.m.sets)
         m = base_m + len(extra_masks)
-        out = []
-        for idx, (sid, n, bits, reps) in enumerate(self._rows):
+        keys = []
+        for idx, (reps, bits, sids) in enumerate(self._groups):
+            n = len(reps)
             shift = base_m * n
             for u in extra_masks:
                 bits |= (_pack(u, reps) if table is None else table[idx][u]) << shift
                 shift += n
-            out.append(key_id(sid | set_word(bits, m, n) << SHAPE_BITS))
-        cid = out.pop()
-        return frozenset(out), cid
+            word = set_word(bits, m, n) << SHAPE_BITS
+            keys += map(word.__or__, sids)
+            if idx == self._const:
+                const_key = keys.pop()
+        keys.append(const_key)
+        ids = list(map(self.interner.key_id, keys))
+        cid = ids.pop()
+        return frozenset(ids), cid
 
 
 def _pack(mask: int, reps) -> int:

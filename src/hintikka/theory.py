@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
-from .diagrams import (SHAPE_BITS, SHAPE_MASK, DiagramEngine, column_count, complete_diagrams,
-                       diagram_bits, nclasses, partitions, set_word, subdiagram, unpack_bits)
+from .diagrams import (SHAPE_BITS, SHAPE_MASK, DiagramEngine, bits_word, column_count,
+                       complete_diagrams, diagram_bits, nclasses, partitions, set_word, subdiagram,
+                       unpack_bits, unpack_rel)
 from .errors import BudgetError, HintikkaError, SignatureError
 from .structures import Structure, Vocabulary
 
@@ -27,11 +28,12 @@ class Interner:
 
     Quantifier-free diagrams are interned to ints in first-seen order
     (hash-consing) in two steps: a shape (v, eq, rel) gets a shape id once,
-    keeping one copy of each equality type and relation tuple, and a
-    diagram is keyed by one int, its shape id with its set word above it
-    (see ``diagrams``). A diagram's id is the id of its key:
-    ``DiagramEngine`` and the transfer kernel hand keys to ``key_id``, and
-    ``diagram_id`` gives a diagram in bool form the same id. A theory is
+    keeping one copy of each equality type and tuple of relation words (an
+    int per predicate: shapes hold no bool form), and a diagram is keyed by
+    one int, its shape id with its set word above it (see ``diagrams``). A
+    diagram's id is the id of its key: ``DiagramEngine`` and the transfer
+    kernel hand keys to ``key_id``, and ``diagram_id`` gives a diagram in
+    bool form the same id; ``bool_forms`` rebuilds it. A theory is
     keyed by its ``ids`` (and a depth-0 theory by its ``const_id`` too), and
     the interner builds one ``Theory`` per key. Ids are local to one
     interner, and every layer refuses theories of another. Digests hash the
@@ -57,8 +59,8 @@ class Interner:
         self._ids = {}
         self._theories = []
         self._pending = []          # depth-0 theories not yet digested
-        self._shape_ids = {}        # (v, eq, rel) -> shape id
-        self._shapes = []           # shape id -> (v, eq, rel), components kept
+        self._shape_ids = {}        # (v, eq, rel words) -> shape id
+        self._shapes = []           # shape id -> (v, eq, rel words), components kept
         self._diagram_ids = {}      # diagram key -> diagram id
         self._keys = []             # diagram id -> diagram key
         self._columns = {}          # (class count, set word) -> set columns in bool form
@@ -111,22 +113,38 @@ class Interner:
         v, eq, rel, sets = diag
         n = nclasses(eq)
         bits = sum(b << j * n + c for j, col in enumerate(sets) for c, b in enumerate(col))
-        return self.key_id(self.shape_id(v, eq, rel) | set_word(bits, len(sets), n) << SHAPE_BITS)
+        return self.key_id(self.shape_id(v, eq, tuple(map(bits_word, rel)))
+                           | set_word(bits, len(sets), n) << SHAPE_BITS)
 
     def split(self, did: int) -> tuple:
-        """(v, eq, rel, set word) of a diagram."""
+        """(v, eq, rel words, set word) of a diagram."""
         key = self._keys[did]
         return (*self._shapes[key & SHAPE_MASK], key >> SHAPE_BITS)
 
+    def bool_forms(self):
+        """A function from a diagram id to its bool form (v, eq, rel, sets):
+        equal set columns shared, and each tuple of relation words unpacked
+        once per function."""
+        keys, shapes, rels, columns = self._keys, self._shapes, {}, self._columns
+
+        def form(did: int) -> tuple:
+            key = keys[did]
+            v, eq, rel = shapes[key & SHAPE_MASK]
+            rel_form = rels.get(rel)
+            if rel_form is None:
+                rel_form = rels[rel] = unpack_rel(rel)
+            n, word = nclasses(eq), key >> SHAPE_BITS
+            sets = columns.get((n, word))
+            if sets is None:
+                sets = columns[(n, word)] = tuple(unpack_bits(word >> j * n, n)
+                                                  for j in range(column_count(word, n)))
+            return (v, eq, rel_form, sets)
+
+        return form
+
     def diagram(self, did: int) -> tuple:
-        """The bool form (v, eq, rel, sets) of a diagram, equal columns shared."""
-        v, eq, rel, word = self.split(did)
-        n = nclasses(eq)
-        sets = self._columns.get((n, word))
-        if sets is None:
-            sets = self._columns[(n, word)] = tuple(unpack_bits(word >> j * n, n)
-                                                    for j in range(column_count(word, n)))
-        return (v, eq, rel, sets)
+        """The bool form (v, eq, rel, sets) of a diagram."""
+        return self.bool_forms()(did)
 
     def extend(self, did: int, lifted: int) -> int:
         """The id of a diagram with the columns of set word ``lifted`` after its own."""
@@ -159,9 +177,10 @@ class Interner:
         of the pending diagram ids is sorted and formatted once; a theory
         lists its diagrams by their positions in that order, an int sort."""
         pending = self._pending
-        union = sorted(set().union(*(t.ids for t in pending)), key=self.diagram)
+        form = self.bool_forms()
+        union = sorted(set().union(*(t.ids for t in pending)), key=form)
         position = {did: pos for pos, did in enumerate(union)}
-        texts = list(map(repr, map(self.diagram, union)))
+        texts = list(map(repr, map(form, union)))
         for t in pending:
             items = list(map(texts.__getitem__, sorted(map(position.__getitem__, t.ids))))
             text = (f"('t0', {t.vocab_key!r}, {t.m!r}, {t.k!r}, "
@@ -266,7 +285,7 @@ class Theory:
         """Depth 0: the realized diagrams, sorted as tuples; deeper: the
         sorted member ids."""
         if self.depth == 0:
-            return tuple(sorted(map(self.interner.diagram, self.ids)))
+            return tuple(sorted(map(self.interner.bool_forms(), self.ids)))
         return self.ids
 
     @property

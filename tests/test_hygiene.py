@@ -21,8 +21,10 @@ Claims:
       calls ``.splitlines()`` or passes ``"#"`` to a string method, so input
       lines are split and comments stripped in one place
     - neither ``composition.py`` nor ``DiagramEngine`` calls ``unpack_bits``,
-      so the transfer kernel and Th^0 read set columns as bits and never
-      turn them back into bool tuples
+      and neither ``DiagramEngine``, ``subdiagram``, ``_join`` nor
+      ``_pack_side`` calls ``unpack_rel``, so the transfer kernel and Th^0
+      read set columns and relation words as bits and never turn them back
+      into bool tuples
     - no module under src/hintikka imports ``concurrent``,
       ``multiprocessing`` or ``threading``, so every command runs in one
       thread of one process and the unlocked ``Interner`` stays safe
@@ -253,28 +255,46 @@ def test_only_the_line_reader_splits_input_lines(path):
     assert private_line_readers(path.read_text(encoding="utf-8")) == []
 
 
-def unpack_bits_calls(tree) -> list:
-    """Lines of the calls to ``unpack_bits`` under an AST node, by name or
+def calls_to(tree, name: str) -> list:
+    """Lines of the calls to function ``name`` under an AST node, by name or
     as an attribute."""
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
-                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "unpack_bits")
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
 
 
 def test_scan_finds_an_unpack_bits_call():
     source = ("from .diagrams import unpack_bits\nfrom . import diagrams\n"
               "def join(word, n):\n"
               "    return unpack_bits(word, n), diagrams.unpack_bits(word, 1)\n")
-    assert unpack_bits_calls(ast.parse(source)) == [4, 4]
+    assert calls_to(ast.parse(source), "unpack_bits") == [4, 4]
+
+
+def test_scan_finds_an_unpack_rel_call():
+    source = ("from .diagrams import unpack_rel\nfrom . import diagrams\n"
+              "class Engine:\n    def row(self, rel):\n"
+              "        return diagrams.unpack_rel(rel), [unpack_rel(w) for w in (rel,)]\n")
+    assert calls_to(ast.parse(source), "unpack_rel") == [5, 5]
+    assert calls_to(ast.parse(source), "unpack_bits") == []
+
+
+def definitions(tree, names) -> dict:
+    """The module-level function and class definitions of ``tree`` named in
+    ``names``, by name."""
+    return {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}
 
 
 def test_kernel_and_engine_keep_set_columns_as_bits():
     composition = ast.parse((PACKAGE / "composition.py").read_text(encoding="utf-8"))
     diagrams = ast.parse((PACKAGE / "diagrams.py").read_text(encoding="utf-8"))
-    [engine] = [node for node in diagrams.body
-                if isinstance(node, ast.ClassDef) and node.name == "DiagramEngine"]
-    assert unpack_bits_calls(composition) == []
-    assert unpack_bits_calls(engine) == []
+    bit_readers = {**definitions(composition, ("_join", "_pack_side")),
+                   **definitions(diagrams, ("DiagramEngine", "subdiagram"))}
+    assert len(bit_readers) == 4
+    assert calls_to(composition, "unpack_bits") == []
+    assert calls_to(bit_readers["DiagramEngine"], "unpack_bits") == []
+    for name, node in bit_readers.items():
+        assert calls_to(node, "unpack_rel") == [], name
 
 
 CONCURRENCY = ("concurrent", "multiprocessing", "threading")

@@ -248,23 +248,21 @@ def test_fresh_interner_sizes():
     assert default_interner().sizes() == before
 
 
-def _brute_th0(m, r, interner, extra_masks):
-    """Th^0 of m with extra set columns, one diagram per tuple in bool form:
+def _brute_th0(m, r, extra_masks):
+    """Th^0 of m with extra set columns in bool form, one diagram per tuple:
     the equality type of the r-tuple and the constants, each relation's
     membership per class tuple, and the class bits in every set."""
     columns = list(m.sets) + [{e for e in range(m.size) if u >> e & 1} for u in extra_masks]
 
-    def diagram_id(v, elems):
+    def diagram(v, elems):
         reps = tuple(dict.fromkeys(elems))
         rel = tuple(tuple(t in tuples for t in itertools.product(reps, repeat=arity))
                     for (_, arity), tuples in zip(m.vocab.predicates, m.relations))
-        return interner.diagram_id(
-            (v, tuple(map(reps.index, elems)), rel,
-             tuple(tuple(e in col for e in reps) for col in columns)))
+        return (v, tuple(map(reps.index, elems)), rel,
+                tuple(tuple(e in col for e in reps) for col in columns))
 
-    ids = {diagram_id(r, elems + m.consts)
-           for elems in itertools.product(range(m.size), repeat=r)}
-    return frozenset(ids), diagram_id(0, m.consts)
+    forms = {diagram(r, elems + m.consts) for elems in itertools.product(range(m.size), repeat=r)}
+    return frozenset(forms), diagram(0, m.consts)
 
 
 def _th0_cases():
@@ -293,7 +291,13 @@ def test_th0_matches_brute_force():
         full = 2 ** m.size - 1
         for extra in ((), (0,), (full,), (rng.randint(0, full),),
                       (rng.randint(0, full), rng.randint(0, full)), (), (full, 0, 1)):
-            assert engine.th0_local(extra) == _brute_th0(m, r, interner, extra)
+            ids, cid = engine.th0_local(extra)
+            forms, const_form = _brute_th0(m, r, extra)
+            # the bool forms read back, and the ids that diagram_id gives them
+            assert (frozenset(map(interner.diagram, ids)), interner.diagram(cid)) == (
+                forms, const_form)
+            assert (frozenset(map(interner.diagram_id, forms)),
+                    interner.diagram_id(const_form)) == (ids, cid)
         if engine._subset_rows() is None:
             mask_path += 1
         else:
