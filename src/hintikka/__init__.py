@@ -46,6 +46,7 @@ from .numbersets import (
     peak_nodes,
     pump,
     reach,
+    reach_is_exact,
     serialize_system,
     validate_tree,
     verify_certificate,

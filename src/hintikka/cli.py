@@ -30,6 +30,7 @@ from .numbersets import (
     find_period,
     parse_system,
     reach,
+    reach_is_exact,
     verify_certificate,
 )
 from .oracle import eval_formula, parse_formula, spectrum_bruteforce
@@ -192,7 +193,8 @@ def cmd_system_reach(args, config):
     sys_ = parse_system(_read(args.system), config)
     rr = reach(sys_, args.bound, args.slack)
     lines = [f"reach bound={rr.bound} slack={rr.slack} "
-             f"slack_stable={'yes' if rr.slack_stable else 'no'}"]
+             f"slack_stable={'yes' if rr.slack_stable else 'no'} "
+             f"exact={'yes' if reach_is_exact(sys_, args.bound) else 'no'}"]
     for label in range(sys_.m):
         vals = ",".join(map(str, rr.values(label))) or "-"
         lines.append(f"label {label}: {vals}")

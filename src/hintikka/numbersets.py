@@ -6,7 +6,8 @@ n1 + n2 - j at label l3 from values at labels l1, l2, and finite base sets.
 Values can locally decrease when j exceeds a child value, so reachability
 saturates over an enlarged window [0, max(bound, largest base value) +
 slack] before filtering; the computation retries once with doubled slack
-and reports whether the answer below the bound changed. Certificates
+and reports whether the answer below the bound changed; that is no proof,
+and ``reach_is_exact`` says when the answer is proved exact. Certificates
 record exactly what was verified; periodicity beyond the scan bound is
 never claimed.
 
@@ -159,6 +160,25 @@ def reach(sys: QuadrupleSystem, bound: int, slack: int = None) -> ReachResult:
     low = (1 << (bound + 1)) - 1
     stable = all(a & low == b & low for a, b in zip(members, members2))
     return ReachResult(tuple(tuple(_bits(ms & low)) for ms in members2), bound, slack, stable)
+
+
+def reach_is_exact(sys: QuadrupleSystem, bound: int) -> bool:
+    """Whether ``reach(sys, bound)`` is proved exact, whatever its slack.
+
+    Saturates over [0, L], L = max(bound, largest base value, largest
+    deficit); mins[l] is the least value found at label l, or L + 1 if
+    none. If every rule (l1, l2, l3, j) has j <= min(mins[l1], mins[l2]),
+    then by induction on height each node of a derivation tree is at least
+    each of its children (n = c1 + c2 - j >= c1 + mins[l2] - j >= c1) and
+    at least its label's mins, so every value <= bound is derived by a tree
+    inside [0, bound], which every window of ``reach`` covers.
+    """
+    if bound < 0:
+        raise HintikkaError("bound must be a natural number")
+    limit = max(bound, sys.max_base, sys.max_j)
+    members, _ = _saturate(sys, limit)
+    mins = [(ms & -ms).bit_length() - 1 if ms else limit + 1 for ms in members]
+    return all(j <= min(mins[l1], mins[l2]) for l1, l2, _, j in sys.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +452,8 @@ def find_period(sys: QuadrupleSystem, label: int, scan_bound: int,
     The threshold is normalized to the first member at or past the point
     where periodicity starts (or just past the last member for finite sets),
     and at least three full periods must fit below the scan bound. Status is
-    certified-progression when a derivation-tree pump with increment a
+    finite when no member of the scan range lies at or past the threshold,
+    else certified-progression when a derivation-tree pump with increment a
     multiple of the period exists within budget, else empirical.
     """
     if not 0 <= label < sys.m:
@@ -458,6 +479,8 @@ def find_period(sys: QuadrupleSystem, label: int, scan_bound: int,
         pumpw = _search_pump(sys, label, period, scan_bound, config)
         if pumpw is not None:
             status = "certified-progression"
+        if max_member is None or max_member < threshold:
+            status = "finite"
         return PeriodicityCertificate(label, threshold, period, scan_bound,
                                       status, pumpw)
     return None

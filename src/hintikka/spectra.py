@@ -90,12 +90,6 @@ def _spectrum_of_digest(sys, digests, digest, bound, config, with_witnesses=Fals
     scan = max(config.spectrum_scan, bound, 2 * config.spectrum_window)
     sizes = reach(sys, bound).values(label)
     cert = find_period(sys, label, scan, config.spectrum_window, config)
-    if cert is not None:
-        tail = [v for v in reach(sys, scan).values(label)
-                if v >= cert.threshold]
-        if not tail:
-            cert = PeriodicityCertificate(cert.label, cert.threshold, cert.period,
-                                          cert.verified_to, "finite", cert.pump)
     witnesses = None
     if with_witnesses:
         witnesses = {

@@ -11,8 +11,10 @@ import pytest
 import hintikka
 from hintikka import selfcheck
 from hintikka.cli import run
+from hintikka.closure import parse_facts
 from hintikka.composition import plain_union_scheme, serialize_scheme
 from hintikka.numbersets import QuadrupleSystem, serialize_system
+from hintikka.spectra import induce_system_from_facts
 from hintikka.structures import (
     Structure,
     Vocabulary,
@@ -182,6 +184,43 @@ def test_periodicity_and_reach(files, capsys):
     code, out = _capture(capsys, [
         "system-reach", "--system", files["evens.qs"], "--bound", "12"])
     assert code == 0 and "label 0: 2,4,6,8,10,12" in out
+    assert out.startswith("reach bound=12 slack=0 slack_stable=yes exact=yes\n")
+
+
+def test_system_reach_says_when_its_answer_is_not_exact(tmp_path, capsys):
+    """Label 0 counts down from 79 = 80 - 1, where 80 is 10 doubled three
+    times: the default window misses it, and the answer says it is not
+    exact although doubling the slack changed nothing."""
+    system = tmp_path / "climb.qs"
+    system.write_text("labels 7\nrule 0 5 0 1\nrule 0 6 0 0\nrule 1 1 2 0\n"
+                      "rule 2 2 3 0\nrule 3 3 4 0\nrule 4 5 0 1\n"
+                      "base 1: 10\nbase 5: 0\nbase 6: 1\n")
+    code, out = _capture(capsys, ["system-reach", "--system", str(system), "--bound", "30"])
+    assert code == 0
+    assert out.startswith("reach bound=30 slack=14 slack_stable=yes exact=no\nlabel 0: -\n")
+
+
+def test_periodicity_and_spectrum_give_a_label_one_status(tmp_path, capsys):
+    """The induced system of the spectrum workload's facts: periodicity
+    prints, for every label, the certificate that spectrum prints for its
+    digest, finite ones included (label 1 is realized at size 1 only)."""
+    scheme_path, facts = tmp_path / "du.scm", tmp_path / "du.facts"
+    scheme_path.write_text("scheme k1=0 k2=0 k=0\n")
+    assert run(["closure", "--vocab", "E/2", "--depth", "0", "--scheme", str(scheme_path),
+                "--small-models", "1", "--facts-out", str(facts)]) == 0
+    code, spectra = _capture(capsys, ["spectrum", "--facts", str(facts), "--bound", "16"])
+    assert code == 0
+    system, digests = induce_system_from_facts(*parse_facts(facts.read_text()))
+    system_path = tmp_path / "du.qs"
+    system_path.write_text(serialize_system(system))
+    certificates = [line for line in spectra.splitlines() if line.startswith("periodicity")]
+    assert len(certificates) == len(digests) == 17
+    for label, certificate in enumerate(certificates):
+        code, out = _capture(capsys, ["periodicity", "--system", str(system_path), "--label",
+                                      str(label), "--scan", "96", "--window", "16"])
+        assert code == 0 and out == certificate + " reverified=yes\n"
+    assert certificates[1] == ("periodicity label=1 threshold=2 period=1 verified_to=96 "
+                               "status=finite")
 
 
 def test_decompose_and_profile(files, capsys):

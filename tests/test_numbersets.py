@@ -33,6 +33,7 @@ from hintikka.numbersets import (
     peak_nodes,
     pump,
     reach,
+    reach_is_exact,
     serialize_system,
     validate_tree,
     verify_certificate,
@@ -555,6 +556,50 @@ def test_verify_certificate_refuses_a_pump_that_leaves_the_naturals():
                                   PumpWitness(tree, PumpPair((0,), (), 1)))
     assert validate_tree(sysq, pump(tree, cert.pump.pair, 1)).clause == "c"
     assert verify_certificate(sysq, cert) is False
+
+
+@given(small_systems(), st.integers(min_value=0, max_value=16))
+@settings(max_examples=80, deadline=None)
+def test_reach_is_exact_only_where_no_slack_is_needed(sysq, bound):
+    """Where the check passes, saturating [0, bound] alone finds every value
+    that a window far above every base value and deficit finds; the check
+    fails wherever a rule's deficit passes the least value found at one of
+    its operand labels."""
+    limit = max(bound, sysq.max_base, sysq.max_j)
+    window = naive_fixpoint(sysq, limit)
+    mins = [vals[0] if vals else limit + 1 for vals in window]
+    exact = reach_is_exact(sysq, bound)
+    assert exact == all(j <= min(mins[l1], mins[l2]) for l1, l2, _, j in sysq.rules)
+    if exact:
+        wide = naive_fixpoint(sysq, 4 * (limit + 1))
+        assert reach(sysq, bound, slack=0).sets == tuple(
+            tuple(v for v in vals if v <= bound) for vals in wide)
+
+
+def test_reach_is_not_exact_where_a_derivation_climbs_above_the_window():
+    """The system whose label 0 counts down from 79 = 80 - 1, where 80 is 10
+    doubled three times: with the default slack, reach misses every value
+    of label 0 up to 30, and the check refuses to call that exact."""
+    sysq = parse_system("labels 7\nrule 0 5 0 1\nrule 0 6 0 0\nrule 1 1 2 0\n"
+                        "rule 2 2 3 0\nrule 3 3 4 0\nrule 4 5 0 1\n"
+                        "base 1: 10\nbase 5: 0\nbase 6: 1\n")
+    rr = reach(sysq, 30)
+    assert rr.values(0) == () and rr.slack_stable
+    assert not reach_is_exact(sysq, 30)
+    assert reach(sysq, 30, slack=30).values(0) == tuple(range(31))
+    evens = QuadrupleSystem(1, ((0, 0, 0, 0),), (frozenset({2}),))
+    assert reach_is_exact(evens, 12)
+    with pytest.raises(HintikkaError):
+        reach_is_exact(evens, -1)
+
+
+def test_find_period_calls_a_set_with_no_member_past_its_threshold_finite():
+    finite = QuadrupleSystem(1, (), (frozenset({1, 2}),))
+    cert = find_period(finite, 0, 40, 8)
+    assert (cert.threshold, cert.period, cert.status) == (3, 1, "finite")
+    assert verify_certificate(finite, cert)
+    evens = QuadrupleSystem(1, ((0, 0, 0, 0),), (frozenset({2}),))
+    assert find_period(evens, 0, 40, 8).status != "finite"
 
 
 def test_reach_keeps_base_values_above_the_bound():
