@@ -439,10 +439,9 @@ class _PartMemo:
     classes in it). ``atom_reads`` reads each entry's atom from a
     projection's relation word (``diagrams.gather``), a 0 where the part
     lacks one of the entry's classes. A pack reads only these and its
-    projection, so
-    equal recipes give equal packs and pack ids: ``pack_of`` maps a
-    projection key to its pack id, ``pack_ids`` gives each distinct base
-    pack a base id, and ``packs`` lists them by base id; a pack id adds
+    projection, so equal recipes give equal packs and pack ids: ``pack_of``
+    maps a projection key to its pack id, ``pack_ids`` gives each distinct
+    base pack a base id, and ``packs`` lists them by base id; a pack id adds
     lifted column j as class bits j * len(dslot) + c above its base id."""
 
     __slots__ = ("dslot", "sub_slots", "atom_reads", "pack_of", "pack_ids", "packs")
@@ -491,10 +490,10 @@ def _join(interner: Interner, scheme: Scheme, memo: _ConfigMemo, x: int, y: int,
           r: int, arities) -> tuple:
     """The result diagram ids of the packs x and y. Base packs are joined
     once: OR their masks, replace each tabled predicate's mask by its table
-    values, one shape per equality type, whose relation words are the
-    predicates' masks. A lifted join ORs into each
-    result of its base packs' join the OR of the two sides' lifted bits,
-    which are the result's trailing set columns under their sentinel."""
+    values, one shape per equality type, with the predicates' masks as its
+    relation words. A lifted join ORs into each result of its base packs'
+    join the OR of the two sides' lifted bits, which are the result's
+    trailing set columns under their sentinel."""
     lifted = (x | y) >> 32
     if lifted != 1:
         bx, by = x & _BASE | _LIFT0, y & _BASE | _LIFT0

@@ -82,25 +82,17 @@ def column_count(word: int, n: int) -> int:
 
 
 def bits_word(bools) -> int:
-    """The word of a sequence of bools: bit e for the e-th, under a sentinel
-    bit at its length."""
-    return int(b"1" + bytes(bools)[::-1].translate(_DIGITS), 2)
+    """The word of a sequence of bools listed from its highest bit down to
+    bit 0, under a sentinel bit at its length."""
+    return int(b"1" + bytes(bools).translate(_DIGITS), 2)
 
 
 def gather(word: int, reads) -> int:
     """The word of the bits of ``word`` at positions ``reads`` (highest bit
-    first) under a sentinel bit; position width + 1 of a word reads a 0."""
+    first) under a sentinel bit; for a word of w bits under its sentinel,
+    position w + 1 reads a 0."""
     digits = format(word, "b")[::-1] + "0"
     return int("1" + "".join(map(digits.__getitem__, reads)), 2)
-
-
-def tuple_positions(reps, n: int, arity: int) -> list:
-    """The atom index, over n classes, of each class tuple over ``reps`` in
-    lexicographic order (highest first for reversed ``reps``)."""
-    idx = [0]
-    for _ in range(arity):
-        idx = [i * n + c for i in idx for c in reps]
-    return idx
 
 
 def qf_core(m: Structure, elements) -> tuple:
@@ -109,8 +101,9 @@ def qf_core(m: Structure, elements) -> tuple:
     occurrence. Set columns are read from ``reps``."""
     reps = tuple(dict.fromkeys(elements))
     eq = tuple(map({e: c for c, e in enumerate(reps)}.__getitem__, elements))
-    rel = tuple(bits_word(map(tuples.__contains__, itertools.product(reps, repeat=arity)))
-                for (_, arity), tuples in zip(m.vocab.predicates, m.relations))
+    # class tuples over reversed reps come highest atom first
+    rel = tuple(bits_word(map(tuples.__contains__, itertools.product(reps[::-1], repeat=a)))
+                for (_, a), tuples in zip(m.vocab.predicates, m.relations))
     return eq, rel, reps
 
 
@@ -148,13 +141,17 @@ def subdiagram(interner, did: int, slots, arities, new_v=None) -> int:
     old_classes = [eq[s] for s in slots]
     reps = tuple(dict.fromkeys(old_classes))        # old class of each new class
     n_old, n = nclasses(eq), len(reps)
-    new_rel = tuple(gather(atoms, tuple_positions(reps[::-1], n_old, arity))
-                    for atoms, arity in zip(rel, arities))
+    new_rel = []
+    for atoms, arity in zip(rel, arities):
+        reads = [0]         # old atom index per new class tuple, highest first
+        for _ in range(arity):
+            reads = [i * n_old + c for i in reads for c in reps[::-1]]
+        new_rel.append(gather(atoms, reads))
     m = column_count(word, n_old)
     bits = sum((word >> j * n_old + c & 1) << j * n + i
                for j in range(m) for i, c in enumerate(reps))
     sid = interner.shape_id(len(slots) if new_v is None else new_v,
-                            canonical_eq(old_classes), new_rel)
+                            canonical_eq(old_classes), tuple(new_rel))
     return interner.key_id(sid | set_word(bits, m, n) << SHAPE_BITS)
 
 
@@ -174,19 +171,18 @@ class DiagramEngine:
         self.interner = interner
         shape_id = interner.shape_id
         base_masks = tuple(sum(1 << e for e in s) for s in m.sets)
-        groups = {}                 # reps -> (class of each element, rel words, shape ids)
+        groups = {}                 # reps -> (rel words, shape ids)
         rows = [(r, elems + m.consts) for elems in itertools.product(range(m.size), repeat=r)]
         for v, elements in rows + [(0, m.consts)]:
             reps = tuple(dict.fromkeys(elements))
             group = groups.get(reps)
             if group is None:
-                group = groups[reps] = ({e: c for c, e in enumerate(reps)}.__getitem__,
-                                        qf_core(m, reps)[1], [])
-            index, rel, sids = group
-            sids.append(shape_id(v, tuple(map(index, elements)), rel))
+                group = groups[reps] = (qf_core(m, reps)[1], [])
+            rel, sids = group
+            sids.append(shape_id(v, tuple(map(reps.index, elements)), rel))
         self._groups = [(reps, sum(_pack(mask, reps) << j * len(reps)
                                    for j, mask in enumerate(base_masks)), sids)
-                        for reps, (_, _, sids) in groups.items()]
+                        for reps, (_, sids) in groups.items()]
         self._const = list(groups).index(tuple(dict.fromkeys(m.consts)))
         self._subset_table = None
 
@@ -217,10 +213,9 @@ class DiagramEngine:
             keys += map(word.__or__, sids)
             if idx == self._const:
                 const_key = keys.pop()
-        keys.append(const_key)
-        ids = list(map(self.interner.key_id, keys))
-        cid = ids.pop()
-        return frozenset(ids), cid
+        key_id = self.interner.key_id
+        cid = key_id(const_key)
+        return frozenset(map(key_id, keys)), cid
 
 
 def _pack(mask: int, reps) -> int:

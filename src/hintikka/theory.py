@@ -113,8 +113,8 @@ class Interner:
         v, eq, rel, sets = diag
         n = nclasses(eq)
         bits = sum(b << j * n + c for j, col in enumerate(sets) for c, b in enumerate(col))
-        return self.key_id(self.shape_id(v, eq, tuple(map(bits_word, rel)))
-                           | set_word(bits, len(sets), n) << SHAPE_BITS)
+        sid = self.shape_id(v, eq, tuple(bits_word(reversed(atoms)) for atoms in rel))
+        return self.key_id(sid | set_word(bits, len(sets), n) << SHAPE_BITS)
 
     def split(self, did: int) -> tuple:
         """(v, eq, rel words, set word) of a diagram."""
@@ -184,7 +184,7 @@ class Interner:
         for t in pending:
             items = list(map(texts.__getitem__, sorted(map(position.__getitem__, t.ids))))
             text = (f"('t0', {t.vocab_key!r}, {t.m!r}, {t.k!r}, "
-                    f"{_tuple_repr(items)}, {self.diagram(t.const_id)!r})")
+                    f"{_tuple_repr(items)}, {form(t.const_id)!r})")
             t._digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         self._pending = []
 
