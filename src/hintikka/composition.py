@@ -248,6 +248,8 @@ def glue(m1: Structure, m2: Structure, scheme: Scheme) -> Structure:
     if size != m1.size + m2.size - scheme.j:
         raise HintikkaError("internal: size law violated")
 
+    part_types = {}     # (side, part elements) -> the part's diagram in bool form
+
     def pattern_of(pred_name, tuple_idx):
         class_elem = [elems[i] for i in dict.fromkeys(tuple_idx)]    # by first occurrence
         origins = []
@@ -260,10 +262,14 @@ def glue(m1: Structure, m2: Structure, scheme: Scheme) -> Structure:
                 origins.append(("n2",))
         parts = []
         for side, m in enumerate((m1, m2)):
-            part = [e[side] for e in class_elem if e[side] is not None]
-            part_eq, part_rel, reps = qf_core(m, part)
-            part_sets = tuple(tuple(e in col for e in reps) for col in m.sets)
-            parts.append((len(part), part_eq, unpack_rel(part_rel), part_sets))
+            part = tuple(e[side] for e in class_elem if e[side] is not None)
+            part_type = part_types.get((side, part))
+            if part_type is None:
+                part_eq, part_rel, reps = qf_core(m, part)
+                part_type = part_types[(side, part)] = (
+                    len(part), part_eq, unpack_rel(part_rel),
+                    tuple(tuple(e in col for e in reps) for col in m.sets))
+            parts.append(part_type)
         return (pred_name, canonical_eq(tuple_idx), tuple(origins), *parts)
 
     def tuple_value(pred_name, rel1, rel2, tuple_idx):

@@ -89,10 +89,12 @@ def bits_word(bools) -> int:
 
 def gather(word: int, reads) -> int:
     """The word of the bits of ``word`` at positions ``reads`` (highest bit
-    first) under a sentinel bit; for a word of w bits under its sentinel,
-    position w + 1 reads a 0."""
-    digits = format(word, "b")[::-1] + "0"
-    return int("1" + "".join(map(digits.__getitem__, reads)), 2)
+    first) under a sentinel bit; a position above the word's sentinel reads
+    a 0."""
+    out = 1
+    for pos in reads:
+        out = out << 1 | word >> pos & 1
+    return out
 
 
 def qf_core(m: Structure, elements) -> tuple:
