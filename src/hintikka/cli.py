@@ -185,7 +185,9 @@ def cmd_periodicity(args, config):
               args.out)
         return 1
     verified = verify_certificate(sys_, cert)
-    _emit(cert.describe() + f" reverified={'yes' if verified else 'NO'}\n", args.out)
+    exact = reach_is_exact(sys_, args.scan)
+    _emit(cert.describe() + f" reverified={'yes' if verified else 'NO'}"
+          f" exact={'yes' if exact else 'no'}\n", args.out)
     return 0
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import or_
 
 from .config import DEFAULT, Config
@@ -67,7 +67,6 @@ class Scheme:
     keep2: tuple = None
     result_refs: tuple = ()
     tables: tuple = ()
-    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ident", tuple(sorted((int(i), int(j)) for i, j in self.ident)))
@@ -137,13 +136,13 @@ class Scheme:
 
 
 def plain_union_scheme(k1=0, k2=0, k=0, ident=(), keep1=None, keep2=None,
-                       result_refs=(), name="plain-union") -> Scheme:
+                       result_refs=()) -> Scheme:
     """R^M = R^{M1} union R^{M2}; mixed tuples are never related."""
-    return Scheme(k1, k2, k, ident, keep1, keep2, result_refs, (), name)
+    return Scheme(k1, k2, k, ident, keep1, keep2, result_refs)
 
 
 def disjoint_union_scheme() -> Scheme:
-    return plain_union_scheme(name="disjoint-union")
+    return plain_union_scheme()
 
 
 def table_names(preds, m: int) -> list:
@@ -162,8 +161,7 @@ def random_table_scheme(vocab: Vocabulary, k1, k2, k, seed, ident=(),
     """Total tables decided by a PRF of the canonical pattern string."""
     names = table_names(vocab.predicates, vocab.num_sets)
     tables = tuple((n, ("random", seed + idx)) for idx, n in enumerate(names))
-    return Scheme(k1, k2, k, ident, keep1, keep2, result_refs, tables,
-                  name=f"random-{seed}")
+    return Scheme(k1, k2, k, ident, keep1, keep2, result_refs, tables)
 
 
 # ---------------------------------------------------------------------------

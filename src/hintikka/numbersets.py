@@ -11,13 +11,16 @@ and ``reach_is_exact`` says when the answer is proved exact. Certificates
 record exactly what was verified; periodicity beyond the scan bound is
 never claimed.
 
-Saturation works on bitsets: the values of a label are one int (bit n set
-when n is reachable), and a rule adds the sumset of its operands shifted
-down by j. Rounds are semi-naive (only rules with an operand that changed
-in the last round are applied), and the values new in each round are kept
-as stages, from which witness trees are rebuilt. Each system saturates
-once per limit: the result is memoized on the ``QuadrupleSystem`` instance
-itself, outside its equality and hash.
+Number sets are bitsets from saturation to certificate: the values of a
+label are one int (bit n set when n is reachable), and a rule adds the
+sumset of its operands shifted down by j. Rounds are semi-naive (only
+rules with an operand that changed in the last round are applied), and
+the values new in each round are kept as stages, from which witness trees
+are rebuilt. Each system saturates once per limit: the result is memoized
+on the ``QuadrupleSystem`` instance itself, outside its equality and hash.
+``reach`` hands on one int per label, ``find_period`` and
+``verify_certificate`` test periodicity with shifts and masks, and values
+are decoded only where they are printed (``ReachResult.values``).
 """
 
 from __future__ import annotations
@@ -65,13 +68,17 @@ class QuadrupleSystem:
 
 @dataclass(frozen=True)
 class ReachResult:
-    sets: tuple          # per label, sorted tuple of values <= bound
+    members: tuple       # per label, the bitset of its values <= bound
     bound: int
     slack: int
     slack_stable: bool   # doubling the slack did not change the answer
 
-    def values(self, label: int) -> tuple:
-        return self.sets[label]
+    def values(self, *labels) -> tuple:
+        """The values reached at any of ``labels``, ascending."""
+        bits = 0
+        for label in labels:
+            bits |= self.members[label]
+        return tuple(_bits(bits))
 
 
 def _bits(x: int):
@@ -159,7 +166,7 @@ def reach(sys: QuadrupleSystem, bound: int, slack: int = None) -> ReachResult:
     members2, _ = _saturate(sys, top + 2 * slack)
     low = (1 << (bound + 1)) - 1
     stable = all(a & low == b & low for a, b in zip(members, members2))
-    return ReachResult(tuple(tuple(_bits(ms & low)) for ms in members2), bound, slack, stable)
+    return ReachResult(tuple(ms & low for ms in members2), bound, slack, stable)
 
 
 def reach_is_exact(sys: QuadrupleSystem, bound: int) -> bool:
@@ -255,17 +262,13 @@ def validate_tree(sys: QuadrupleSystem, tree: Node):
     return None
 
 
-def witness_tree(sys: QuadrupleSystem, label: int, value: int,
-                 bound: int, slack: int = None) -> Node:
+def witness_tree(sys: QuadrupleSystem, label: int, value: int, bound: int) -> Node:
     """A derivation tree for a reachable value, rebuilt from the stages of
     the saturation: a value first reached in round r > 0 takes the first
     rule (by index), then the smallest n1, whose two children were both
     reached before round r; a base value is a leaf. It reads the wider
-    saturation of ``reach``."""
-    slack = sys.default_slack() if slack is None else slack
-    if slack < 0:
-        raise HintikkaError("slack must be a natural number")
-    members, stages = _saturate(sys, max(bound, sys.max_base) + 2 * slack)
+    saturation of ``reach`` with the default slack."""
+    members, stages = _saturate(sys, max(bound, sys.max_base) + 2 * sys.default_slack())
     if value < 0 or not (members[label] >> value) & 1:
         raise HintikkaError(f"value {value} not reachable at label {label}")
     before = [(0,) * sys.m]          # before[r]: values reached before round r
@@ -449,12 +452,17 @@ def find_period(sys: QuadrupleSystem, label: int, scan_bound: int,
     """Smallest (period, threshold) making membership periodic on the scan
     range, or None when inconclusive.
 
-    The threshold is normalized to the first member at or past the point
-    where periodicity starts (or just past the last member for finite sets),
-    and at least three full periods must fit below the scan bound. Status is
-    finite when no member of the scan range lies at or past the threshold,
-    else certified-progression when a derivation-tree pump with increment a
-    multiple of the period exists within budget, else empirical.
+    For each period p, t0 is one past the last x <= scan_bound - p whose
+    membership differs from that of x + p, read off the bitset as the
+    length of ``vals ^ vals >> p`` masked to those x. The threshold is the
+    first member at or past t0 (t0 itself when there is none), and at least
+    three full periods must fit below the scan bound. A pattern with no
+    member from its threshold on is finite unless a derivation-tree pump of
+    any increment exists within budget: such a pump proves the set
+    infinite, so the scan goes on to the next period (that search runs
+    once, with period 1). Otherwise the status is certified-progression
+    when a pump with increment a multiple of the period exists within
+    budget, else empirical.
     """
     if not 0 <= label < sys.m:
         raise HintikkaError(f"label {label} out of range 0..{sys.m - 1}")
@@ -462,37 +470,24 @@ def find_period(sys: QuadrupleSystem, label: int, scan_bound: int,
         raise HintikkaError("window must be at least 1")
     if scan_bound < 2 * window:
         raise HintikkaError("scan bound must be at least twice the window")
-    rr = reach(sys, scan_bound)
-    vals = set(rr.values(label))
-    max_member = max(vals) if vals else None
-
+    vals = reach(sys, scan_bound).members[label]
+    infinite = None             # whether some pump exists; searched at most once
     for period in range(1, window + 1):
-        t0 = 0
-        for x in range(scan_bound - period, -1, -1):
-            if (x in vals) != (x + period in vals):
-                t0 = x + 1
-                break
-        threshold = _normalize_threshold(t0, vals, max_member)
+        t0 = ((vals ^ vals >> period) & ((1 << scan_bound - period + 1) - 1)).bit_length()
+        rest = vals >> t0
+        threshold = t0 + (rest & -rest).bit_length() - 1 if rest else t0
         if threshold + 3 * period > scan_bound:
             continue
-        status = "empirical"
+        if not rest:
+            if infinite is None:
+                infinite = _search_pump(sys, label, 1, scan_bound, config) is not None
+            if infinite:
+                continue
+            return PeriodicityCertificate(label, threshold, period, scan_bound, "finite")
         pumpw = _search_pump(sys, label, period, scan_bound, config)
-        if pumpw is not None:
-            status = "certified-progression"
-        if max_member is None or max_member < threshold:
-            status = "finite"
-        return PeriodicityCertificate(label, threshold, period, scan_bound,
-                                      status, pumpw)
+        status = "empirical" if pumpw is None else "certified-progression"
+        return PeriodicityCertificate(label, threshold, period, scan_bound, status, pumpw)
     return None
-
-
-def _normalize_threshold(t0: int, vals: set, max_member) -> int:
-    if max_member is None or t0 > max_member:
-        return t0
-    t = t0
-    while t not in vals:
-        t += 1
-    return t
 
 
 def _search_pump(sys: QuadrupleSystem, label: int, period: int,
@@ -581,15 +576,21 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
 def verify_certificate(sys: QuadrupleSystem, cert: PeriodicityCertificate) -> bool:
     """Independent re-check: a fresh saturation (of a copy of ``sys``, so no
     memo filled while the certificate was made is read), exact periodicity
-    on the verified range, and (when present) pump validity, increment
-    divisibility, and a few pumped members landing back in the reach set.
-    A certificate that fails any of these is refused with False."""
+    on the verified range (one masked XOR of the label's bitset), no member
+    from the threshold on and no pump for a finite certificate, and (when
+    present) pump validity, increment divisibility, and a few pumped
+    members landing back in the reach set. A certificate that fails any of
+    these, or whose period or threshold is not a positive or a natural
+    number, is refused with False."""
+    if cert.period < 1 or cert.threshold < 0:
+        return False
     fresh = QuadrupleSystem(sys.m, sys.rules, sys.base)     # empty memo
-    rr = reach(fresh, cert.verified_to)
-    vals = set(rr.values(cert.label))
-    for x in range(cert.threshold, cert.verified_to - cert.period + 1):
-        if (x in vals) != (x + cert.period in vals):
-            return False
+    vals = reach(fresh, cert.verified_to).members[cert.label]
+    span = cert.verified_to - cert.period + 1 - cert.threshold
+    if span > 0 and ((vals ^ vals >> cert.period) >> cert.threshold) & ((1 << span) - 1):
+        return False
+    if cert.status == "finite" and (cert.pump is not None or vals >> cert.threshold):
+        return False
     if cert.pump is not None:
         tree, pair = cert.pump.tree, cert.pump.pair
         if validate_tree(sys, tree) is not None:
@@ -607,7 +608,7 @@ def verify_certificate(sys: QuadrupleSystem, cert: PeriodicityCertificate) -> bo
                 return False
             if pumped.value != tree.value + i * pair.delta:
                 return False
-            if pumped.value <= cert.verified_to and pumped.value not in vals:
+            if pumped.value <= cert.verified_to and not (vals >> pumped.value) & 1:
                 return False
     return True
 

@@ -174,7 +174,7 @@ def check_closure_spectra():
     ok &= all(good for good, _ in validate_replay(st).values())
     p2 = path_graph(2, 2, (0, 1))
     chain = plain_union_scheme(2, 2, 2, ((1, 0),),
-                               result_refs=(("1", 0), ("2", 1)), name="chain")
+                               result_refs=(("1", 0), ("2", 1)))
     st2 = close({2: [(compute_theory(p2, 0), 2, p2)]}, [chain], depth=0)
     ok &= st2.status == "converged"
     ok &= class_spectrum(st2, 8) == (2, 3, 4, 5, 6, 7, 8)

@@ -102,11 +102,7 @@ def _spectrum_of_digest(sys, digests, digest, bound, config, with_witnesses=Fals
 def class_spectrum(state: ClosureState, bound: int) -> tuple:
     """Union of the per-theory spectra: every size realized by the class."""
     sys, _ = induce_system(state)
-    rr = reach(sys, bound)
-    out = set()
-    for label in range(sys.m):
-        out.update(rr.values(label))
-    return tuple(sorted(out))
+    return reach(sys, bound).values(*range(sys.m))
 
 
 def sentence_spectrum(state: ClosureState, phi, bound: int,
@@ -125,13 +121,9 @@ def sentence_spectrum(state: ClosureState, phi, bound: int,
         raise HintikkaError(
             f"sentence needs depth {d} but the closure was computed at depth {state.depth}")
     sys, digests = induce_system(state)
-    rr = reach(sys, bound)
-    out = set()
-    for t in reachable:
-        if eval_formula(replay_witness(state, t), phi, config=config):
-            label = digests.index(t.digest)
-            out.update(rr.values(label))
-    return tuple(sorted(out))
+    labels = [digests.index(t.digest) for t in reachable
+              if eval_formula(replay_witness(state, t), phi, config=config)]
+    return reach(sys, bound).values(*labels)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,9 @@ from hintikka.theory import (
 
 GRAPHS = Vocabulary((("E", 2),))
 CHAIN = plain_union_scheme(2, 2, 2, ident=((1, 0),),
-                           result_refs=(("1", 0), ("2", 1)), name="chain")
+                           result_refs=(("1", 0), ("2", 1)))
 GLUE_POINT = plain_union_scheme(1, 1, 1, ident=((0, 0),),
-                                result_refs=(("s", 0, 0),), name="point")
+                                result_refs=(("s", 0, 0),))
 
 
 def _report(num, name, detail):
@@ -118,7 +118,7 @@ def test_criterion_1_addition_theorem():
                            compute_theory(m2, depth, interner), scheme, interner)
             rhs = compute_theory(g, depth, interner)
             assert lhs.intern_id == rhs.intern_id, \
-                f"mismatch at depth {depth}, trial {trial}, scheme {scheme.name}"
+                f"mismatch at depth {depth}, trial {trial}, scheme {scheme.scheme_id}"
             count += 1
     elapsed = time.time() - started
     assert count >= 500

@@ -189,8 +189,9 @@ def test_periodicity_and_reach(files, capsys):
 
 def test_system_reach_says_when_its_answer_is_not_exact(tmp_path, capsys):
     """Label 0 counts down from 79 = 80 - 1, where 80 is 10 doubled three
-    times: the default window misses it, and the answer says it is not
-    exact although doubling the slack changed nothing."""
+    times: the default window misses it, and the answer (and the
+    periodicity certificate read from it) says it is not exact although
+    doubling the slack changed nothing."""
     system = tmp_path / "climb.qs"
     system.write_text("labels 7\nrule 0 5 0 1\nrule 0 6 0 0\nrule 1 1 2 0\n"
                       "rule 2 2 3 0\nrule 3 3 4 0\nrule 4 5 0 1\n"
@@ -198,6 +199,22 @@ def test_system_reach_says_when_its_answer_is_not_exact(tmp_path, capsys):
     code, out = _capture(capsys, ["system-reach", "--system", str(system), "--bound", "30"])
     assert code == 0
     assert out.startswith("reach bound=30 slack=14 slack_stable=yes exact=no\nlabel 0: -\n")
+    # the certificate read from that answer calls label 0 finite: not exact either
+    code, out = _capture(capsys, ["periodicity", "--system", str(system), "--label", "0",
+                                  "--scan", "30", "--window", "5"])
+    assert code == 0
+    assert out == ("periodicity label=0 threshold=0 period=1 verified_to=30 status=finite "
+                   "reverified=yes exact=no\n")
+
+
+def test_periodicity_does_not_call_a_pumped_set_finite(tmp_path, capsys):
+    """The multiples of 50: the scan to 96 sees 50 alone, but the pump
+    100 = 50 + 50 proves the set infinite, so no certificate is printed."""
+    system = tmp_path / "fifties.qs"
+    system.write_text("labels 1\nrule 0 0 0 0\nbase 0: 50\n")
+    code, out = _capture(capsys, ["periodicity", "--system", str(system), "--label", "0",
+                                  "--scan", "96", "--window", "16"])
+    assert (code, out) == (1, "inconclusive label=0 scan=96 window=16\n")
 
 
 def test_periodicity_and_spectrum_give_a_label_one_status(tmp_path, capsys):
@@ -218,7 +235,7 @@ def test_periodicity_and_spectrum_give_a_label_one_status(tmp_path, capsys):
     for label, certificate in enumerate(certificates):
         code, out = _capture(capsys, ["periodicity", "--system", str(system_path), "--label",
                                       str(label), "--scan", "96", "--window", "16"])
-        assert code == 0 and out == certificate + " reverified=yes\n"
+        assert code == 0 and out == certificate + " reverified=yes exact=yes\n"
     assert certificates[1] == ("periodicity label=1 threshold=2 period=1 verified_to=96 "
                                "status=finite")
 

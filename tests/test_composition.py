@@ -47,9 +47,9 @@ from hintikka.theory import Interner, compute_theory, default_interner
 GRAPHS = Vocabulary((("E", 2),))
 
 GLUE_POINT = plain_union_scheme(1, 1, 1, ident=((0, 0),),
-                                result_refs=(("s", 0, 0),), name="point")
+                                result_refs=(("s", 0, 0),))
 CHAIN = plain_union_scheme(2, 2, 2, ident=((1, 0),),
-                           result_refs=(("1", 0), ("2", 1)), name="chain")
+                           result_refs=(("1", 0), ("2", 1)))
 
 
 def _scheme_samples(rng, vocab, k1, k2, seed):

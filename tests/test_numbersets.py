@@ -66,12 +66,10 @@ def test_reach_numerical_semigroup():
 
 def test_negative_slack_refused():
     # a negative slack saturates below the bound: reach would answer
-    # "nothing at label 0" and witness_tree would call 4 unreachable
+    # "nothing at label 0"
     assert reach(COFIN2, 4, 0).values(0) == (2, 3, 4)
     with pytest.raises(HintikkaError, match="slack"):
         reach(COFIN2, 4, -2)
-    with pytest.raises(HintikkaError, match="slack"):
-        witness_tree(COFIN2, 0, 4, 4, -2)
 
 
 def test_reach_deterministic_and_slack_stable():
@@ -266,7 +264,7 @@ def test_reach_matches_naive_fixpoint(sysq, bound):
 
     first = upto(naive[top + slack])
     second = upto(naive[top + 2 * slack])
-    assert rr.sets == second
+    assert tuple(map(rr.values, range(sysq.m))) == second
     assert rr.slack_stable == (first == second)
     for label in range(sysq.m):
         for value in rr.values(label):
@@ -572,7 +570,7 @@ def test_reach_is_exact_only_where_no_slack_is_needed(sysq, bound):
     assert exact == all(j <= min(mins[l1], mins[l2]) for l1, l2, _, j in sysq.rules)
     if exact:
         wide = naive_fixpoint(sysq, 4 * (limit + 1))
-        assert reach(sysq, bound, slack=0).sets == tuple(
+        assert tuple(map(reach(sysq, bound, slack=0).values, range(sysq.m))) == tuple(
             tuple(v for v in vals if v <= bound) for vals in wide)
 
 
@@ -644,3 +642,135 @@ def test_verify_certificate_refuses_pumped_values_outside_the_reach_set():
     assert reach(sysq, 30).values(0) == ()
     cert = PeriodicityCertificate(0, 0, 1, 30, "certified-progression", PumpWitness(tree, pair))
     assert verify_certificate(sysq, cert) is False
+
+
+# the multiples of 50: the scan to 96 sees 50 alone, so every pattern has no
+# member past its threshold, and the pump 100 = 50 + 50 refutes each of them
+FIFTIES = QuadrupleSystem(1, ((0, 0, 0, 0),), (frozenset({50}),))
+
+
+def test_find_period_does_not_call_a_pumped_set_finite():
+    """A pump of any increment proves the set infinite, so no pattern that
+    ends below the scan bound is certified: the scan is inconclusive."""
+    assert find_period(FIFTIES, 0, 96, 16) is None
+    witness = numbersets._search_pump(FIFTIES, 0, 1, 96, Config())
+    assert witness.pair.delta == 50 and validate_tree(FIFTIES, witness.tree) is None
+    assert reach(FIFTIES, 200).values(0) == (50, 100, 150, 200)
+
+
+def test_verify_certificate_refuses_a_finite_certificate_with_a_pump_or_a_member():
+    witness = numbersets._search_pump(FIFTIES, 0, 1, 96, Config())
+    finite = PeriodicityCertificate(0, 51, 1, 96, "finite")
+    assert verify_certificate(FIFTIES, finite)          # nothing from 51 to 96
+    assert not verify_certificate(FIFTIES, dataclasses.replace(finite, pump=witness))
+    assert verify_certificate(FIFTIES, dataclasses.replace(
+        finite, status="certified-progression", pump=witness))
+    # periodic on [1, 96] with period 50, but 50 is a member past the threshold
+    spaced = PeriodicityCertificate(0, 1, 50, 96, "empirical")
+    assert verify_certificate(FIFTIES, spaced)
+    assert not verify_certificate(FIFTIES, dataclasses.replace(spaced, status="finite"))
+
+
+def reference_members(sysq, label, bound):
+    """The values <= bound at ``label`` in the window ``reach`` saturates,
+    as a set, by the naive fixpoint."""
+    limit = max(bound, sysq.max_base) + 2 * sysq.default_slack()
+    return {v for v in naive_fixpoint(sysq, limit)[label] if v <= bound}
+
+
+def reference_find_period(sysq, label, scan_bound, window, config):
+    """``find_period`` one value at a time: a backward scan for the last
+    mismatch of x against x + period, then a walk up to the first member."""
+    vals = reference_members(sysq, label, scan_bound)
+    max_member = max(vals, default=None)
+    infinite = None
+    for period in range(1, window + 1):
+        t0 = 0
+        for x in range(scan_bound - period, -1, -1):
+            if (x in vals) != (x + period in vals):
+                t0 = x + 1
+                break
+        threshold = t0
+        if max_member is not None and t0 <= max_member:
+            while threshold not in vals:
+                threshold += 1
+        if threshold + 3 * period > scan_bound:
+            continue
+        if max_member is None or max_member < threshold:
+            if infinite is None:
+                infinite = reference_search_pump(sysq, label, 1, scan_bound, config) is not None
+            if infinite:
+                continue
+            return PeriodicityCertificate(label, threshold, period, scan_bound, "finite")
+        witness = reference_search_pump(sysq, label, period, scan_bound, config)
+        status = "empirical" if witness is None else "certified-progression"
+        return PeriodicityCertificate(label, threshold, period, scan_bound, status, witness)
+    return None
+
+
+def reference_verify_certificate(sysq, cert):
+    """``verify_certificate`` one value at a time."""
+    if cert.period < 1 or cert.threshold < 0:
+        return False
+    vals = reference_members(sysq, cert.label, cert.verified_to)
+    for x in range(cert.threshold, cert.verified_to - cert.period + 1):
+        if (x in vals) != (x + cert.period in vals):
+            return False
+    if cert.status == "finite" and (cert.pump is not None
+                                    or any(v >= cert.threshold for v in vals)):
+        return False
+    if cert.pump is not None:
+        tree, pair = cert.pump.tree, cert.pump.pair
+        if validate_tree(sysq, tree) is not None or tree.label != cert.label:
+            return False
+        if pair.delta <= 0 or pair.delta % cert.period != 0:
+            return False
+        for i in range(1, 4):
+            try:
+                pumped = pump(tree, pair, i)
+            except HintikkaError:
+                return False
+            if validate_tree(sysq, pumped) is not None:
+                return False
+            if pumped.value != tree.value + i * pair.delta:
+                return False
+            if pumped.value <= cert.verified_to and pumped.value not in vals:
+                return False
+    return True
+
+
+@st.composite
+def scans(draw):
+    """(scan bound, window): windows up to half the scan, so that periods
+    near a third of the scan, the largest that fit, are tried."""
+    scan_bound = draw(st.integers(2, 48))
+    return scan_bound, draw(st.integers(1, scan_bound // 2))
+
+
+@example(FIFTIES, 0, (96, 16), 51, 1, "finite", True)                  # refuted finite
+@example(QuadrupleSystem(1, ((0, 0, 0, 0),), (frozenset(),)), 0, (12, 6),
+         0, 1, "finite", False)                                          # empty
+@example(QuadrupleSystem(2, (), (frozenset({1, 4}), frozenset())), 0, (30, 10),
+         5, 2, "empirical", False)                                       # finite
+@example(MULT3, 0, (12, 6), 3, 3, "certified-progression", True)       # period scan/3
+@example(QuadrupleSystem(1, (), (frozenset({0, 1, 2}),)), 0, (3, 1),
+         0, 1, "finite", False)                          # last mismatch at x = scan - 1
+@given(small_systems(), st.integers(0, 2), scans(), st.integers(0, 50), st.integers(1, 16),
+       st.sampled_from(("finite", "empirical", "certified-progression")), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_bit_certificates_match_the_per_value_loops(sysq, label, scan, threshold, period,
+                                                    status, keep_pump):
+    """``find_period`` and ``verify_certificate`` on bitsets agree with the
+    per-value loops: the same certificate, pump included, and the same
+    verdict on it and on a certificate with other fields."""
+    label %= sysq.m
+    scan_bound, window = scan
+    config = Config(pump_tree_cap=300)
+    cert = find_period(sysq, label, scan_bound, window, config)
+    assert cert == reference_find_period(sysq, label, scan_bound, window, config)
+    if cert is None:
+        cert = PeriodicityCertificate(label, 0, 1, scan_bound, "empirical")
+    assert verify_certificate(sysq, cert) == reference_verify_certificate(sysq, cert)
+    other = dataclasses.replace(cert, threshold=threshold, period=period, status=status,
+                                pump=cert.pump if keep_pump else None)
+    assert verify_certificate(sysq, other) == reference_verify_certificate(sysq, other)

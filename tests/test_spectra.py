@@ -23,7 +23,7 @@ from hintikka.theory import compute_theory, default_interner
 
 GRAPHS = Vocabulary((("E", 2),))
 CHAIN = plain_union_scheme(2, 2, 2, ident=((1, 0),),
-                           result_refs=(("1", 0), ("2", 1)), name="chain")
+                           result_refs=(("1", 0), ("2", 1)))
 
 
 def _matching_state(interner, depth=0):
