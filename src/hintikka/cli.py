@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 domain error, 2 budget refusal. All output is
 deterministic given the same inputs, config, and seeds; identifiers printed
 are stable digests, never process-local. Every command runs in one thread,
 on an empty default interner, so nothing computed before ``run`` reaches it.
+
+A command imports only what it runs: the oracle, the decomposition search
+and the self-check load inside their commands. ``run`` builds the parser of
+the one subcommand that ``argv`` names (``COMMANDS`` holds each one's
+options); when ``argv`` names none first, or that parser refuses it, the
+full parser parses it again, so help, usage and error text and exit codes
+are the full parser's.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import selfcheck as _selfcheck_mod
 from .composition import (
     enumerate_patterns,
     enumerate_schemes,
@@ -24,7 +30,6 @@ from .composition import (
 )
 from .config import DEFAULT, load_config
 from .closure import close, parse_facts, write_facts
-from .decomp import decompose, decomposability_profile, find_small_equivalent
 from .errors import BudgetError, HintikkaError, ParseError
 from .numbersets import (
     find_period,
@@ -33,7 +38,6 @@ from .numbersets import (
     reach_is_exact,
     verify_certificate,
 )
-from .oracle import eval_formula, parse_formula, spectrum_bruteforce
 from .spectra import audit_gaps, induce_system_from_facts, spectrum_from_facts
 from .structures import (
     Structure,
@@ -205,6 +209,7 @@ def cmd_system_reach(args, config):
 
 
 def cmd_decompose(args, config):
+    from .decomp import decompose
     m = _load_model(args.model)
     split = decompose(m, args.k, args.m, config)
     if split is None:
@@ -217,6 +222,7 @@ def cmd_decompose(args, config):
 
 
 def cmd_decompose_profile(args, config):
+    from .decomp import decomposability_profile
     structures = [_load_model(p) for p in args.models]
     rows = decomposability_profile(structures, args.k, args.m, config)
     lines = []
@@ -233,6 +239,7 @@ def cmd_incidence(args, config):
 
 
 def cmd_smalleq(args, config):
+    from .decomp import find_small_equivalent
     m = _load_model(args.model)
     found = find_small_equivalent(m, args.depth, args.size_max, config=config)
     if found is None:
@@ -261,6 +268,7 @@ def cmd_gaps(args, config):
 
 
 def cmd_oracle_eval(args, config):
+    from .oracle import eval_formula, parse_formula
     m = _load_model(args.model)
     phi = parse_formula(_read(args.formula_file) if args.formula_file else args.formula)
     value = eval_formula(m, phi, config=config)
@@ -269,6 +277,7 @@ def cmd_oracle_eval(args, config):
 
 
 def cmd_oracle_spectrum(args, config):
+    from .oracle import parse_formula, spectrum_bruteforce
     vocab = _vocab_from_args(args)
     phi = parse_formula(_read(args.formula_file) if args.formula_file else args.formula)
     sizes = spectrum_bruteforce(phi, vocab, args.max_size, config)
@@ -277,7 +286,8 @@ def cmd_oracle_spectrum(args, config):
 
 
 def cmd_selfcheck(args, config):
-    checks = _selfcheck_mod.all_checks(args.seed)
+    from .selfcheck import all_checks
+    checks = all_checks(args.seed)
     lines = []
     failures = 0
     for name, fn in checks:
@@ -293,130 +303,107 @@ def cmd_selfcheck(args, config):
     return 0 if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_SETS = ("--sets", {"type": int, "default": 0})
+
+# name -> (function, help line, options as (flag, add_argument keywords));
+# every command also takes --out
+COMMANDS = {
+    "theory": (cmd_theory, "depth-n theory digest of a structure", (
+        ("--model", _REQUIRED), ("--depth", _REQUIRED_INT), ("--dump", {"action": "store_true"}))),
+    "pattern-dump": (cmd_pattern_dump, "canonical pattern strings for a scheme configuration", (
+        ("--vocab", _REQUIRED), _SETS, ("--scheme", _REQUIRED), ("--pred", {}))),
+    "glue": (cmd_glue, "amalgamate two structures along a scheme", (
+        ("--left", _REQUIRED), ("--right", _REQUIRED), ("--scheme", _REQUIRED))),
+    "check-addition": (cmd_check_addition, "transfer vs direct theory of the glued structure", (
+        ("--left", _REQUIRED), ("--right", _REQUIRED), ("--scheme", _REQUIRED),
+        ("--depth", _REQUIRED_INT))),
+    "schemes-enumerate": (
+        cmd_schemes_enumerate, "all schemes at a constant signature (budget-guarded)", (
+            ("--vocab", _REQUIRED), _SETS, ("--k1", _REQUIRED_INT), ("--k2", _REQUIRED_INT),
+            ("--k", _REQUIRED_INT), ("--kstar", _REQUIRED_INT), ("--budget", {"type": int}))),
+    "closure": (cmd_closure, "fixpoint closure under scheme transfers", (
+        ("--vocab", _REQUIRED), _SETS, ("--depth", _REQUIRED_INT),
+        ("--scheme", {"action": "append", "required": True}),
+        ("--base-model", {"action": "append"}),
+        ("--small-models", {"type": int, "help": "also include all models with <= K elements, "
+                                                 "per constant count up to K"}),
+        ("--max-iter", {"type": int, "default": 64}), ("--facts-out", {}))),
+    "spectrum": (cmd_spectrum, "sizes and certificate per theory digest", (
+        ("--facts", _REQUIRED), ("--theory", {}), ("--bound", _REQUIRED_INT))),
+    "periodicity": (cmd_periodicity, "eventual-periodicity certificate", (
+        ("--system", _REQUIRED), ("--label", _REQUIRED_INT), ("--scan", _REQUIRED_INT),
+        ("--window", _REQUIRED_INT))),
+    "system-reach": (cmd_system_reach, "reachable values per label", (
+        ("--system", _REQUIRED), ("--bound", _REQUIRED_INT), ("--slack", {"type": int}))),
+    "decompose": (cmd_decompose, "weak (k,m)-decomposition of one structure", (
+        ("--model", _REQUIRED), ("--k", _REQUIRED_INT), ("--m", _REQUIRED_INT))),
+    "decompose-profile": (cmd_decompose_profile, "decomposability table for a family", (
+        ("--models", {"nargs": "+", "required": True}), ("--k", _REQUIRED_INT),
+        ("--m", _REQUIRED_INT))),
+    "incidence": (cmd_incidence, "incidence graph of the complete graph K_n", (
+        ("--n", _REQUIRED_INT),)),
+    "smalleq": (cmd_smalleq, "small structure with the same depth-d theory", (
+        ("--model", _REQUIRED), ("--depth", _REQUIRED_INT), ("--size-max", _REQUIRED_INT))),
+    "gaps": (cmd_gaps, "audit successive-gap ratios of a size list", (
+        ("--sizes", {}), ("--sizes-file", {}), ("--ratio", _REQUIRED),
+        ("--threshold", {"type": int, "default": 0}))),
+    "oracle-eval": (cmd_oracle_eval, "evaluate an MSO sentence on a model", (
+        ("--model", _REQUIRED), ("--formula", {}), ("--formula-file", {}))),
+    "oracle-spectrum": (cmd_oracle_spectrum, "brute-force spectrum of a sentence", (
+        ("--vocab", _REQUIRED), ("--consts", {"type": int, "default": 0}), _SETS,
+        ("--formula", {}), ("--formula-file", {}), ("--max-size", _REQUIRED_INT))),
+    "selfcheck": (cmd_selfcheck, "run the invariant suite at desk scale", (
+        ("--seed", {"type": int, "default": 2024}),)),
+}
+
+
+def build_parser(names=tuple(COMMANDS), parser_class=argparse.ArgumentParser):
+    """The argument parser with the subcommands ``names``, in that order."""
+    parser = parser_class(
         prog="hintikka",
         description="Depth-n monadic theories, gluing, closure, spectra, and "
                     "periodicity certificates for finite relational structures.")
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name in names:
+        fn, help_line, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write output to a file instead of stdout")
-        return p
-
-    p = add("theory", cmd_theory, help="depth-n theory digest of a structure")
-    p.add_argument("--model", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--dump", action="store_true")
-
-    p = add("pattern-dump", cmd_pattern_dump,
-            help="canonical pattern strings for a scheme configuration")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--sets", type=int, default=0)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--pred")
-
-    p = add("glue", cmd_glue, help="amalgamate two structures along a scheme")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--scheme", required=True)
-
-    p = add("check-addition", cmd_check_addition,
-            help="transfer vs direct theory of the glued structure")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("schemes-enumerate", cmd_schemes_enumerate,
-            help="all schemes at a constant signature (budget-guarded)")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--sets", type=int, default=0)
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kstar", type=int, required=True)
-    p.add_argument("--budget", type=int)
-
-    p = add("closure", cmd_closure, help="fixpoint closure under scheme transfers")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--sets", type=int, default=0)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--scheme", action="append", default=[], required=True)
-    p.add_argument("--base-model", action="append", default=[])
-    p.add_argument("--small-models", type=int,
-                   help="also include all models with <= K elements, per "
-                        "constant count up to K")
-    p.add_argument("--max-iter", type=int, default=64)
-    p.add_argument("--facts-out")
-
-    p = add("spectrum", cmd_spectrum, help="sizes and certificate per theory digest")
-    p.add_argument("--facts", required=True)
-    p.add_argument("--theory")
-    p.add_argument("--bound", type=int, required=True)
-
-    p = add("periodicity", cmd_periodicity, help="eventual-periodicity certificate")
-    p.add_argument("--system", required=True)
-    p.add_argument("--label", type=int, required=True)
-    p.add_argument("--scan", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
-
-    p = add("system-reach", cmd_system_reach, help="reachable values per label")
-    p.add_argument("--system", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--slack", type=int)
-
-    p = add("decompose", cmd_decompose, help="weak (k,m)-decomposition of one structure")
-    p.add_argument("--model", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("decompose-profile", cmd_decompose_profile,
-            help="decomposability table for a family")
-    p.add_argument("--models", nargs="+", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("incidence", cmd_incidence, help="incidence graph of the complete graph K_n")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("smalleq", cmd_smalleq, help="small structure with the same depth-d theory")
-    p.add_argument("--model", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--size-max", type=int, required=True)
-
-    p = add("gaps", cmd_gaps, help="audit successive-gap ratios of a size list")
-    p.add_argument("--sizes")
-    p.add_argument("--sizes-file")
-    p.add_argument("--ratio", required=True)
-    p.add_argument("--threshold", type=int, default=0)
-
-    p = add("oracle-eval", cmd_oracle_eval, help="evaluate an MSO sentence on a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula")
-    p.add_argument("--formula-file")
-
-    p = add("oracle-spectrum", cmd_oracle_spectrum,
-            help="brute-force spectrum of a sentence")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--consts", type=int, default=0)
-    p.add_argument("--sets", type=int, default=0)
-    p.add_argument("--formula")
-    p.add_argument("--formula-file")
-    p.add_argument("--max-size", type=int, required=True)
-
-    p = add("selfcheck", cmd_selfcheck, help="run the invariant suite at desk scale")
-    p.add_argument("--seed", type=int, default=2024)
-
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
+class _Misparsed(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises where argparse would print an error, so that the full parser
+    parses again and prints its own message and usage."""
+
+    def error(self, message):
+        raise _Misparsed(message)
+
+
+def parse_args(argv):
+    """``build_parser().parse_args(argv)``, with only the subcommand that
+    ``argv`` names built where that parser accepts ``argv``; every other
+    case (no command first, or an error) goes to the full parser, so help,
+    usage and error text are the full parser's."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return build_parser(argv[:1], _OneCommandParser).parse_args(argv)
+        except _Misparsed:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     reset_default_interner()        # the output depends on the arguments alone
     try:
         config = load_config(args.config) if args.config else DEFAULT

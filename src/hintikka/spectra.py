@@ -5,7 +5,6 @@ per-theory size sets with periodicity certificates, plus the gap auditor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .closure import ClosureState
 from .config import DEFAULT, Config
@@ -132,7 +131,7 @@ def sentence_spectrum(state: ClosureState, phi, bound: int,
 
 @dataclass(frozen=True)
 class GapAuditResult:
-    ratio: Fraction
+    ratio: Fraction              # fractions.Fraction, imported by audit_gaps alone
     threshold: int
     violations: tuple            # successive pairs (n1, n2) with n2 >= ratio*n1
     least_passing_threshold: int
@@ -154,6 +153,9 @@ class GapAuditResult:
 def audit_gaps(sizes, ratio, threshold: int = 0) -> GapAuditResult:
     """Report successive members n1 < n2 with n1 > threshold and
     n2 >= ratio * n1; arithmetic is exact (Fraction)."""
+    from fractions import Fraction
+    if threshold < 0:
+        raise HintikkaError(f"threshold={threshold} is not a natural number")
     try:
         ratio = Fraction(str(ratio))
     except (ValueError, ZeroDivisionError):

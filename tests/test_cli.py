@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import hintikka
-from hintikka import selfcheck
-from hintikka.cli import run
+from hintikka import cli, selfcheck
+from hintikka.cli import COMMANDS, build_parser, parse_args, run
 from hintikka.closure import parse_facts
 from hintikka.composition import plain_union_scheme, serialize_scheme
 from hintikka.numbersets import QuadrupleSystem, serialize_system
@@ -350,6 +350,7 @@ BAD_ARGUMENTS = {
     "gaps-ratio-zero-denominator": "gaps --sizes 1,4 --ratio 1/0",
     "gaps-no-sizes": "gaps --ratio 2",
     "gaps-negative-size": "gaps --sizes=-3,-1,2 --ratio 3/2",
+    "gaps-negative-threshold": "gaps --sizes 1,2,3 --ratio 2 --threshold -1",
     "periodicity-label-out-of-range": "periodicity --system {qs} --label 5 --scan 40 --window 8",
     "periodicity-window-zero": "periodicity --system {qs} --label 0 --scan 40 --window 0",
     "smalleq-negative-size-max": "smalleq --model {p3} --depth 0 --size-max -1",
@@ -381,6 +382,7 @@ BAD_ARGUMENTS = {
 
 # what the error line of a refusal must say, where a misleading message was seen
 REFUSAL_NAMES = {
+    "gaps-negative-threshold": "threshold=-1 is not a natural number",
     "schemes-negative-kstar": "k*=-1 is not a natural number",
     "closure-negative-small-models": "--small-models=-1 is not a natural number",
     "closure-negative-small-models-alone": "--small-models=-1 is not a natural number",
@@ -498,3 +500,76 @@ def test_removed_options_refused(argv, capsys):
         run(argv)
     assert info.value.code == 2
     assert "hintikka: error: " in capsys.readouterr().err
+
+
+# ``run`` builds only the subcommand that argv names; its help, usage and
+# error text must be the full parser's, byte for byte
+
+def _exit_text(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_help_is_the_full_parsers(name, capsys):
+    full = _exit_text(build_parser().parse_args, [name, "--help"], capsys)
+    assert full[0] == 0 and full[1].startswith(f"usage: hintikka {name} ")
+    assert _exit_text(run, [name, "--help"], capsys) == full
+
+
+BAD_ARGV = {
+    "unknown-option-after-command": ["theory", "--model", "m", "--depth", "1", "--bogus"],
+    "unknown-option-and-value": ["spectrum", "--facts", "f", "--base", "b", "--bound", "8"],
+    "missing-required-option": ["theory", "--model", "m"],
+    "bad-int": ["theory", "--model", "m", "--depth", "x"],
+    "unknown-command": ["theroy", "--model", "m"],
+    "no-arguments": [],
+    "config-before-command": ["--config", "c.cfg", "periodicity", "--system", "q"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGV)
+def test_parse_errors_are_the_full_parsers(case, capsys):
+    argv = BAD_ARGV[case]
+    full = _exit_text(build_parser().parse_args, argv, capsys)
+    assert full[0] == 2 and full[1] == "" and full[2].startswith("usage: hintikka")
+    assert _exit_text(run, argv, capsys) == full
+
+
+VALID_ARGV = {
+    "theory": "--model m --depth 1 --dump --out o",
+    "pattern-dump": "--vocab E/2 --sets 1 --scheme s --pred E",
+    "glue": "--left a --right b --scheme s",
+    "check-addition": "--left a --right b --scheme s --depth 1",
+    "schemes-enumerate": "--vocab E/2 --k1 0 --k2 1 --k 1 --kstar 2 --budget 5",
+    "closure": ("--vocab E/2 --depth 0 --scheme s --scheme t --base-model m "
+                "--small-models 1 --max-iter 3 --facts-out f"),
+    "spectrum": "--facts f --theory t --bound 8",
+    "periodicity": "--system q --label 0 --scan 40 --window 8",
+    "system-reach": "--system q --bound 4 --slack 2",
+    "decompose": "--model m --k 1 --m 2",
+    "decompose-profile": "--models a b --k 1 --m 2",
+    "incidence": "--n 3",
+    "smalleq": "--model m --depth 0 --size-max 3",
+    "gaps": "--sizes 1,2 --sizes-file z --ratio 3/2 --threshold 1",
+    "oracle-eval": "--model m --formula phi --formula-file f",
+    "oracle-spectrum": "--vocab E/2 --consts 1 --sets 1 --formula phi --max-size 3",
+    "selfcheck": "--seed 7",
+}
+
+
+def test_every_command_has_a_valid_argv():
+    assert list(VALID_ARGV) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("name", VALID_ARGV)
+def test_one_command_parser_reads_what_the_full_parser_reads(name):
+    argv = [name, *VALID_ARGV[name].split()]
+    full = build_parser().parse_args(argv)
+    assert build_parser([name], cli._OneCommandParser).parse_args(argv) == full
+    assert parse_args(argv) == full
+    assert parse_args(["--config", "c.cfg", *argv]) == build_parser().parse_args(
+        ["--config", "c.cfg", *argv])

@@ -15,8 +15,8 @@ Claims:
       somewhere in the package outside that class's ``__init__``, so a slot
       that is only ever set cannot linger
     - every public module-level function or class under src/hintikka that
-      the package ``__init__`` does not export is read somewhere in the
-      package outside its own definition
+      the export table of the package ``__init__`` does not list is read
+      somewhere in the package outside its own definition
     - no module under src/hintikka but the line reader (``lineformat.py``)
       calls ``.splitlines()`` or passes ``"#"`` to a string method, so input
       lines are split and comments stripped in one place
@@ -195,12 +195,13 @@ def test_no_unread_slots():
 
 def unread_unexported_definitions(sources: dict) -> list:
     """(module, line, name) of each public module-level function or class
-    of ``sources`` (module name -> source text) that ``__init__.py`` does
-    not import and that no top-level statement other than its own
-    definition reads."""
-    exported = {alias.asname or alias.name
-                for node in ast.walk(ast.parse(sources["__init__.py"]))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    of ``sources`` (module name -> source text) that the export table
+    ``_EXPORTS`` of ``__init__.py`` (module -> names) does not list and
+    that no top-level statement other than its own definition reads."""
+    table = next(stmt.value for stmt in ast.parse(sources["__init__.py"]).body
+                 if isinstance(stmt, ast.Assign)
+                 and any(getattr(t, "id", None) == "_EXPORTS" for t in stmt.targets))
+    exported = {name for names in ast.literal_eval(table).values() for name in names}
     read = set()
     defined = []
     for name, source in sources.items():
@@ -217,7 +218,7 @@ def unread_unexported_definitions(sources: dict) -> list:
 
 def test_scan_finds_an_unread_unexported_definition():
     sources = {
-        "__init__.py": "from .a import exported\n",
+        "__init__.py": "_EXPORTS = {'a': ('exported',), 'b': ()}\n",
         "a.py": ("def exported():\n    return helper()\ndef helper():\n    pass\n"
                  "def dead(n):\n    return dead(n - 1)\nclass Unused:\n    pass\n"),
         "b.py": "import a\nclass Kept:\n    pass\nKEPT = Kept()\n",
