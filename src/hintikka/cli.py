@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain error, 2 budget refusal. All output is
 deterministic given the same inputs, config, and seeds; identifiers printed
-are stable digests, never process-local. Every command runs in one thread,
-on an empty default interner, so nothing computed before ``run`` reaches it.
+are stable digests, never process-local. Every command runs in one thread
+and hands the library the default interner, which ``run`` empties first.
 
 A command imports only what it runs: the oracle, the decomposition search
 and the self-check load inside their commands. ``run`` builds the parser of
@@ -75,7 +75,7 @@ def _vocab_from_args(args) -> Vocabulary:
 
 def cmd_theory(args, config):
     m = _load_model(args.model)
-    t = compute_theory(m, args.depth, config=config)
+    t = compute_theory(m, args.depth, default_interner(), config)
     out = t.dump() if args.dump else t.dump().partition("\n")[0] + "\n"
     _emit(out, args.out)
     return 0
@@ -85,6 +85,8 @@ def cmd_pattern_dump(args, config):
     vocab = _vocab_from_args(args)
     scheme = parse_scheme(_read(args.scheme))
     names = [args.pred] if args.pred else table_names(vocab.predicates, vocab.num_sets)
+    if not names:
+        raise HintikkaError("no table: the vocabulary has no predicate and no set column")
     lines = []
     for name in names:
         for pattern in enumerate_patterns(vocab, scheme, name):
@@ -105,10 +107,10 @@ def cmd_check_addition(args, config):
     m1 = _load_model(args.left)
     m2 = _load_model(args.right)
     scheme = parse_scheme(_read(args.scheme))
-    t1 = compute_theory(m1, args.depth, config=config)
-    t2 = compute_theory(m2, args.depth, config=config)
+    interner = default_interner()
+    t1, t2 = (compute_theory(m, args.depth, interner, config) for m in (m1, m2))
     via_transfer = transfer(t1, t2, scheme)
-    direct = compute_theory(glue(m1, m2, scheme), args.depth, config=config)
+    direct = compute_theory(glue(m1, m2, scheme), args.depth, interner, config)
     if via_transfer is direct:
         _emit(f"OK digest={direct.digest}\n", args.out)
         return 0
@@ -151,7 +153,7 @@ def cmd_closure(args, config):
             for tid, sizes in sm.entries:
                 for size in sizes:
                     entries.append((interner.rec(tid), size, sm.witnesses.get(tid)))
-    if not base:
+    if not any(base.values()):
         raise HintikkaError("no base: give --base-model and/or --small-models")
     state = close(base, schemes, args.depth, args.max_iter)
     summary = [f"closure status={state.status} iterations={state.iterations} "
@@ -172,6 +174,8 @@ def cmd_spectrum(args, config):
     base, facts = parse_facts(_read(args.facts))
     induced = induce_system_from_facts(base, facts)
     digests = [args.theory] if args.theory else induced[1]
+    if not digests:
+        raise HintikkaError(f"facts file {args.facts} has no base or fact line: no theory")
     lines = []
     for digest in digests:
         report = spectrum_from_facts(base, facts, digest, args.bound, config,
@@ -241,7 +245,7 @@ def cmd_incidence(args, config):
 def cmd_smalleq(args, config):
     from .decomp import find_small_equivalent
     m = _load_model(args.model)
-    found = find_small_equivalent(m, args.depth, args.size_max, config=config)
+    found = find_small_equivalent(m, args.depth, args.size_max, default_interner(), config)
     if found is None:
         _emit("NONE\n", args.out)
     else:
@@ -281,7 +285,7 @@ def cmd_oracle_spectrum(args, config):
     vocab = _vocab_from_args(args)
     phi = parse_formula(_read(args.formula_file) if args.formula_file else args.formula)
     sizes = spectrum_bruteforce(phi, vocab, args.max_size, config)
-    _emit(",".join(map(str, sorted(sizes))) + "\n", args.out)
+    _emit((",".join(map(str, sorted(sizes))) or "-") + "\n", args.out)
     return 0
 
 

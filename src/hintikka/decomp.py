@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .config import DEFAULT, Config
 from .errors import HintikkaError
 from .structures import Structure
-from .theory import Interner, compute_theory, default_interner
+from .theory import Interner, compute_theory
 
 
 @dataclass(frozen=True)
@@ -178,14 +178,13 @@ def decomposability_profile(structures, k: int, min_size: int,
 
 
 def find_small_equivalent(m: Structure, depth: int, size_max: int,
-                          interner: Interner = None, config: Config = DEFAULT):
+                          interner: Interner, config: Config = DEFAULT):
     """Some structure with k < size <= size_max and the same depth-d theory,
     by exhaustive enumeration; None if no candidate exists within the bound."""
     from .structures import enumerate_representatives
 
     if size_max < 0:
         raise HintikkaError("size bound must be a natural number")
-    interner = default_interner() if interner is None else interner
     target = compute_theory(m, depth, interner, config)
     k = m.vocab.num_consts
     for size in range(k + 1, size_max + 1):

@@ -44,7 +44,7 @@ from .structures import (
     path_graph,
     serialize_structure,
 )
-from .theory import compute_theory, enumerate_formal
+from .theory import Interner, compute_theory, enumerate_formal, theories_equal_on_sentences
 
 
 def _rand_structure(vocab, size, rng):
@@ -76,15 +76,15 @@ def check_structures(seed):
     return ok, lines
 
 
-def check_theories(seed):
+def check_theories(seed, interner):
     lines = []
-    t6 = compute_theory(path_graph(6), 0)
-    t8 = compute_theory(path_graph(8), 0)
-    t4 = compute_theory(path_graph(4), 0)
+    t6 = compute_theory(path_graph(6), 0, interner)
+    t8 = compute_theory(path_graph(8), 0, interner)
+    t4 = compute_theory(path_graph(4), 0, interner)
     ok = t6.digest == t8.digest and t4.digest != t8.digest
     sv = Structure(Vocabulary((("E", 2),)), 1)
-    ok &= len(compute_theory(sv, 0).payload) == 1
-    ok &= len(compute_theory(sv, 1).payload) == 2
+    ok &= len(compute_theory(sv, 0, interner).payload) == 1
+    ok &= len(compute_theory(sv, 1, interner).payload) == 2
     lines.append(f"paths digest={t6.digest[:12]} single-vertex th1 members=2")
     rng = random.Random(seed)
     v = Vocabulary((("E", 2),), 0, 0)
@@ -92,25 +92,26 @@ def check_theories(seed):
         m = _rand_structure(v, rng.randint(1, 5), rng)
         pi = list(range(m.size))
         rng.shuffle(pi)
-        if compute_theory(m, 1).digest != compute_theory(apply_permutation(m, pi), 1).digest:
+        if compute_theory(m, 1, interner).digest != \
+                compute_theory(apply_permutation(m, pi), 1, interner).digest:
             ok = False
             lines.append("isomorphism invariance failed")
     lines.append("isomorphism-invariance trials=10")
     return ok, lines
 
 
-def check_formal():
+def check_formal(interner):
     v0 = Vocabulary(())
-    sp = enumerate_formal(v0, 0)
-    inner = enumerate_formal(v0.with_sets(1), 0)
-    sp1 = enumerate_formal(v0, 1, budget=2 ** 22)
+    sp = enumerate_formal(v0, 0, interner)
+    inner = enumerate_formal(v0.with_sets(1), 0, interner)
+    sp1 = enumerate_formal(v0, 1, interner, budget=2 ** 22)
     ok = sp.cardinality == 3 and sp1.cardinality == 2 ** inner.cardinality
     for size in (0, 1, 2):
-        ok &= sp.contains(compute_theory(Structure(v0, size), 0))
+        ok &= sp.contains(compute_theory(Structure(v0, size), 0, interner))
     return ok, [f"empty-vocab formal: depth0={sp.cardinality} depth1=2^{inner.cardinality}"]
 
 
-def check_addition(seed):
+def check_addition(seed, interner):
     rng = random.Random(seed)
     ok = True
     count = 0
@@ -133,8 +134,8 @@ def check_addition(seed):
             g = glue(m1, m2, s)
             for n in (0, 1):
                 count += 1
-                lhs = transfer(compute_theory(m1, n), compute_theory(m2, n), s)
-                rhs = compute_theory(g, n)
+                lhs = transfer(compute_theory(m1, n, interner), compute_theory(m2, n, interner), s)
+                rhs = compute_theory(g, n, interner)
                 if lhs.digest != rhs.digest:
                     ok = False
     # two depth-2 instances
@@ -144,38 +145,37 @@ def check_addition(seed):
         m2 = _rand_structure(v, 2, rng)
         s = plain_union_scheme(1, 1, 1, ((0, 0),), result_refs=(("s", 0, 0),))
         count += 1
-        if transfer(compute_theory(m1, 2), compute_theory(m2, 2), s).digest != \
-                compute_theory(glue(m1, m2, s), 2).digest:
+        t1, t2 = compute_theory(m1, 2, interner), compute_theory(m2, 2, interner)
+        if transfer(t1, t2, s).digest != compute_theory(glue(m1, m2, s), 2, interner).digest:
             ok = False
     return ok, [f"instances={count}"]
 
 
-def check_sentences(seed):
-    from .theory import theories_equal_on_sentences
-    rep = theories_equal_on_sentences(path_graph(6), path_graph(8), 0, 40, seed)
+def check_sentences(seed, interner):
+    rep = theories_equal_on_sentences(path_graph(6), path_graph(8), 0, 40, seed, interner)
     ok = rep.theories_equal and not rep.disagreements
     rng = random.Random(seed)
     v = Vocabulary((("E", 2),))
     m = _rand_structure(v, 4, rng)
     pi = list(range(4))
     rng.shuffle(pi)
-    rep2 = theories_equal_on_sentences(m, apply_permutation(m, pi), 1, 25, seed + 1)
+    rep2 = theories_equal_on_sentences(m, apply_permutation(m, pi), 1, 25, seed + 1, interner)
     ok &= rep2.theories_equal and not rep2.disagreements
     return ok, [f"agreement: P6/P8 {rep.agreements}/{rep.samples}, "
                 f"permuted {rep2.agreements}/{rep2.samples}"]
 
 
-def check_closure_spectra():
+def check_closure_spectra(interner):
     v = Vocabulary((("E", 2),))
     k2 = Structure(v, 2, (frozenset({(0, 1), (1, 0)}),))
-    st = close({0: [(compute_theory(k2, 0), 2, k2)]}, [disjoint_union_scheme()], depth=0)
+    st = close({0: [(compute_theory(k2, 0, interner), 2, k2)]}, [disjoint_union_scheme()], 0)
     ok = st.status == "converged"
     ok &= class_spectrum(st, 8) == (2, 4, 6, 8)
     ok &= all(good for good, _ in validate_replay(st).values())
     p2 = path_graph(2, 2, (0, 1))
     chain = plain_union_scheme(2, 2, 2, ((1, 0),),
                                result_refs=(("1", 0), ("2", 1)))
-    st2 = close({2: [(compute_theory(p2, 0), 2, p2)]}, [chain], depth=0)
+    st2 = close({2: [(compute_theory(p2, 0, interner), 2, p2)]}, [chain], depth=0)
     ok &= st2.status == "converged"
     ok &= class_spectrum(st2, 8) == (2, 3, 4, 5, 6, 7, 8)
     certs = []
@@ -260,14 +260,15 @@ def check_oracle(seed):
 
 def all_checks(seed: int):
     """(name, check) pairs in report order; each check takes no argument and
-    returns (ok, detail lines)."""
+    returns (ok, detail lines). The checks share one interner of their own."""
+    interner = Interner()
     return [
         ("structures", partial(check_structures, seed)),
-        ("theories", partial(check_theories, seed)),
-        ("formal-spaces", check_formal),
-        ("addition-theorem", partial(check_addition, seed)),
-        ("sentence-agreement", partial(check_sentences, seed)),
-        ("closure-spectra", check_closure_spectra),
+        ("theories", partial(check_theories, seed, interner)),
+        ("formal-spaces", partial(check_formal, interner)),
+        ("addition-theorem", partial(check_addition, seed, interner)),
+        ("sentence-agreement", partial(check_sentences, seed, interner)),
+        ("closure-spectra", partial(check_closure_spectra, interner)),
         ("numbersets", check_numbersets),
         ("decomposability", partial(check_decomp, seed)),
         ("oracle", partial(check_oracle, seed)),

@@ -4,8 +4,8 @@ A depth-0 theory is the set of quantifier-free diagrams realized by tuples
 of length arity+1 (repetitions allowed) together with the constant diagram.
 A depth-(n+1) theory over m set columns is the finite set of depth-n
 theories over m+1 columns, one per subset of the universe. Theories are
-hereditarily finite values; the interner gives them stable identities and
-platform-independent digests.
+hereditarily finite values; the ``Interner``, an argument of every function
+that builds one, gives them stable identities and platform-independent digests.
 """
 
 from __future__ import annotations
@@ -234,12 +234,12 @@ _DEFAULT_INTERNER = Interner()
 
 
 def default_interner() -> Interner:
+    """The CLI's interner; ``small_model_theories`` given none fills it too."""
     return _DEFAULT_INTERNER
 
 
 def reset_default_interner() -> None:
-    """Make the default interner an empty one; theories made before are
-    refused wherever they meet theories made after."""
+    """Empty the default interner; earlier theories are refused by later ones."""
     global _DEFAULT_INTERNER
     _DEFAULT_INTERNER = Interner()
 
@@ -316,10 +316,9 @@ class Theory:
         return "{" + ",".join(c._render() for c in members) + "}"
 
 
-def compute_theory(m: Structure, n: int, interner: Interner = None,
+def compute_theory(m: Structure, n: int, interner: Interner,
                    config: Config = DEFAULT) -> Theory:
     """Th^n(M, sets, consts): definition-faithful, exponential in n."""
-    interner = default_interner() if interner is None else interner
     if n < 0:
         raise HintikkaError("theory depth must be a natural number")
     config.check("theory_depth", n, config.n_max)
@@ -426,8 +425,8 @@ class FormalTheorySpace:
                     self.depth, vk, self.vocab.num_sets, self.vocab.num_consts, combo))
 
 
-def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
-                     interner: Interner = None, config: Config = DEFAULT) -> FormalTheorySpace:
+def enumerate_formal(vocab: Vocabulary, n: int, interner: Interner, budget: int = None,
+                     config: Config = DEFAULT) -> FormalTheorySpace:
     """The space of formally possible depth-n theories over vocab's (m, k).
 
     Depth 0 applies local consistency closure (substitution closure, constant
@@ -435,11 +434,10 @@ def enumerate_formal(vocab: Vocabulary, n: int, budget: int = None,
     the depth-n space over m+1 sets. Refuses when the cardinality exceeds the
     budget. Soundness contract: every realizable theory is a member.
     """
-    interner = default_interner() if interner is None else interner
     budget = budget if budget is not None else config.formal_budget
     if n > 0:
         inner = enumerate_formal(vocab.with_sets(vocab.num_sets + 1), n - 1,
-                                 budget, interner, config)
+                                 interner, budget, config)
         if inner.cardinality > max(budget.bit_length(), 1):
             raise BudgetError("formal_space", f"2^{inner.cardinality}", budget)
         card = 2 ** inner.cardinality
@@ -567,7 +565,7 @@ def small_model_theories(vocab: Vocabulary, n: int, k_star: int,
                          interner: Interner = None, config: Config = DEFAULT) -> SmallModels:
     from .structures import enumerate_representatives
 
-    interner = default_interner() if interner is None else interner
+    interner = default_interner() if interner is None else interner  # census passes none
     sizes_by_theory = {}
     witnesses = {}
     lo = 0 if (config.include_empty_model and vocab.num_consts == 0) else 1
@@ -598,13 +596,11 @@ class AgreementReport:
 
 
 def theories_equal_on_sentences(m1: Structure, m2: Structure, d: int,
-                                samples: int, seed: int,
-                                interner: Interner = None,
+                                samples: int, seed: int, interner: Interner,
                                 config: Config = DEFAULT) -> AgreementReport:
     """If Th^d(M1) = Th^d(M2), random depth-<=d sentences must agree."""
     from .oracle import eval_formula, random_sentence
 
-    interner = default_interner() if interner is None else interner
     if m1.vocab != m2.vocab:
         raise SignatureError("structures have different vocabularies")
     t1 = compute_theory(m1, d, interner, config)

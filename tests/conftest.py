@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hintikka.structures import Structure, Vocabulary
+from hintikka.theory import Interner
 
 
 def rand_structure(vocab, size, rng):
@@ -17,6 +18,12 @@ def rand_structure(vocab, size, rng):
     sets = tuple(frozenset(e for e in range(size) if rng.random() < 0.5)
                  for _ in range(vocab.num_sets))
     return Structure(vocab, size, tuple(rels), consts, sets)
+
+
+@pytest.fixture
+def interner():
+    """An interner of the test's own: no test sees theories another made."""
+    return Interner()
 
 
 @pytest.fixture

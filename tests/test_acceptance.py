@@ -47,7 +47,6 @@ from hintikka.structures import (
 )
 from hintikka.theory import (
     compute_theory,
-    default_interner,
     theories_equal_on_sentences,
 )
 
@@ -84,7 +83,7 @@ def _random_scheme(vocab, k1, k2, rng, table_pool):
                                tuple(keep1), tuple(keep2), result)
 
 
-def test_criterion_1_addition_theorem():
+def test_criterion_1_addition_theorem(interner):
     """Transfer equals the direct theory of the glued structure, exactly.
 
     Sizes shrink with depth to stay inside the five-minute budget; all
@@ -92,7 +91,6 @@ def test_criterion_1_addition_theorem():
     n in {0,1,2}, m in {0,1}, plain-union plus twenty PRF tables).
     """
     rng = random.Random(20240817)
-    interner = default_interner()
     table_pool = list(range(20))     # twenty fixed random-table seeds
     started = time.time()
     count = 0
@@ -126,9 +124,8 @@ def test_criterion_1_addition_theorem():
     _report(1, "addition theorem", f"{count} instances, 0 failures, {elapsed:.0f}s")
 
 
-def test_criterion_2_isomorphism_invariance():
+def test_criterion_2_isomorphism_invariance(interner):
     rng = random.Random(77)
-    interner = default_interner()
     count = 0
     for depth, max_size, instances in ((0, 6, 80), (1, 5, 80), (2, 4, 40)):
         for _ in range(instances):
@@ -163,9 +160,8 @@ def _equal_theory_pairs(interner, depth, wanted, rng):
     return pairs[:wanted]
 
 
-def test_criterion_3_sentence_agreement():
+def test_criterion_3_sentence_agreement(interner):
     rng = random.Random(33)
-    interner = default_interner()
     pairs = []
     for i in range(20):              # permuted copies at all depths
         d = i % 3
@@ -210,8 +206,7 @@ def _compositions_up_to(pieces, scheme, applications):
     return [m for level in levels for m in level]
 
 
-def test_criterion_4_closure_soundness_completeness():
-    interner = default_interner()
+def test_criterion_4_closure_soundness_completeness(interner):
     legs = []
 
     k2 = k2_graph()
@@ -252,8 +247,7 @@ def test_criterion_4_closure_soundness_completeness():
     "and closure sweeps pair long-path theories at |payload|^2 base "
     "transfers each, growing without bound until stabilization far beyond "
     "reach; see the decisions ledger"))
-def test_criterion_4_paths_depth1_convergence():
-    interner = default_interner()
+def test_criterion_4_paths_depth1_convergence(interner):
     p2 = path_graph(2, 2, (0, 1))
     st = close({2: [(compute_theory(p2, 1, interner), 2, p2)]},
                [CHAIN], depth=1, max_iter=3)
@@ -297,8 +291,7 @@ def _has_pairing(size, pm):
     return False
 
 
-def test_criterion_5_spectra_vs_oracle():
-    interner = default_interner()
+def test_criterion_5_spectra_vs_oracle(interner):
     k2 = k2_graph()
     st_match = close({0: [(compute_theory(k2, 0, interner), 2, k2)]},
                      [disjoint_union_scheme()], depth=0)
@@ -390,8 +383,7 @@ def test_criterion_8_example_incidence_family():
             f"incidence 5-7 whole, paths split, {checked} oracle agreements")
 
 
-def test_criterion_9_gap_auditor():
-    interner = default_interner()
+def test_criterion_9_gap_auditor(interner):
     k2 = k2_graph()
     st_match = close({0: [(compute_theory(k2, 0, interner), 2, k2)]},
                      [disjoint_union_scheme()], depth=0)

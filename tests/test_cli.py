@@ -21,7 +21,6 @@ from hintikka.structures import (
     path_graph,
     serialize_structure,
 )
-from hintikka.theory import compute_theory
 
 
 @pytest.fixture
@@ -156,14 +155,16 @@ def test_spectrum_whole_file_golden(tmp_path):
 
 
 def test_closure_facts_do_not_follow_earlier_work(tmp_path, capsys):
-    """The facts file lists facts in intern order. Theories computed in
-    this process before the command do not move that order: every command
+    """The facts file lists facts in intern order. Theories that earlier
+    commands of this process computed do not move that order: every command
     starts from an empty default interner, so the file is the one a fresh
     interpreter writes."""
     graphs = Vocabulary((("E", 2),))
-    for m in (path_graph(3), Structure(graphs, 1, (frozenset({(0, 0)}),)),
-              Structure(graphs, 2, (frozenset({(0, 0), (1, 1)}),))):
-        compute_theory(m, 0)
+    for i, m in enumerate((path_graph(3), Structure(graphs, 1, (frozenset({(0, 0)}),)),
+                           Structure(graphs, 2, (frozenset({(0, 0), (1, 1)}),)))):
+        model = tmp_path / f"m{i}.struct"
+        model.write_text(serialize_structure(m))
+        assert _capture(capsys, ["theory", "--model", str(model), "--depth", "0"])[0] == 0
     facts = tmp_path / "du.facts"
     scheme_path = tmp_path / "du.scm"
     scheme_path.write_text("scheme k1=0 k2=0 k=0\n")
@@ -276,6 +277,11 @@ def test_oracle_commands(files, capsys):
         "oracle-spectrum", "--vocab", "E/2", "--max-size", "3",
         "--formula", "(exists x (= x x))"])
     assert code == 0 and out.strip() == "1,2,3"
+    # an empty spectrum prints the package's mark for an empty list
+    code, out = _capture(capsys, [
+        "oracle-spectrum", "--vocab", "E/2", "--max-size", "3",
+        "--formula", "(exists x (not (= x x)))"])
+    assert code == 0 and out == "-\n"
 
 
 def test_domain_error_exit_code(files, capsys, tmp_path):
@@ -343,6 +349,7 @@ def test_malformed_input_refused_with_its_line(leak, files, capsys, tmp_path):
 # commands whose arguments are refused where they enter (exit 1, one error
 # line); {p3}, {qs}, {phi} and {du} stand for a structure, a one-label system
 # file, a sentence file and a disjoint-union scheme, {s1} for an S/1 structure
+# and {empty} for an empty facts file
 BAD_ARGUMENTS = {
     "reach-negative-slack": "system-reach --system {qs} --bound 4 --slack -2",
     "gaps-size-not-int": "gaps --sizes 1,x --ratio 2",
@@ -374,6 +381,10 @@ BAD_ARGUMENTS = {
         "closure --vocab E/2 --depth 0 --scheme {du} --small-models -1",
     "closure-base-model-other-signature":
         "closure --vocab E/2 --depth 0 --scheme {du} --base-model {s1}",
+    "closure-small-models-zero-no-base": "closure --vocab E/2 --depth 0 --scheme {du} "
+                                         "--small-models 0",
+    "spectrum-empty-facts": "spectrum --facts {empty} --bound 8",
+    "pattern-dump-no-tables": "pattern-dump --vocab - --scheme {du}",
     "pattern-dump-unknown-predicate": "pattern-dump --vocab E/2 --scheme {du} --pred Q",
     "pattern-dump-set-column-without-sets": "pattern-dump --vocab E/2 --scheme {du} --pred P0",
     "pattern-dump-set-column-out-of-range":
@@ -392,6 +403,9 @@ REFUSAL_NAMES = {
     "oracle-spectrum-arity-mismatch": "atom (E x): E takes 2 terms, not 1",
     "oracle-eval-unknown-predicate-after-true-part":
         "atom (F x x): no predicate F in the vocabulary E/2",
+    "closure-small-models-zero-no-base": "no base: give --base-model and/or --small-models",
+    "spectrum-empty-facts": "has no base or fact line: no theory",
+    "pattern-dump-no-tables": "no table: the vocabulary has no predicate and no set column",
     "pattern-dump-unknown-predicate": "no table 'Q' in this vocabulary; tables: E",
     "pattern-dump-set-column-without-sets": "no table 'P0' in this vocabulary; tables: E",
     "pattern-dump-set-column-out-of-range": "no table 'P3' in this vocabulary; tables: E, P0",
@@ -410,12 +424,14 @@ def test_bad_arguments_refused(case, files, capsys, tmp_path):
     or_f.write_text("(or (exists x (= x x)) (exists x (F x x)))\n", encoding="utf-8")
     union = tmp_path / "du.scm"
     union.write_text("scheme k1=0 k2=0 k=0\n", encoding="utf-8")
+    empty = tmp_path / "empty.facts"
+    empty.write_text("", encoding="utf-8")
     unary = tmp_path / "s1.struct"
     unary.write_text(serialize_structure(
         Structure(Vocabulary((("S", 1),)), 2, (frozenset({(0,)}),))), encoding="utf-8")
     argv = BAD_ARGUMENTS[case].format(p3=files["p3.struct"], qs=system, phi=sentence,
                                       du=union, s1=unary, unary_e=unary_e,
-                                      or_f=or_f).split()
+                                      or_f=or_f, empty=empty).split()
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -28,8 +28,7 @@ from hintikka.closure import (
 from hintikka.composition import disjoint_union_scheme, plain_union_scheme
 from hintikka.errors import HintikkaError, ParseError
 from hintikka.structures import Structure, Vocabulary, path_graph
-from hintikka.theory import (Interner, Theory, compute_theory, default_interner,
-                             small_model_theories)
+from hintikka.theory import Interner, Theory, compute_theory, small_model_theories
 
 GRAPHS = Vocabulary((("E", 2),))
 CHAIN = plain_union_scheme(2, 2, 2, ident=((1, 0),),
@@ -41,8 +40,7 @@ def _k2_base(interner, depth=0):
     return {0: [(compute_theory(m, depth, interner), 2, m)]}
 
 
-def test_no_schemes_is_base_only():
-    interner = default_interner()
+def test_no_schemes_is_base_only(interner):
     base = _k2_base(interner)
     st = close(base, [], depth=0)
     assert st.status == "converged"
@@ -50,7 +48,7 @@ def test_no_schemes_is_base_only():
     assert st.reachable() == frozenset([base[0][0][0]])
 
 
-def test_disjoint_union_matches_oracle():
+def test_disjoint_union_matches_oracle(interner):
     """Closure over small base graphs equals direct theories of explicit
     disjoint unions up to size 8 (exact set equality).
 
@@ -58,7 +56,6 @@ def test_disjoint_union_matches_oracle():
     too wide for a unit test; three generators already exercise the lattice
     of realized-diagram unions.
     """
-    interner = default_interner()
     vertex = Structure(GRAPHS, 1)
     loop = Structure(GRAPHS, 1, (frozenset({(0, 0)}),))
     pieces = [vertex, loop, k2_graph()]
@@ -95,8 +92,7 @@ def _disjoint(m1, m2):
     return Structure(GRAPHS, m1.size + m2.size, (frozenset(edges),))
 
 
-def test_paths_closure_contains_all_paths():
-    interner = default_interner()
+def test_paths_closure_contains_all_paths(interner):
     p2 = path_graph(2, 2, (0, 1))
     st = close({2: [(compute_theory(p2, 0, interner), 2, p2)]}, [CHAIN],
                depth=0)
@@ -107,8 +103,7 @@ def test_paths_closure_contains_all_paths():
         assert t in reachable
 
 
-def test_fixpoint_stability_one_extra_sweep():
-    interner = default_interner()
+def test_fixpoint_stability_one_extra_sweep(interner):
     p2 = path_graph(2, 2, (0, 1))
     base = {2: [(compute_theory(p2, 0, interner), 2, p2)]}
     st = close(base, [CHAIN], depth=0)
@@ -118,16 +113,14 @@ def test_fixpoint_stability_one_extra_sweep():
     assert again.facts == st.facts
 
 
-def test_not_converged_status():
-    interner = default_interner()
+def test_not_converged_status(interner):
     p2 = path_graph(2, 2, (0, 1))
     st = close({2: [(compute_theory(p2, 0, interner), 2, p2)]}, [CHAIN],
                depth=0, max_iter=1)
     assert st.status == "not-converged"
 
 
-def test_monotone_growth():
-    interner = default_interner()
+def test_monotone_growth(interner):
     p2 = path_graph(2, 2, (0, 1))
     base = {2: [(compute_theory(p2, 0, interner), 2, p2)]}
     sizes = []
@@ -137,8 +130,7 @@ def test_monotone_growth():
     assert sizes == sorted(sizes)
 
 
-def test_witness_replay_validates():
-    interner = default_interner()
+def test_witness_replay_validates(interner):
     st = close(_k2_base(interner), [disjoint_union_scheme()], depth=0)
     results = validate_replay(st)
     assert all(ok for ok, _ in results.values())
@@ -147,15 +139,13 @@ def test_witness_replay_validates():
         assert replay_witness(st, t).size == size
 
 
-def test_minimal_derivation_sizes():
-    interner = default_interner()
+def test_minimal_derivation_sizes(interner):
     st = close(_k2_base(interner), [disjoint_union_scheme()], depth=0)
     derivs = minimal_derivations(st)
     assert sorted(size for size, _ in derivs.values()) == [2, 4, 6]
 
 
-def test_facts_file_roundtrip():
-    interner = default_interner()
+def test_facts_file_roundtrip(interner):
     st = close(_k2_base(interner), [disjoint_union_scheme()], depth=0)
     text = write_facts(st)
     base, facts = parse_facts(text)
@@ -214,8 +204,7 @@ def test_parse_facts_mutation_fuzz(text):
         pass
 
 
-def test_depth1_disjoint_union_converges():
-    interner = default_interner()
+def test_depth1_disjoint_union_converges(interner):
     st = close(_k2_base(interner, depth=1), [disjoint_union_scheme()],
                depth=1)
     assert st.status == "converged"
@@ -237,10 +226,9 @@ def test_close_refuses_base_theories_of_another_interner():
             close({0: [first, second]}, [disjoint_union_scheme()], 0)
 
 
-def test_base_theory_with_coinciding_constants_takes_part_in_no_fact():
+def test_base_theory_with_coinciding_constants_takes_part_in_no_fact(interner):
     """A base theory whose two constants name one element stays reachable
     but is never glued: the scheme size law needs distinct constants."""
-    interner = default_interner()
     p2 = path_graph(2, 2, (0, 1))
     loop = Structure(Vocabulary((("E", 2),), 2), 1, (frozenset({(0, 0)}),), (0, 0))
     same = compute_theory(loop, 0, interner)

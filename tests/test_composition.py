@@ -42,7 +42,7 @@ from hintikka.composition import (
 from hintikka.diagrams import canonical_eq, partitions
 from hintikka.errors import BudgetError, ParseError, SignatureError
 from hintikka.structures import Structure, Vocabulary, path_graph
-from hintikka.theory import Interner, compute_theory, default_interner
+from hintikka.theory import Interner, compute_theory
 
 GRAPHS = Vocabulary((("E", 2),))
 
@@ -87,23 +87,23 @@ def _mixed_kind_scheme(vocab, shape, seed):
     return Scheme(*shape, tables)
 
 
-def test_glue_k2_on_point_gives_p3():
+def test_glue_k2_on_point_gives_p3(interner):
     left = k2_graph(1, (1,))
     right = k2_graph(1, (0,))
     g = glue(left, right, GLUE_POINT)
     assert g.size == 3
-    assert compute_theory(g, 0).digest == \
-        compute_theory(path_graph(3, 1, (1,)), 0).digest
+    assert compute_theory(g, 0, interner).digest == \
+        compute_theory(path_graph(3, 1, (1,)), 0, interner).digest
 
 
-def test_glue_neutral_element():
+def test_glue_neutral_element(interner):
     v1 = Vocabulary((("E", 2),), 1)
     point = Structure(v1, 1, (frozenset(),), (0,))
     m1 = rand_structure(v1, 4, random.Random(2))
     g = glue(m1, point, GLUE_POINT)
     assert g.size == m1.size
     for n in (0, 1, 2):
-        assert compute_theory(g, n).digest == compute_theory(m1, n).digest
+        assert compute_theory(g, n, interner).digest == compute_theory(m1, n, interner).digest
 
 
 def test_glue_bowtie():
@@ -145,9 +145,8 @@ def test_plain_union_clause():
         assert g.rel("E") == frozenset(expected)
 
 
-def test_transfer_matches_direct_random():
+def test_transfer_matches_direct_random(interner):
     rng = random.Random(13)
-    interner = default_interner()
     checked = 0
     for preds, nsets in (((("E", 2),), 0), ((("S", 1), ("E", 2)), 1)):
         for trial in range(10):
@@ -167,12 +166,11 @@ def test_transfer_matches_direct_random():
     assert checked == 80
 
 
-def test_transfer_leaves_depth_columns_union():
+def test_transfer_leaves_depth_columns_union(interner):
     # a table on P0 over a vocabulary without sets names no column of the
     # parts; at depth 1, P0 is the column theory depth adds, which glue
     # never sees, so transfer must keep it union as well
     s = parse_scheme("scheme k1=0 k2=0 k=0\ntable P0 default=true\n")
-    interner = default_interner()
     m1, m2 = path_graph(2), path_graph(3)
     for n in (0, 1):
         lhs = transfer(compute_theory(m1, n, interner),
@@ -519,9 +517,8 @@ def test_scheme_configs_cover_each_configuration_once():
             assert got == want
 
 
-def test_transfer_depth2():
+def test_transfer_depth2(interner):
     rng = random.Random(17)
-    interner = default_interner()
     v = Vocabulary((("E", 2),), 1)
     for trial in range(3):
         m1 = rand_structure(v, 2, rng)
@@ -535,18 +532,16 @@ def test_transfer_depth2():
         assert lhs.intern_id == compute_theory(g, 2, interner).intern_id
 
 
-def test_transfer_p2_p2_equals_p3_depth1():
-    interner = default_interner()
+def test_transfer_p2_p2_equals_p3_depth1(interner):
     t = transfer(compute_theory(k2_graph(1, (1,)), 1, interner),
                  compute_theory(k2_graph(1, (0,)), 1, interner),
                  GLUE_POINT, interner)
     assert t.digest == compute_theory(path_graph(3, 1, (1,)), 1, interner).digest
 
 
-def test_representative_independence():
+def test_representative_independence(interner):
     from hintikka.structures import apply_permutation
     rng = random.Random(23)
-    interner = default_interner()
     v = Vocabulary((("E", 2),), 1)
     for _ in range(8):
         m1 = rand_structure(v, 3, rng)
@@ -561,8 +556,7 @@ def test_representative_independence():
         assert a.intern_id == b.intern_id
 
 
-def test_transfer_rejects_mismatched_signature():
-    interner = default_interner()
+def test_transfer_rejects_mismatched_signature(interner):
     t1 = compute_theory(k2_graph(1, (0,)), 0, interner)
     t2 = compute_theory(k2_graph(), 0, interner)
     with pytest.raises(SignatureError):

@@ -26,7 +26,7 @@ from hintikka.structures import (
     incidence_graph,
     path_graph,
 )
-from hintikka.theory import compute_theory, default_interner
+from hintikka.theory import compute_theory
 
 GRAPHS = Vocabulary((("E", 2),))
 
@@ -107,23 +107,22 @@ def test_validator_rejects_bad_split():
     assert validate_split(p3, bad, 1, 1) is not None
 
 
-def test_small_equivalent_self_witness():
+def test_small_equivalent_self_witness(interner):
     m = path_graph(3, 1, (0,))
-    found = find_small_equivalent(m, 0, 3)
+    found = find_small_equivalent(m, 0, 3, interner)
     assert found is not None and found.size <= 3
-    interner = default_interner()
     assert compute_theory(found, 0, interner).digest == \
         compute_theory(m, 0, interner).digest
 
 
-def test_small_equivalent_none_for_triangle():
-    assert find_small_equivalent(triangle(1, (0,)), 0, 2) is None
+def test_small_equivalent_none_for_triangle(interner):
+    assert find_small_equivalent(triangle(1, (0,)), 0, 2, interner) is None
 
 
-def test_small_equivalent_none_for_anchored_path():
+def test_small_equivalent_none_for_anchored_path(interner):
     # a 6-path with an endpoint constant realizes far-from-constant patterns
     # that no 3-element structure can
-    assert find_small_equivalent(path_graph(6, 1, (0,)), 0, 3) is None
+    assert find_small_equivalent(path_graph(6, 1, (0,)), 0, 3, interner) is None
 
 
 @pytest.mark.parametrize("m,depth,size_max", [
@@ -132,8 +131,7 @@ def test_small_equivalent_none_for_anchored_path():
     (path_graph(5), 0, 3),
     (triangle(1, (0,)), 0, 2),
 ])
-def test_small_equivalent_matches_labelled_loop(m, depth, size_max):
-    interner = default_interner()
+def test_small_equivalent_matches_labelled_loop(m, depth, size_max, interner):
     target = compute_theory(m, depth, interner).intern_id
     expected = next((cand for size in range(m.vocab.num_consts + 1, size_max + 1)
                      for cand in enumerate_structures(m.vocab, size)
@@ -141,10 +139,9 @@ def test_small_equivalent_matches_labelled_loop(m, depth, size_max):
     assert find_small_equivalent(m, depth, size_max, interner) == expected
 
 
-def test_small_equivalent_respects_theory():
+def test_small_equivalent_respects_theory(interner):
     m = path_graph(2)
-    found = find_small_equivalent(m, 1, 2)
+    found = find_small_equivalent(m, 1, 2, interner)
     assert found is not None
-    interner = default_interner()
     assert compute_theory(found, 1, interner).digest == \
         compute_theory(m, 1, interner).digest

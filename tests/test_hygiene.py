@@ -346,3 +346,164 @@ def test_scan_finds_a_theory_construction():
                          ids=lambda p: p.name)
 def test_only_the_interner_builds_theories(path):
     assert theory_constructions(path.read_text(encoding="utf-8")) == []
+
+
+# the functions that build theories, with the position of their interner
+# argument; ``small_model_theories`` alone still falls back to the default
+INTERNER_POSITIONS = {"compute_theory": 2, "enumerate_formal": 2, "small_model_theories": 3,
+                      "theories_equal_on_sentences": 5, "find_small_equivalent": 3}
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(TESTS.glob("test_*.py"))
+# the one test that reads the default interner: census calls
+# small_model_theories with no interner and reads the default's sizes
+CONTRACT_TEST = ("test_theory.py", "test_small_models_without_interner_fill_the_default")
+
+
+def top_level_owner(tree):
+    """Map from each node under ``tree`` to the name of the module-level
+    definition holding it (None at module level)."""
+    owner = {}
+    for stmt in tree.body:
+        name = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            owner[node] = name
+    return owner
+
+
+def default_interner_reads(source: str) -> list:
+    """(line, owner) of each read or import of ``default_interner``, with the
+    module-level definition that holds it (None at module level)."""
+    tree = ast.parse(source)
+    owner = top_level_owner(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
+            names = [getattr(node, "id", getattr(node, "attr", None))]
+        else:
+            continue
+        found += [(node.lineno, owner[node]) for name in names if name == "default_interner"]
+    return sorted(found, key=lambda f: f[0])
+
+
+def test_scan_finds_a_default_interner_read():
+    source = ("from .theory import default_interner\nfrom . import theory\n"
+              "def default_interner():\n    return 'defined, not read'\n"
+              "def build(m, interner=None):\n"
+              "    return theory.default_interner() if interner is None else interner\n"
+              "NAMES = ['default_interner']\n")
+    assert default_interner_reads(source) == [(1, None), (6, "build")]
+
+
+def test_only_the_cli_and_small_model_fallback_read_the_default_interner():
+    owners = {(p.name, owner) for p in PACKAGE.glob("*.py") if p.name != "cli.py"
+              for _, owner in default_interner_reads(p.read_text(encoding="utf-8"))}
+    assert owners == {("theory.py", "small_model_theories")}
+
+
+def test_only_the_contract_test_reads_the_default_interner():
+    owners = {(p.name, owner) for p in TEST_MODULES
+              for _, owner in default_interner_reads(p.read_text(encoding="utf-8"))}
+    assert owners == {CONTRACT_TEST}
+
+
+def interner_or(source: str) -> list:
+    """Lines of each ``or`` whose left operand is a name or attribute ending
+    in ``interner``: an empty ``Interner`` is falsy, so ``interner or x``
+    swaps a fresh interner for ``x``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+                  and any(getattr(v, "id", getattr(v, "attr", "")).endswith("interner")
+                          for v in node.values[:-1]))
+
+
+def test_scan_finds_an_interner_or():
+    source = ("def f(interner=None, t=None):\n    a = interner or default()\n"
+              "    b = t.interner or default()\n    c = default() or interner\n"
+              "    return interner if interner is not None else default()\n")
+    assert interner_or(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_interner_or(path):
+    assert interner_or(path.read_text(encoding="utf-8")) == []
+
+
+def load_time_interners(source: str) -> list:
+    """Lines of each ``Interner()`` call that runs when the module is loaded:
+    at module or class level, or in a default argument value or decorator."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == "Interner":
+            found.append(node.lineno)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            children = [*node.args.defaults, *filter(None, node.args.kw_defaults),
+                        *getattr(node, "decorator_list", ())]
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_scan_finds_a_load_time_interner():
+    source = ("from . import theory\nSHARED = theory.Interner()\n"
+              "class Cache:\n    interner = Interner()\n"
+              "def build(m, interner=Interner()):\n    return Interner()\n"
+              "fresh = lambda: Interner()\n")
+    assert load_time_interners(source) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("path", [*sorted(PACKAGE.glob("*.py")), *TEST_MODULES],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_load_time_interner_but_the_default(path):
+    source = path.read_text(encoding="utf-8")
+    allowed = [n + 1 for n, line in enumerate(source.splitlines())
+               if line == "_DEFAULT_INTERNER = Interner()"] if path.name == "theory.py" else []
+    assert load_time_interners(source) == allowed
+
+
+def calls_without_interner(tree) -> list:
+    """(line, function) of each call under ``tree`` to a function of
+    ``INTERNER_POSITIONS`` that passes no interner, neither by keyword nor at
+    its position (a starred argument counts as passing one)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in INTERNER_POSITIONS:
+            continue
+        if len(node.args) > INTERNER_POSITIONS[name] \
+                or any(isinstance(arg, ast.Starred) for arg in node.args) \
+                or any(kw.arg in ("interner", None) for kw in node.keywords):
+            continue
+        found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_scan_finds_a_call_without_interner():
+    source = ("from hintikka import theory\n"
+              "def test_it(interner):\n"
+              "    theory.compute_theory(m, 0)\n    compute_theory(m, 0, interner)\n"
+              "    enumerate_formal(v, 1, budget=8)\n"
+              "    enumerate_formal(v, 1, interner=interner)\n"
+              "    small_model_theories(v, 0, 2, config=c)\n    small_model_theories(*args)\n"
+              "    find_small_equivalent(m, 0, 3)\n    find_small_equivalent(m, 0, 3, **kw)\n"
+              "    theories_equal_on_sentences(a, b, 0, 10, 3)\n")
+    assert calls_without_interner(ast.parse(source)) == [
+        (3, "compute_theory"), (5, "enumerate_formal"), (7, "small_model_theories"),
+        (9, "find_small_equivalent"), (11, "theories_equal_on_sentences")]
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_tests_pass_an_interner(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree.body = [stmt for stmt in tree.body
+                 if (path.name, getattr(stmt, "name", None)) != CONTRACT_TEST]
+    assert calls_without_interner(tree) == []

@@ -19,7 +19,7 @@ from hintikka.spectra import (
     spectrum_from_facts,
 )
 from hintikka.structures import Structure, Vocabulary, path_graph
-from hintikka.theory import compute_theory, default_interner
+from hintikka.theory import compute_theory
 
 GRAPHS = Vocabulary((("E", 2),))
 CHAIN = plain_union_scheme(2, 2, 2, ident=((1, 0),),
@@ -38,8 +38,7 @@ def _paths_state(interner):
                  [CHAIN], depth=0)
 
 
-def test_induce_system_no_schemes():
-    interner = default_interner()
+def test_induce_system_no_schemes(interner):
     m = k2_graph()
     st = close({0: [(compute_theory(m, 0, interner), 2, m)]}, [], depth=0)
     sysq, digests = induce_system(st)
@@ -47,8 +46,7 @@ def test_induce_system_no_schemes():
     assert sysq.base == (frozenset({2}),)
 
 
-def test_induce_system_rule_deficits():
-    interner = default_interner()
+def test_induce_system_rule_deficits(interner):
     du = _matching_state(interner)
     sys_du, _ = induce_system(du)
     assert all(j == 0 for _, _, _, j in sys_du.rules)
@@ -57,8 +55,7 @@ def test_induce_system_rule_deficits():
     assert all(j == 1 for _, _, _, j in sys_p.rules)
 
 
-def test_matching_class_spectra():
-    interner = default_interner()
+def test_matching_class_spectra(interner):
     st = _matching_state(interner)
     assert class_spectrum(st, 8) == (2, 4, 6, 8)
     sysq, digests = induce_system(st)
@@ -71,8 +68,7 @@ def test_matching_class_spectra():
     assert sorted(per_theory.values()) == [(2,), (4,), (6, 8)]
 
 
-def test_matching_even_period():
-    interner = default_interner()
+def test_matching_even_period(interner):
     st = _matching_state(interner)
     _, digests = induce_system(st)
     stable = [spectrum(st, d, 8) for d in digests]
@@ -82,8 +78,7 @@ def test_matching_even_period():
     assert cert.period == 2 and cert.status == "certified-progression"
 
 
-def test_path_class_spectrum_cofinite():
-    interner = default_interner()
+def test_path_class_spectrum_cofinite(interner):
     st = _paths_state(interner)
     assert class_spectrum(st, 8) == (2, 3, 4, 5, 6, 7, 8)
     # anchored paths stay theory-distinct through length 8; the stable
@@ -101,9 +96,8 @@ def test_path_class_spectrum_cofinite():
     assert cofinal.certificate.period == 1
 
 
-def test_finite_spectrum_status():
+def test_finite_spectrum_status(interner):
     # base-only theory realized at sizes {1,2} and no rules
-    interner = default_interner()
     vertex = Structure(GRAPHS, 1)
     t = compute_theory(vertex, 0, interner)
     st = close({0: [(t, 1, vertex), (t, 2, vertex)]}, [], depth=0)
@@ -113,15 +107,13 @@ def test_finite_spectrum_status():
     assert rep.certificate.threshold == 3
 
 
-def test_spectrum_unknown_digest():
-    interner = default_interner()
+def test_spectrum_unknown_digest(interner):
     st = _matching_state(interner)
     with pytest.raises(HintikkaError):
         spectrum(st, "f" * 64, 8)
 
 
-def test_spectrum_report_matches_reach_and_witnesses():
-    interner = default_interner()
+def test_spectrum_report_matches_reach_and_witnesses(interner):
     st = _matching_state(interner)
     sysq, digests = induce_system(st)
     for digest in digests:
@@ -130,8 +122,7 @@ def test_spectrum_report_matches_reach_and_witnesses():
             assert tree.value == size
 
 
-def test_spectrum_from_facts_file():
-    interner = default_interner()
+def test_spectrum_from_facts_file(interner):
     st = _matching_state(interner)
     base, facts = parse_facts(write_facts(st))
     _, digests = induce_system(st)
@@ -166,8 +157,7 @@ def test_audit_gaps_least_passing_threshold():
     assert audit_gaps([4, 8, 9, 20], 2, 9).violations == ()
 
 
-def test_sentence_spectrum_fragment_enforced():
-    interner = default_interner()
+def test_sentence_spectrum_fragment_enforced(interner):
     st = _matching_state(interner, depth=1)
     # alternating FO quantifiers: outside the decidable fragment
     bad = parse_formula("(forall x (exists y (E x y)))")
@@ -179,8 +169,7 @@ def test_sentence_spectrum_fragment_enforced():
         sentence_spectrum(st, deep, 8)
 
 
-def test_sentence_spectrum_matching():
-    interner = default_interner()
+def test_sentence_spectrum_matching(interner):
     st = _matching_state(interner, depth=1)
     pm = parse_formula(
         "(and (not (exists x (E x x)))"

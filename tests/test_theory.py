@@ -50,16 +50,15 @@ from hintikka.theory import (
     Interner,
     Theory,
     compute_theory,
-    default_interner,
     enumerate_formal,
     small_model_theories,
     theories_equal_on_sentences,
 )
 
 
-def test_single_vertex_depth0_one_diagram():
+def test_single_vertex_depth0_one_diagram(interner):
     m = Structure(Vocabulary((("E", 2),)), 1)
-    t = compute_theory(m, 0)
+    t = compute_theory(m, 0, interner)
     assert len(t.payload) == 1
     (diag,) = t.payload
     v, eq, rel, sets = diag
@@ -67,21 +66,21 @@ def test_single_vertex_depth0_one_diagram():
     assert rel[0] == (False,)        # the only atom E(x,x) is false
 
 
-def test_single_vertex_depth1_two_members():
+def test_single_vertex_depth1_two_members(interner):
     m = Structure(Vocabulary((("E", 2),)), 1)
-    assert len(compute_theory(m, 1).payload) == 2
+    assert len(compute_theory(m, 1, interner).payload) == 2
 
 
-def test_long_paths_share_depth0_theory():
-    t5 = compute_theory(path_graph(5), 0)
-    t6 = compute_theory(path_graph(6), 0)
-    t8 = compute_theory(path_graph(8), 0)
-    t4 = compute_theory(path_graph(4), 0)
+def test_long_paths_share_depth0_theory(interner):
+    t5 = compute_theory(path_graph(5), 0, interner)
+    t6 = compute_theory(path_graph(6), 0, interner)
+    t8 = compute_theory(path_graph(8), 0, interner)
+    t4 = compute_theory(path_graph(4), 0, interner)
     assert t6.intern_id == t8.intern_id == t5.intern_id
     assert t4.intern_id != t8.intern_id
 
 
-def test_isomorphism_invariance():
+def test_isomorphism_invariance(interner):
     rng = random.Random(5)
     v = Vocabulary((("E", 2),), 1, 1)
     for _ in range(15):
@@ -89,8 +88,8 @@ def test_isomorphism_invariance():
         pi = list(range(m.size))
         rng.shuffle(pi)
         for n in (0, 1):
-            assert compute_theory(m, n).digest == \
-                compute_theory(apply_permutation(m, pi), n).digest
+            assert compute_theory(m, n, interner).digest == \
+                compute_theory(apply_permutation(m, pi), n, interner).digest
 
 
 def test_digest_stable_across_interners():
@@ -230,7 +229,6 @@ def test_one_theory_object_per_value():
 
 
 def test_fresh_interner_sizes():
-    before = default_interner().sizes()
     fresh = Interner()
     sizes = fresh.sizes()
     assert {"theories", "diagrams", "theory_memo", "transfer_memo", "side_tables",
@@ -245,7 +243,6 @@ def test_fresh_interner_sizes():
     assert all(grown[name] > 0 for name in ("theories", "diagrams", "theory_memo",
                                             "transfer_memo", "side_tables", "config_memos",
                                             "part_memos"))
-    assert default_interner().sizes() == before
 
 
 def _brute_th0(m, r, extra_masks):
@@ -345,58 +342,58 @@ def test_bool_form_ids_are_engine_ids():
             assert interner.diagram_id(t.const_diag) == t.const_id
 
 
-def test_payload_bound():
+def test_payload_bound(interner):
     rng = random.Random(9)
     v = Vocabulary((("E", 2),))
     for _ in range(8):
         m = rand_structure(v, rng.randint(1, 4), rng)
-        assert len(compute_theory(m, 1).payload) <= 2 ** m.size
-        assert len(compute_theory(m, 2).payload) <= 2 ** m.size
+        assert len(compute_theory(m, 1, interner).payload) <= 2 ** m.size
+        assert len(compute_theory(m, 2, interner).payload) <= 2 ** m.size
 
 
-def test_depth_budget_guards():
+def test_depth_budget_guards(interner):
     m = path_graph(3)
     with pytest.raises(BudgetError):
-        compute_theory(m, 5)
+        compute_theory(m, 5, interner)
     big = path_graph(9)
     with pytest.raises(BudgetError):
-        compute_theory(big, 2)
+        compute_theory(big, 2, interner)
 
 
-def test_formal_empty_vocab_three_members():
-    sp = enumerate_formal(Vocabulary(()), 0)
+def test_formal_empty_vocab_three_members(interner):
+    sp = enumerate_formal(Vocabulary(()), 0, interner)
     assert sp.cardinality == 3
     sizes = sorted(len(t.payload) for t in sp.members())
     assert sizes == [0, 1, 2]
 
 
-def test_formal_powerset_law():
+def test_formal_powerset_law(interner):
     v0 = Vocabulary(())
-    inner = enumerate_formal(v0.with_sets(1), 0)
-    sp1 = enumerate_formal(v0, 1, budget=2 ** 22)
+    inner = enumerate_formal(v0.with_sets(1), 0, interner)
+    sp1 = enumerate_formal(v0, 1, interner, budget=2 ** 22)
     assert sp1.cardinality == 2 ** inner.cardinality
 
 
-def test_formal_budget_refusals():
+def test_formal_budget_refusals(interner):
     graphs = Vocabulary((("E", 2),))
     with pytest.raises(BudgetError):
-        enumerate_formal(graphs, 0)
+        enumerate_formal(graphs, 0, interner)
     with pytest.raises(BudgetError):
-        enumerate_formal(graphs, 2)
+        enumerate_formal(graphs, 2, interner)
 
 
-def test_realizable_subset_of_formal():
+def test_realizable_subset_of_formal(interner):
     v0 = Vocabulary(())
-    sp = enumerate_formal(v0, 0)
+    sp = enumerate_formal(v0, 0, interner)
     for size in (0, 1, 2, 3):
-        assert sp.contains(compute_theory(Structure(v0, size), 0))
+        assert sp.contains(compute_theory(Structure(v0, size), 0, interner))
     unary = Vocabulary((("S", 1),), 1, 0)
-    spu = enumerate_formal(unary, 0, budget=2 ** 20)
+    spu = enumerate_formal(unary, 0, interner, budget=2 ** 20)
     m = Structure(unary, 2, (frozenset({(0,)}),), (1,))
-    assert spu.contains(compute_theory(m, 0))
+    assert spu.contains(compute_theory(m, 0, interner))
     # depth 1 membership via the symbolic powerset
-    sp1 = enumerate_formal(v0, 1, budget=2 ** 22)
-    assert sp1.contains(compute_theory(Structure(v0, 2), 1))
+    sp1 = enumerate_formal(v0, 1, interner, budget=2 ** 22)
+    assert sp1.contains(compute_theory(Structure(v0, 2), 1, interner))
 
 
 def test_formal_space_refuses_theories_of_another_interner():
@@ -411,20 +408,20 @@ def test_formal_space_refuses_theories_of_another_interner():
             sp.contains(compute_theory(point, depth, warmed))
 
 
-def test_small_model_theories_graphs():
+def test_small_model_theories_graphs(interner):
     graphs = Vocabulary((("E", 2),))
-    sm = small_model_theories(graphs, 0, 1)
+    sm = small_model_theories(graphs, 0, 1, interner)
     assert len(sm.entries) == 2                      # loop / no loop
     assert all(sizes == (1,) for _, sizes in sm.entries)
-    sm2 = small_model_theories(graphs, 0, 2)
+    sm2 = small_model_theories(graphs, 0, 2, interner)
     assert len(sm2.entries) > 2
     for tid, sizes in sm2.entries:
         assert set(sizes) <= {1, 2}
 
 
-def test_small_model_theories_with_constant():
+def test_small_model_theories_with_constant(interner):
     v = Vocabulary((("E", 2),), 1)
-    sm = small_model_theories(v, 0, 1)
+    sm = small_model_theories(v, 0, 1, interner)
     assert len(sm.entries) == 2                      # constant on loop / non-loop
     for tid, _ in sm.entries:
         assert sm.witnesses[tid].size == 1
@@ -450,22 +447,43 @@ def test_small_model_theories_match_labelled_loop(vocab, depth, k_star):
         {tid: m.key() for tid, m in witnesses.items()}
 
 
-def test_sentence_agreement_identity_and_paths():
+def test_small_models_without_interner_fill_the_default():
+    """The one reader of the default interner outside the CLI: the census
+    benchmark calls small_model_theories with no interner and reads the
+    default's sizes. A call given an interner leaves the default alone."""
+    from hintikka.theory import default_interner, reset_default_interner
+
+    graphs = Vocabulary((("E", 2),))
+    reset_default_interner()
+    try:
+        own = Interner()
+        sm = small_model_theories(graphs, 0, 2, own)
+        assert len(own) > 0 and len(default_interner()) == 0
+        assert small_model_theories(graphs, 0, 2) == sm
+        filled = default_interner()
+        assert len(filled) == len(own) and filled.sizes() == own.sizes()
+        assert [filled.rec(tid).digest for tid, _ in sm.entries] == \
+            [own.rec(tid).digest for tid, _ in sm.entries]
+    finally:
+        reset_default_interner()
+
+
+def test_sentence_agreement_identity_and_paths(interner):
     m = path_graph(4)
-    rep = theories_equal_on_sentences(m, m, 1, 20, 3)
+    rep = theories_equal_on_sentences(m, m, 1, 20, 3, interner)
     assert rep.theories_equal and rep.agreements == 20
-    rep2 = theories_equal_on_sentences(path_graph(6), path_graph(8), 0, 100, 3)
+    rep2 = theories_equal_on_sentences(path_graph(6), path_graph(8), 0, 100, 3, interner)
     assert rep2.theories_equal and not rep2.disagreements
 
 
-def test_sentence_agreement_reports_difference_without_sampling():
+def test_sentence_agreement_reports_difference_without_sampling(interner):
     rep = theories_equal_on_sentences(
-        k2_graph(), Structure(Vocabulary((("E", 2),)), 2), 0, 100, 3)
+        k2_graph(), Structure(Vocabulary((("E", 2),)), 2), 0, 100, 3, interner)
     assert not rep.theories_equal and rep.samples == 0
 
 
-def test_dump_format():
-    t = compute_theory(path_graph(3), 1)
+def test_dump_format(interner):
+    t = compute_theory(path_graph(3), 1, interner)
     dump = t.dump()
     head = dump.splitlines()[0]
     assert head.startswith("theory depth=1 tau=E/2 m=0 k=0 digest=")
