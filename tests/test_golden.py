@@ -9,6 +9,8 @@ Claims:
     - theory --dump stdout of a ternary model, whose relation words hold
       more than 64 atoms (125 over five classes), is fixed at depths 0 and 1
     - formal theory spaces have fixed cardinalities and member digests
+    - small-model tables (the census benchmark's two passes, and one with a
+      base set column) have fixed (digest, sizes) pairs
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from conftest import rand_structure
 from hintikka.cli import run
 from hintikka.composition import random_table_scheme, serialize_scheme
 from hintikka.structures import Structure, Vocabulary
-from hintikka.theory import Interner, compute_theory, enumerate_formal
+from hintikka.theory import Interner, compute_theory, enumerate_formal, small_model_theories
 
 GRAPHS = (("E", 2),)
 UNARY = (("S", 1),)
@@ -133,3 +135,18 @@ def test_formal_space_golden(preds, k, depth, cardinality, members_sha):
     digests = sorted(t.digest for t in space.members())
     assert space.cardinality == len(digests) == cardinality
     assert hashlib.sha256("\n".join(digests).encode("utf-8")).hexdigest() == members_sha
+
+
+@pytest.mark.parametrize("consts, num_sets, depth, k_star, pairs_sha", [
+    # the census benchmark's two passes over every E/2 structure up to size 3
+    (2, 0, 0, 3, "f14969264a09a9bf18854d6d9597cb838ae770db85b88ab013132d8ac0342372"),
+    (1, 0, 1, 3, "95427602a46716e9de2e2009ddb8142304d985d4170b192d80dc1393a949b784"),
+    # a base set column, and two constants that may name one element
+    (2, 1, 1, 2, "08f83c141909307493987690cc7e865eaad64bb4da64683c1a7b529f0eca1e17"),
+])
+def test_small_model_theories_golden(consts, num_sets, depth, k_star, pairs_sha):
+    """The sha256 of the repr of the sorted (digest, sizes) pairs."""
+    interner = Interner()
+    sm = small_model_theories(Vocabulary(GRAPHS, consts, num_sets), depth, k_star, interner)
+    pairs = sorted((interner.rec(tid).digest, sizes) for tid, sizes in sm.entries)
+    assert hashlib.sha256(repr(pairs).encode("utf-8")).hexdigest() == pairs_sha
