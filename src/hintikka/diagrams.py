@@ -1,8 +1,13 @@
 """Canonical quantifier-free diagrams: the one module that builds them.
 
 ``qf_core`` turns a tuple of elements of a structure into the equality
-type, relation words and class representatives of its diagram; Th^0
-(``DiagramEngine``) and glue's pattern part types are read from it.
+type, relation words and class representatives of its diagram; glue's
+pattern part types are read from it. Th^0 (``DiagramEngine``) builds the
+same relation words from one word per predicate of the structure (bit
+``rel_index(t, size)`` for each tuple t), gathered at the atom reads of a
+``RowTemplate``: its rows, their class representatives and equality types
+depend only on the size, r, constants and arities, and the interner keeps
+one template for every structure that shares them.
 ``complete_diagrams`` enumerates every syntactically complete diagram of an
 equality type; the formal theory space and the pattern space are built
 from it.
@@ -31,6 +36,7 @@ column, is built only to sort or print diagrams: digests, patterns, payloads.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .structures import Structure
 
@@ -157,53 +163,106 @@ def subdiagram(interner, did: int, slots, arities, new_v=None) -> int:
     return interner.key_id(sid | set_word(bits, m, n) << SHAPE_BITS)
 
 
+class RowTemplate:
+    """What Th^0 of a structure reads from its size, r, constants and
+    predicate arities alone, kept by the interner for every structure that
+    has them.
+
+    Each r-tuple followed by the constants is a row, and the constants alone
+    are one more row, with v = 0. Rows are grouped by class
+    representatives, first seen first: a group keeps its representatives,
+    its rows (v, eq), and per predicate the atom reads of its relation word
+    (``gather`` positions in a structure word, highest atom first). The
+    constant row is the last row of group ``const``. ``subset_rows`` holds,
+    per group, the packed class bits of every subset mask once an extra set
+    column is read, and stays None above 4096 masks. Rows, equality types,
+    reads and subset rows are the interner's shared copies.
+    """
+
+    __slots__ = ("groups", "const", "subset_rows")
+
+    def __init__(self, interner, size: int, r: int, consts: tuple, arities: tuple):
+        part = interner.part
+        groups = {}                 # reps -> rows (v, eq)
+        rows = [(r, elems + consts) for elems in itertools.product(range(size), repeat=r)]
+        for v, elements in rows + [(0, consts)]:
+            reps = tuple(dict.fromkeys(elements))
+            groups.setdefault(reps, []).append(part((v, part(tuple(map(reps.index, elements))))))
+        self.groups = [(reps, part(tuple(group)),
+                        _shared(interner.class_reads, (size, reps, arities), _class_reads))
+                       for reps, group in groups.items()]
+        self.const = list(groups).index(tuple(dict.fromkeys(consts)))
+        self.subset_rows = None
+
+
+def _shared(memo: dict, key: tuple, build):
+    """``memo[key]``, made by ``build(*key)`` on first use."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(*key)
+    return value
+
+
+def _class_reads(size: int, reps, arities) -> tuple:
+    """Per arity, the ``rel_index`` over ``size`` of every class tuple of
+    ``reps``, highest atom first (as ``qf_core`` lists them)."""
+    return tuple(tuple(rel_index(t, size) for t in itertools.product(reps[::-1], repeat=a))
+                 for a in arities)
+
+
+def _subset_row(size: int, reps) -> tuple:
+    """The packed class bits of ``reps`` in every subset mask of ``size``
+    elements."""
+    return tuple(_pack(u, reps) for u in range(2 ** size))
+
+
 class DiagramEngine:
     """Th^0 of one structure under extra set columns, as ids of the
-    interner it is given. Each r-tuple (followed by the constants) is a row,
-    and the constants alone are one more row, with v = 0. Rows are grouped
-    by class representatives, which fix the relation words and set bits: a
-    group keeps its representatives, base set bits and its rows' shape ids;
-    a call adds the class bits of each extra column (bitmasks over the
-    universe) once per group and hands the rows' keys to the interner. The
-    constant row is the last row of group ``_const``.
+    interner it is given. The rows and their groups come from the
+    interner's ``RowTemplate``; the structure adds one relation word per
+    predicate, bit ``rel_index(t, size)`` for each tuple t, from which each
+    group's relation words are gathered (the words ``qf_core`` builds), and
+    the class bits of its base set columns. A group keeps its
+    representatives, base set bits and its rows' shape ids; a call adds the
+    class bits of each extra column (bitmasks over the universe) once per
+    group and hands the rows' keys to the interner.
     """
 
     def __init__(self, m: Structure, r: int, interner):
         self.m = m
         self.interner = interner
-        shape_id = interner.shape_id
+        size = m.size
+        self._template = template = _shared(
+            interner.row_templates, (size, r, m.consts, tuple(a for _, a in m.vocab.predicates)),
+            partial(RowTemplate, interner))
+        words = [sum(1 << rel_index(t, size) for t in tuples) for tuples in m.relations]
         base_masks = tuple(sum(1 << e for e in s) for s in m.sets)
-        groups = {}                 # reps -> (rel words, shape ids)
-        rows = [(r, elems + m.consts) for elems in itertools.product(range(m.size), repeat=r)]
-        for v, elements in rows + [(0, m.consts)]:
-            reps = tuple(dict.fromkeys(elements))
-            group = groups.get(reps)
-            if group is None:
-                group = groups[reps] = (qf_core(m, reps)[1], [])
-            rel, sids = group
-            sids.append(shape_id(v, tuple(map(reps.index, elements)), rel))
-        self._groups = [(reps, sum(_pack(mask, reps) << j * len(reps)
-                                   for j, mask in enumerate(base_masks)), sids)
-                        for reps, (_, sids) in groups.items()]
-        self._const = list(groups).index(tuple(dict.fromkeys(m.consts)))
-        self._subset_table = None
+        shape_id = interner.shape_id
+        self._groups = []
+        for reps, rows, reads in template.groups:
+            rel = tuple(map(gather, words, reads))
+            bits = 0
+            for j, mask in enumerate(base_masks):
+                bits |= _pack(mask, reps) << j * len(reps)
+            self._groups.append((reps, bits, [shape_id(v, eq, rel) for v, eq in rows]))
 
     def _subset_rows(self):
-        """Per group, the packed class bits of every subset mask; feasible
-        only for small universes (None otherwise). Built on the first call
-        with two or more extra set columns, the first to read entries twice."""
-        nmasks = 2 ** self.m.size
-        if self._subset_table is None and nmasks <= 4096:
-            self._subset_table = [[_pack(u, reps) for u in range(nmasks)]
-                                  for reps, _, _ in self._groups]
-        return self._subset_table
+        """Per group, the packed class bits of every subset mask (the
+        template's, shared); None above 4096 masks. Built on the first call
+        with an extra set column."""
+        template = self._template
+        if template.subset_rows is None and 2 ** self.m.size <= 4096:
+            template.subset_rows = [_shared(self.interner.subset_rows, (self.m.size, reps),
+                                            _subset_row) for reps, _, _ in template.groups]
+        return template.subset_rows
 
     def th0_local(self, extra_masks: tuple):
         """The ids of the realized r-diagrams and the id of the constant
         diagram, under the given extra set columns."""
-        table = self._subset_rows() if len(extra_masks) > 1 else None
+        table = self._subset_rows() if extra_masks else None
         base_m = len(self.m.sets)
         m = base_m + len(extra_masks)
+        const = self._template.const
         keys = []
         for idx, (reps, bits, sids) in enumerate(self._groups):
             n = len(reps)
@@ -213,7 +272,7 @@ class DiagramEngine:
                 shift += n
             word = set_word(bits, m, n) << SHAPE_BITS
             keys += map(word.__or__, sids)
-            if idx == self._const:
+            if idx == const:
                 const_key = keys.pop()
         key_id = self.interner.key_id
         cid = key_id(const_key)

@@ -41,7 +41,13 @@ class Interner:
     digests, not ids), so they are stable across runs, platforms, and
     interner instances.
 
-    The memos of every layer live here too. The transfer kernel keeps one
+    The memos of every layer live here too. Th^0 keeps one row template
+    per (size, r, constants, arities) for every structure that has them
+    (``row_templates``), and the pieces that templates share: the atom
+    reads per (size, class representatives, arities) (``class_reads``),
+    the subset rows per (size, class representatives) (``subset_rows``),
+    and the rows and equality types, among the kept components (``part``).
+    The transfer kernel keeps one
     memo per sequence of result classes of each scheme config key
     (``config_memos``), and one per part recipe (``part_memos``) that the
     config memos of every scheme with that recipe share, so a projection
@@ -64,7 +70,7 @@ class Interner:
         self._diagram_ids = {}      # diagram key -> diagram id
         self._keys = []             # diagram id -> diagram key
         self._columns = {}          # (class count, set word) -> set columns in bool form
-        self._parts = {}            # one kept copy of each eq and rel component
+        self._parts = {}            # one kept copy of each eq, rel and template row
         self.theory_memo = {}
         self.transfer_memo = {}
         # memos of the depth-0 transfer kernel (composition._transfer_base),
@@ -81,6 +87,10 @@ class Interner:
         self.side_tables = {}
         self.sub_diagrams = {}
         self.table_values = {}
+        # memos of Th^0 (diagrams.DiagramEngine): see the class docstring
+        self.row_templates = {}
+        self.class_reads = {}
+        self.subset_rows = {}
 
     def _insert(self, key, build) -> int:
         """The id of ``key``'s theory; a new one is ``build(id)``."""
@@ -95,10 +105,14 @@ class Interner:
         shape = (v, eq, rel)
         sid = self._shape_ids.get(shape)
         if sid is None:
-            shape = (v, self._parts.setdefault(eq, eq), self._parts.setdefault(rel, rel))
+            shape = (v, self.part(eq), self.part(rel))
             sid = self._shape_ids[shape] = len(self._shapes)
             self._shapes.append(shape)
         return sid
+
+    def part(self, obj):
+        """The one kept copy of an immutable diagram component."""
+        return self._parts.setdefault(obj, obj)
 
     def key_id(self, key: int) -> int:
         """The id of a diagram key, assigned on first sight."""

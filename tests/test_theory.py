@@ -16,7 +16,10 @@ Claims:
     - Th^0 from the diagram engine equals a brute-force build, one diagram
       per tuple, on the subset-table path and on the per-mask path, also
       with a ternary predicate whose 125 atoms over five classes pass one
-      machine word
+      machine word, with constants that name the lowest or the highest
+      elements or repeat, and with base set columns
+    - engines of one size and one tuple of constants share one row
+      template, its atom reads and its subset rows
     - every realizable theory is a member of the formal space, which
       refuses a theory of another interner
     - formal spaces obey the powerset law and refuse over budget
@@ -232,7 +235,8 @@ def test_fresh_interner_sizes():
     fresh = Interner()
     sizes = fresh.sizes()
     assert {"theories", "diagrams", "theory_memo", "transfer_memo", "side_tables",
-            "config_memos", "part_memos"} <= set(sizes)
+            "config_memos", "part_memos", "row_templates", "class_reads",
+            "subset_rows"} <= set(sizes)
     assert not {"side_packs", "unpacked_diagrams"} & set(sizes)
     assert set(sizes.values()) == {0}
     t = compute_theory(path_graph(3), 1, fresh)
@@ -242,7 +246,8 @@ def test_fresh_interner_sizes():
     assert grown.keys() == sizes.keys()
     assert all(grown[name] > 0 for name in ("theories", "diagrams", "theory_memo",
                                             "transfer_memo", "side_tables", "config_memos",
-                                            "part_memos"))
+                                            "part_memos", "row_templates", "class_reads",
+                                            "subset_rows"))
 
 
 def _brute_th0(m, r, extra_masks):
@@ -276,6 +281,13 @@ def _th0_cases():
         yield rand_structure(vocab, 13, rng)     # 2^13 masks: the per-mask path
     # a ternary predicate over five classes: 125 atoms in one relation word
     yield rand_structure(Vocabulary((("R", 3), ("E", 2)), 2), 5, rng)
+    # constants naming the lowest or the highest elements, constants that
+    # repeat, and one or two base set columns
+    for size, consts, num_sets in (((4, (0, 1), 0), (4, (3, 2), 1), (5, (4, 4, 1), 2),
+                                    (3, (2, 2, 2), 1), (4, (1, 3, 1), 2), (2, (0, 0), 2))):
+        vocab = Vocabulary((("E", 2), ("S", 1)), len(consts), num_sets)
+        m = rand_structure(Vocabulary(vocab.predicates, 0, num_sets), size, rng)
+        yield Structure(vocab, size, m.relations, consts, m.sets)
 
 
 def test_th0_matches_brute_force():
@@ -299,7 +311,33 @@ def test_th0_matches_brute_force():
             mask_path += 1
         else:
             table_path += 1
-    assert table_path == 25 and mask_path == 2
+    assert table_path == 31 and mask_path == 2
+
+
+def test_engines_share_row_templates():
+    """Engines of structures with one size and one tuple of constants share
+    one row template, its atom reads and its subset rows, whatever their
+    relations and set columns; other constants make another template."""
+    interner = Interner()
+    rng = random.Random(12)
+    vocab = Vocabulary((("E", 2), ("S", 1)), 2, 1)
+
+    def engine(consts):
+        m = rand_structure(Vocabulary(vocab.predicates, 0, 1), 3, rng)
+        built = DiagramEngine(Structure(vocab, 3, m.relations, consts, m.sets), 3, interner)
+        built.th0_local((rng.randrange(8),))
+        return built
+
+    first = engine((0, 2))
+    groups = len(first._groups)
+    shared = {"row_templates": 1, "class_reads": groups, "subset_rows": groups}
+    assert {name: interner.sizes()[name] for name in shared} == shared
+    for _ in range(5):
+        assert engine((0, 2))._template is first._template
+    assert {name: interner.sizes()[name] for name in shared} == shared
+    other = engine((2, 0))
+    assert other._template is not first._template
+    assert interner.sizes()["row_templates"] == 2
 
 
 # the vocabularies of the id tests: their bool forms overlap (S/1 and E/2
