@@ -36,6 +36,7 @@ column, is built only to sort or print diagrams: digests, patterns, payloads.
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import partial
 
 from .structures import Structure
@@ -210,10 +211,15 @@ def _class_reads(size: int, reps, arities) -> tuple:
                  for a in arities)
 
 
-def _subset_row(size: int, reps) -> tuple:
+def _subset_row(size: int, reps) -> array:
     """The packed class bits of ``reps`` in every subset mask of ``size``
-    elements."""
-    return tuple(_pack(u, reps) for u in range(2 ** size))
+    elements (at most 12, so at most 12 bits each), doubled element by
+    element."""
+    row = [0]
+    for e in range(size):
+        bit = 1 << reps.index(e) if e in reps else 0
+        row += [sig | bit for sig in row]
+    return array("H", row)
 
 
 class DiagramEngine:
