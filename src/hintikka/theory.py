@@ -47,11 +47,10 @@ class Interner:
     reads per (size, class representatives, arities) (``class_reads``),
     the subset rows per (size, class representatives) (``subset_rows``),
     and the rows and equality types, among the kept components (``part``).
-    The transfer kernel keeps one
-    memo per sequence of result classes of each scheme config key
-    (``config_memos``), and one per part recipe (``part_memos``) that the
-    config memos of every scheme with that recipe share, so a projection
-    is packed once per part recipe.
+    The transfer kernel keeps one memo per sequence of result classes of
+    each scheme config key (``config_memos``), and one per part recipe
+    (``part_memos``) that the config memos of every scheme with that recipe
+    share, so a projection is packed once per part recipe.
 
     Digests are made when first read, never at interning. A new depth-0
     theory waits on a pending list; the first read of any depth-0 digest
