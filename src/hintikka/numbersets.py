@@ -16,11 +16,17 @@ label are one int (bit n set when n is reachable), and a rule adds the
 sumset of its operands shifted down by j. Rounds are semi-naive (only
 rules with an operand that changed in the last round are applied), and
 the values new in each round are kept as stages, from which witness trees
-are rebuilt. Each system saturates once per limit: the result is memoized
-on the ``QuadrupleSystem`` instance itself, outside its equality and hash.
-``reach`` hands on one int per label, ``find_period`` and
+are rebuilt. ``reach`` hands on one int per label, ``find_period`` and
 ``verify_certificate`` test periodicity with shifts and masks, and values
 are decoded only where they are printed (``ReachResult.values``).
+
+A ``QuadrupleSystem`` indexes itself once, when it is made: its largest
+base value and deficit, its base sets ascending, and per label the rules
+that produce it and the rules that read it. It also carries two memos
+that fill as it is used: the saturation per limit, and the finished
+derivation-tree lists of the pump search, which every later search of the
+same system replays. Index and memos stay outside its equality, hash and
+repr, so a system equals, hashes and prints like a fresh copy of itself.
 """
 
 from __future__ import annotations
@@ -32,14 +38,24 @@ from .errors import HintikkaError, ParseError
 from .lineformat import LineReader
 
 
+def _derived():
+    """A field that ``__post_init__`` computes or fills, outside equality,
+    hash and repr."""
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class QuadrupleSystem:
     m: int
     rules: tuple        # (l1, l2, l3, j)
     base: tuple         # per label, frozenset of naturals
-    # limit -> (members, stages) of _saturate; not part of equality or hash
-    _saturated: dict = field(default_factory=dict, init=False, compare=False,
-                             repr=False)
+    max_base: int = _derived()      # the largest base value (0 with none)
+    max_j: int = _derived()         # the largest deficit (0 with no rules)
+    _bases: tuple = _derived()      # per label, its base values ascending
+    _producers: tuple = _derived()  # per label, (idx, l1, l2, j) of the rules making it
+    _by_operand: tuple = _derived()  # per label, the indices of the rules reading it
+    _saturated: dict = _derived()   # limit -> (members, stages) of _saturate
+    _trees: dict = _derived()       # (label, nodes) -> finished list of _search_pump
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(sorted(tuple(map(int, r)) for r in self.rules)))
@@ -53,14 +69,22 @@ class QuadrupleSystem:
                 raise HintikkaError("rule deficit must be a natural number")
         if any(v < 0 for b in self.base for v in b):
             raise HintikkaError("base values must be naturals")
-
-    @property
-    def max_base(self) -> int:
-        return max((v for b in self.base for v in b), default=0)
-
-    @property
-    def max_j(self) -> int:
-        return max((r[3] for r in self.rules), default=0)
+        producers = [[] for _ in range(self.m)]
+        by_operand = [set() for _ in range(self.m)]
+        for idx, (l1, l2, l3, j) in enumerate(self.rules):
+            producers[l3].append((idx, l1, l2, j))
+            by_operand[l1].add(idx)
+            by_operand[l2].add(idx)
+        bases = tuple(tuple(sorted(b)) for b in self.base)
+        for name, value in (
+                ("max_base", max((b[-1] for b in bases if b), default=0)),
+                ("max_j", max((r[3] for r in self.rules), default=0)),
+                ("_bases", bases),
+                ("_producers", tuple(map(tuple, producers))),
+                ("_by_operand", tuple(map(frozenset, by_operand))),
+                ("_saturated", {}),
+                ("_trees", {})):
+            object.__setattr__(self, name, value)
 
     def default_slack(self) -> int:
         return (self.max_j + 1) * self.m * self.max_j
@@ -119,10 +143,7 @@ def _saturate(sys: QuadrupleSystem, limit: int):
     delta = [sum(1 << v for v in b if v <= limit) for b in sys.base]
     members = list(delta)
     stages = [tuple(delta)]
-    by_operand = [set() for _ in range(sys.m)]
-    for idx, (l1, l2, _, _) in enumerate(sys.rules):
-        by_operand[l1].add(idx)
-        by_operand[l2].add(idx)
+    by_operand = sys._by_operand
     while True:
         touched = set()
         for label, d in enumerate(delta):
@@ -274,17 +295,13 @@ def witness_tree(sys: QuadrupleSystem, label: int, value: int, bound: int) -> No
     before = [(0,) * sys.m]          # before[r]: values reached before round r
     for stage in stages[:-1]:
         before.append(tuple(a | b for a, b in zip(before[-1], stage)))
-    producers = [[] for _ in range(sys.m)]
-    for idx, rule in enumerate(sys.rules):
-        producers[rule[2]].append(idx)
 
     def build(l, v):
         r = next(r for r, stage in enumerate(stages) if (stage[l] >> v) & 1)
         if r == 0:
             return Node(l, v)
         seen = before[r]
-        for idx in producers[l]:
-            l1, l2, _, j = sys.rules[idx]
+        for idx, l1, l2, j in sys._producers[l]:
             for n1 in _bits(seen[l1]):
                 n2 = v + j - n1
                 if n2 < 0:
@@ -357,25 +374,44 @@ def chain_rank(tree: Node) -> dict:
 def find_pump(tree: Node):
     """A pump pair, or None: both endpoints are peak nodes with equal
     labels, the high node a proper ancestor of the low one. Peakness of the
-    ancestor forces n_low < n_high. Deeper candidates are tried first,
-    nearest ancestors first, so output is canonical.
+    ancestor forces n_low < n_high. The low node is the deepest that has
+    such an ancestor, the first by path among equals, and the high node its
+    nearest such ancestor, so output is canonical.
+
+    One walk, children before parents: each subtree hands up its largest
+    value and, per label, the deepest-then-first of its peaks that has no
+    peak ancestor of that label inside it. Those peaks all share their
+    nearest such ancestor above, so only that one of them can be the
+    answer; a peak parent closes the entry of its own label and takes its
+    place.
     """
-    peaks = peak_nodes(tree)
-    nodes = {path: node for path, node in iter_nodes(tree)}
-    candidates = sorted(peaks, key=lambda p: (-len(p), p))
-    for low in candidates:
-        if not low:
-            continue
-        anc = low[:-1]
-        while True:
-            if anc in peaks and nodes[anc].label == nodes[low].label:
-                delta = nodes[anc].value - nodes[low].value
-                if delta > 0:
-                    return PumpPair(low, anc, delta)
-            if not anc:
-                break
-            anc = anc[:-1]
-    return None
+    best = None         # ((-depth, path, value) of the low node, high path, high value)
+
+    def rec(node, path):
+        nonlocal best
+        if node.rule is None:
+            return node.value, {node.label: (-len(path), path, node.value)}
+        top, opened = rec(node.left, path + (0,))
+        top1, right = rec(node.right, path + (1,))
+        for label, low in right.items():
+            held = opened.get(label)
+            if held is None or low < held:
+                opened[label] = low
+        if top1 > top:
+            top = top1
+        if top < node.value:
+            low = opened.get(node.label)
+            if low is not None and (best is None or low < best[0]):
+                best = low, path, node.value
+            opened[node.label] = (-len(path), path, node.value)
+            top = node.value
+        return top, opened
+
+    rec(tree, ())
+    if best is None:
+        return None
+    (_, low, low_value), high, high_value = best
+    return PumpPair(low, high, high_value - low_value)
 
 
 def pump(tree: Node, pair: PumpPair, i: int) -> Node:
@@ -504,32 +540,33 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
     is spent, so the count decides which pumps are found. The cap is checked
     at the start of each enumeration and before each (left, right) pair.
 
-    The first run of ``trees(lab, n)`` in a search records, per tree, the
-    count spent while it ran (its own trees and its subtrees', not its
-    consumer's) and the count spent after its last tree. A later call that
-    finds the cap unspent replays that list, spending the recorded counts at
-    the same points, so a replayed list counts the same as a run. A list
-    that the cap cut short belongs to a run that ended with the cap spent,
-    and every call after it returns at once, so it is never replayed.
+    A run of ``trees(lab, n)`` records, per tree, the count spent while it
+    ran (its own trees and its subtrees', not its consumer's) and the count
+    spent after its last tree. When the run ends with the cap unspent, no
+    enumeration inside it was cut short, so the list is the whole
+    enumeration; it is kept on the system (``_trees``) and shared by every
+    later search of that system, whatever its label, period or cap. A call
+    that finds the cap unspent replays a kept list, spending the recorded
+    counts at the same points, so a replayed list counts the same as a run.
+    A run that ends with the cap spent may have been cut short anywhere
+    below, so its list is dropped: a later search with a larger cap would
+    replay too few trees.
     A replay checks the cap only at its start, but its consumer is always a
     run (a replay calls nothing), which checks before each tree it makes,
-    and no call at the top is a replay (every earlier enumeration is
-    smaller): so no tree made after the cap is spent reaches ``find_pump``.
-    Only runs build trees, so the search builds none that the plain
-    enumeration would not.
+    and the call at the top of each search always runs, even where a list
+    of an earlier search is kept for it: so no tree made after the cap is
+    spent reaches ``find_pump``. Only runs build trees, and a kept list was
+    built by a run of an earlier search or of this one, so the searches of
+    one system build no tree that their plain enumerations would not.
     """
     budget = [config.pump_tree_cap]
-    bases = [sorted(b) for b in sys.base]
-    producers = [[] for _ in range(sys.m)]
-    for idx, (l1, l2, l3, j) in enumerate(sys.rules):
-        producers[l3].append((idx, l1, l2, j))
-    kept = {}
+    bases, producers, kept = sys._bases, sys._producers, sys._trees
 
-    def trees(lab, max_nodes):
+    def trees(lab, max_nodes, replay=True):
         if budget[0] <= 0:
             return
         key = (lab, max_nodes)
-        if key in kept:
+        if replay and key in kept:
             items, costs, tail = kept[key]
             for tree, cost in zip(items, costs):
                 budget[0] -= cost
@@ -558,12 +595,13 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
                         costs.append(mark - budget[0])
                         yield items[-1]
                         mark = budget[0]
-        kept[key] = (items, costs, mark - budget[0])
+        if budget[0] > 0:
+            kept[key] = (items, costs, mark - budget[0])
 
-    value_cap = (2 ** sys.m) * sys.max_base + sys.max_j
+    value_cap = max((2 ** sys.m) * sys.max_base + sys.max_j, scan_bound)
     for max_nodes in (1, 3, 5, 7, 9, 11):
-        for tree in trees(label, max_nodes):
-            if tree.value > max(value_cap, scan_bound):
+        for tree in trees(label, max_nodes, replay=False):
+            if tree.value > value_cap:
                 continue
             pair = find_pump(tree)
             if pair is not None and pair.delta % period == 0:

@@ -364,6 +364,39 @@ def test_search_pump_matches_reference(sysq, label, period, cap, scan_bound):
         reference_search_pump(sysq, label, period, scan_bound, config))
 
 
+def fresh_copy(sysq):
+    """An equal system with an empty index of memos."""
+    return QuadrupleSystem(sysq.m, sysq.rules, sysq.base)
+
+
+searches = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3), st.integers(1, 2000),
+                              st.sampled_from((8, 16, 32))), min_size=1, max_size=4)
+
+
+# the first search's cap of 20 cuts the list of label 0 at five nodes short
+# (3 of its 11 trees, 12 of the 46 counts); a search that kept that list
+# would replay it in the second search and find a pump the cap of 172 does
+# not reach
+@example(QuadrupleSystem(2, ((0, 0, 1, 2), (1, 0, 0, 1), (1, 1, 1, 3)),
+                         (frozenset({1}), frozenset({0, 8}))),
+         [(0, 2, 20, 16), (1, 3, 172, 8)])
+# the first search keeps its top-level lists; a second search that replayed
+# the one at five nodes would hand trees made after its cap of 19 is spent
+# to find_pump, and find the pump 13 = 8 + 8 - 3 over 8 = 3 + 8 - 3
+@example(QuadrupleSystem(1, ((0, 0, 0, 3),), (frozenset({3, 8}),)),
+         [(0, 3, 101, 32), (0, 2, 19, 32)])
+@given(small_systems(max_rules=5), searches)
+@settings(max_examples=300, deadline=None)
+def test_search_pump_sequences_match_reference(sysq, sequence):
+    """Searches of one system share its kept lists, whatever their labels,
+    periods and caps: each finds what the plain enumeration finds on a
+    fresh copy."""
+    for label, period, cap, scan_bound in sequence:
+        config = Config(pump_tree_cap=cap)
+        assert numbersets._search_pump(sysq, label % sysq.m, period, scan_bound, config) == (
+            reference_search_pump(fresh_copy(sysq), label % sysq.m, period, scan_bound, config))
+
+
 class CountedNode(Node):
     """A ``Node`` that counts the instances made, patched into both
     ``numbersets`` and this module to count the trees a search builds."""
@@ -389,18 +422,21 @@ def count_nodes(search, *args):
 # 24 nodes against the reference's 18 in the first example, and 120 against
 # 23 in the second, where a pump turns up among the first trees
 @example(QuadrupleSystem(1, ((0, 0, 0, 0), (0, 0, 0, 0)), (frozenset({0, 1, 2}),)),
-         0, 1, 48, 8)
+         [(0, 1, 48, 8)])
 @example(QuadrupleSystem(1, ((0, 0, 0, 0),), (frozenset(range(1, 11)),)),
-         0, 1, Config().pump_tree_cap, 32)
-@given(small_systems(max_rules=5), st.integers(0, 2), st.integers(1, 3),
-       st.integers(1, 2000), st.sampled_from((8, 16, 32)))
+         [(0, 1, Config().pump_tree_cap, 32)])
+@given(small_systems(max_rules=5), searches)
 @settings(max_examples=200, deadline=None)
-def test_search_pump_builds_no_unspent_tree(sysq, label, period, cap, scan_bound):
-    """The search builds no more trees than the plain enumeration: a tree
-    is made only where the reference spends the cap on it."""
-    args = (sysq, label % sysq.m, period, scan_bound, Config(pump_tree_cap=cap))
-    assert (count_nodes(numbersets._search_pump, *args)
-            <= count_nodes(reference_search_pump, *args))
+def test_search_pump_builds_no_unspent_tree(sysq, sequence):
+    """The searches of one system build no more trees than their plain
+    enumerations: a tree is made only where a reference spends the cap on
+    it, and a kept list only replays trees an earlier search made."""
+    built = reference = 0
+    for label, period, cap, scan_bound in sequence:
+        args = (label % sysq.m, period, scan_bound, Config(pump_tree_cap=cap))
+        built += count_nodes(numbersets._search_pump, sysq, *args)
+        reference += count_nodes(reference_search_pump, fresh_copy(sysq), *args)
+        assert built <= reference
 
 
 def test_search_pump_cap_boundary():
@@ -413,6 +449,47 @@ def test_search_pump_cap_boundary():
     found = search(sysq, 0, 1, 32, Config(pump_tree_cap=14))
     assert found.pair == PumpPair(low=(0,), high=(), delta=3)
     assert found.tree == Node(0, 8, 0, Node(0, 5), Node(0, 5))
+
+
+def reference_find_pump(tree):
+    """``find_pump`` as the peak set, a path-to-node map and an ancestor
+    walk from each peak, deepest first."""
+    peaks = peak_nodes(tree)
+    nodes = {path: node for path, node in iter_nodes(tree)}
+    for low in sorted(peaks, key=lambda p: (-len(p), p)):
+        if not low:
+            continue
+        anc = low[:-1]
+        while True:
+            if anc in peaks and nodes[anc].label == nodes[low].label:
+                delta = nodes[anc].value - nodes[low].value
+                if delta > 0:
+                    return PumpPair(low, anc, delta)
+            if not anc:
+                break
+            anc = anc[:-1]
+    return None
+
+
+def labelled_trees(max_leaves=12):
+    """Trees over labels 0-2 with any values: find_pump reads only labels,
+    values and shape."""
+    label, value = st.integers(0, 2), st.integers(0, 12)
+    return st.recursive(
+        st.builds(Node, label, value),
+        lambda sub: st.builds(lambda lab, v, left, right: Node(lab, v, 0, left, right),
+                              label, value, sub, sub),
+        max_leaves=max_leaves)
+
+
+@example(CHAIN_TREE)
+@given(labelled_trees())
+@settings(max_examples=400, deadline=None)
+def test_find_pump_matches_the_ancestor_walk(tree):
+    """The one-pass ``find_pump`` returns the reference's canonical pair:
+    the deepest low node, the first by path among equals, and its nearest
+    peak ancestor of the same label."""
+    assert find_pump(tree) == reference_find_pump(tree)
 
 
 @given(small_systems())
@@ -774,3 +851,35 @@ def test_bit_certificates_match_the_per_value_loops(sysq, label, scan, threshold
     other = dataclasses.replace(cert, threshold=threshold, period=period, status=status,
                                 pump=cert.pump if keep_pump else None)
     assert verify_certificate(sysq, other) == reference_verify_certificate(sysq, other)
+
+
+@given(small_systems(), scans())
+@settings(max_examples=80, deadline=None)
+def test_memos_stay_outside_equality_hash_and_repr(drawn, scan):
+    """After ``find_period`` on every label a system fills its memos, yet it
+    equals, hashes and prints like the system its file reads back as, and
+    ``verify_certificate`` re-checks each certificate on a copy with empty
+    memos."""
+    # read from its file, as its copy is: a frozenset prints its members in
+    # an order that follows how it was built
+    sysq = parse_system(serialize_system(drawn))
+    scan_bound, window = scan
+    config = Config(pump_tree_cap=300)
+    certs = [find_period(sysq, label, scan_bound, window, config) for label in range(sysq.m)]
+    assert sysq._saturated
+    copy = parse_system(serialize_system(sysq))
+    assert not copy._saturated and not copy._trees
+    assert copy == sysq and hash(copy) == hash(sysq) and repr(copy) == repr(sysq)
+    seen = []
+    real = numbersets._saturate
+
+    def spy(system, limit):
+        seen.append(system is not sysq and not system._saturated and not system._trees)
+        return real(system, limit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numbersets, "_saturate", spy)
+        for cert in filter(None, certs):
+            seen.clear()
+            assert verify_certificate(sysq, cert)
+            assert seen[0], "the re-check starts from a copy with empty memos"
