@@ -39,8 +39,8 @@ class Config:
     # per-label set is built (numbersets.parse_system)
     system_labels_max: int = 2 ** 16
     # pump search: trees yielded at any level of the enumeration, repeated
-    # inner enumerations included; an enumeration replayed from the list its
-    # first run kept counts as if it ran again (numbersets._search_pump)
+    # inner enumerations included; an enumeration replayed from a list that
+    # a finished run kept counts as if it ran again (numbersets._search_pump)
     pump_tree_cap: int = 100_000
 
     # spectra

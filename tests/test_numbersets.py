@@ -365,7 +365,7 @@ def test_search_pump_matches_reference(sysq, label, period, cap, scan_bound):
 
 
 def fresh_copy(sysq):
-    """An equal system with an empty index of memos."""
+    """An equal system whose memos are empty."""
     return QuadrupleSystem(sysq.m, sysq.rules, sysq.base)
 
 
@@ -382,7 +382,8 @@ searches = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3), st.integers(
          [(0, 2, 20, 16), (1, 3, 172, 8)])
 # the first search keeps its top-level lists; a second search that replayed
 # the one at five nodes would hand trees made after its cap of 19 is spent
-# to find_pump, and find the pump 13 = 8 + 8 - 3 over 8 = 3 + 8 - 3
+# to find_pump, and find the pump from the leaf 3 at path 10 to the root
+# 13 = 8 + (3 + 8 - 3) - 3
 @example(QuadrupleSystem(1, ((0, 0, 0, 3),), (frozenset({3, 8}),)),
          [(0, 3, 101, 32), (0, 2, 19, 32)])
 @given(small_systems(max_rules=5), searches)
