@@ -383,7 +383,13 @@ def _transfer_base(t1: Theory, t2: Theory, scheme: Scheme, interner: Interner,
     ids to the result diagram ids, one per equality type of the result
     variables, and only a pair seen for the first time is joined. A memo
     is skipped where a part has no side, and its sides are packed where
-    both parts first have one."""
+    both parts first have one.
+
+    The loop extends one list with each visited pair's result ids, repeats
+    and all, and the list is deduplicated once, as a set, where it is
+    interned: a ``set.update`` per pair visit costs more than the repeats
+    do. Every result diagram restricts to the glue's constant diagram, so
+    the first id in the list gives it."""
     preds = t1.vocab_key
     arities = tuple(a for _, a in preds)
     base_m = t1.m - lift
@@ -395,7 +401,7 @@ def _transfer_base(t1: Theory, t2: Theory, scheme: Scheme, interner: Interner,
     tables = (_side_table(interner, t1, 0, ckey, memos, r, arities, lift),
               _side_table(interner, t2, 1, ckey, memos, r, arities, lift))
 
-    realized = set()
+    realized = []
     for memo, xs, ys in zip(memos, *tables):
         if not (xs and ys):
             # skip a memo that a part has no side for; else pack what is
@@ -410,22 +416,24 @@ def _transfer_base(t1: Theory, t2: Theory, scheme: Scheme, interner: Interner,
                 ys = _pack_entry(interner, tables[1], memo, 1, arities, lift)
         joins = memo.joins
         for x in xs:
-            row = joins.setdefault(x, {})
+            row = joins.get(x)
+            if row is None:
+                row = joins[x] = {}
             for y in ys:
                 dids = row.get(y)
                 if dids is None:
                     dids = row[y] = _join(interner, scheme, memo, x, y, r, arities)
-                realized.update(dids)
+                realized.extend(dids)
 
     if realized:
         # every realized diagram restricts to the glue's constant diagram
-        const_diag = subdiagram(interner, min(realized), list(range(r, r + scheme.k)),
+        const_diag = subdiagram(interner, realized[0], list(range(r, r + scheme.k)),
                                 arities, new_v=0)
     else:
         # an empty glue: only possible with k = 0
         const_diag = interner.diagram_id(
             (0, (), tuple(() for _ in preds), tuple(() for _ in range(t1.m))))
-    return interner.intern_depth0(preds, t1.m, scheme.k, realized, const_diag)
+    return interner.intern_depth0(preds, t1.m, scheme.k, set(realized), const_diag)
 
 
 # Pack ids and projection keys: a base id in the low 32 bits, lifted bits

@@ -22,11 +22,13 @@ are decoded only where they are printed (``ReachResult.values``).
 
 A ``QuadrupleSystem`` indexes itself once, when it is made: its largest
 base value and deficit, its base sets ascending, and per label the rules
-that produce it and the rules that read it. It also carries two memos
-that fill as it is used: the saturation per limit, and the finished
-derivation-tree lists of the pump search, which every later search of the
-same system replays. Index and memos stay outside its equality, hash and
-repr, so a system equals, hashes and prints like a fresh copy of itself.
+that produce it and the rules that read it. Of a rule (l1, l2, l3, j) and
+its mirror (l2, l1, l3, j), which make the same values, only one is listed
+as reading. It also carries two memos that fill as it is used: the
+saturation per limit, and the finished derivation-tree lists of the pump
+search, which every later search of the same system replays. Index and
+memos stay outside its equality, hash and repr, so a system equals, hashes
+and prints like a fresh copy of itself.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class QuadrupleSystem:
     max_j: int = _derived()         # the largest deficit (0 with no rules)
     _bases: tuple = _derived()      # per label, its base values ascending
     _producers: tuple = _derived()  # per label, (idx, l1, l2, j) of the rules making it
-    _by_operand: tuple = _derived()  # per label, the indices of the rules reading it
+    _by_operand: tuple = _derived()  # per label, the rules reading it, one of a mirrored pair
     _saturated: dict = _derived()   # limit -> (members, stages) of _saturate
     _trees: dict = _derived()       # (label, nodes) -> finished list of _search_pump
 
@@ -71,10 +73,14 @@ class QuadrupleSystem:
             raise HintikkaError("base values must be naturals")
         producers = [[] for _ in range(self.m)]
         by_operand = [set() for _ in range(self.m)]
+        rules = set(self.rules)
         for idx, (l1, l2, l3, j) in enumerate(self.rules):
             producers[l3].append((idx, l1, l2, j))
-            by_operand[l1].add(idx)
-            by_operand[l2].add(idx)
+            # a rule and its mirror (l2, l1, l3, j) make the same sumset,
+            # and one is touched exactly when the other is: index one
+            if l1 <= l2 or (l2, l1, l3, j) not in rules:
+                by_operand[l1].add(idx)
+                by_operand[l2].add(idx)
         bases = tuple(tuple(sorted(b)) for b in self.base)
         for name, value in (
                 ("max_base", max((b[-1] for b in bases if b), default=0)),
@@ -134,7 +140,8 @@ def _saturate(sys: QuadrupleSystem, limit: int):
     (round 0 is the base). Round r applies each rule whose operand changed
     in round r-1 as ``((D1 + A2) | (A1 + D2)) >> j`` over everything found
     before round r (A) and in round r-1 (D), masked to the limit after the
-    shift, since n1 + n2 may exceed the limit before j brings it back.
+    shift, since n1 + n2 may exceed the limit before j brings it back. Of
+    a rule and its mirror only one is applied: their sumsets are equal.
     """
     done = sys._saturated.get(limit)
     if done is not None:

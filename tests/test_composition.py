@@ -5,7 +5,9 @@ theory of glue, exactly, for every tested scheme and depth. The direct
 computation on the glued structure is the oracle throughout.
 """
 
+import builtins
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import k2_graph, mutated, rand_structure, triangle
 from hintikka import composition
+from hintikka.closure import close, replay_witness
 from hintikka.composition import (
     REF_P1,
     REF_P2,
@@ -537,6 +540,35 @@ def test_transfer_p2_p2_equals_p3_depth1(interner):
                  compute_theory(k2_graph(1, (0,)), 1, interner),
                  GLUE_POINT, interner)
     assert t.digest == compute_theory(path_graph(3, 1, (1,)), 1, interner).digest
+
+
+def test_transfer_payloads_hold_each_diagram_once(interner, monkeypatch):
+    # one sweep of the glue-paths closure at depth 1 over P2, P3 and P4
+    # (P2 + P2 = P3 among its facts): a base transfer gathers its pairs'
+    # result ids, repeats and all, and keeps each once; count that some base
+    # transfer really gathers a repeat (the first to do so is in P3 + P4)
+    gathered = []   # per base transfer: (ids gathered, ids kept)
+
+    def counting_set(*args):
+        made = builtins.set(*args)
+        if sys._getframe(1).f_code is composition._transfer_base.__code__:
+            gathered.append((len(args[0]), len(made)))
+        return made
+
+    paths = [path_graph(n, 2, (0, n - 1)) for n in (2, 3, 4)]
+    base = {2: [(compute_theory(p, 1, interner), p.size, p) for p in paths]}
+    with monkeypatch.context() as patch:
+        patch.setattr(composition, "set", counting_set, raising=False)
+        state = close(base, [CHAIN], depth=1, max_iter=1)
+    assert any(n > kept for n, kept in gathered)
+    p2, p3 = (compute_theory(p, 1, interner).intern_id for p in paths[:2])
+    assert any((f.t1.intern_id, f.t2.intern_id, f.t.intern_id) == (p2, p2, p3) for f in state.facts)
+    for fact in state.facts:
+        for child in fact.t.children():
+            assert len(set(child.ids)) == len(child.ids)
+        oracle = compute_theory(glue(replay_witness(state, fact.t1), replay_witness(state, fact.t2),
+                                     CHAIN), 1, interner)
+        assert fact.t.intern_id == oracle.intern_id
 
 
 def test_representative_independence(interner):

@@ -236,11 +236,16 @@ def naive_fixpoint(sysq, limit):
 
 
 @st.composite
-def small_systems(draw, max_rules=6):
+def small_systems(draw, max_rules=6, mirrored=False):
+    """Small random systems; with ``mirrored``, every rule (l1, l2, l3, j)
+    comes with its mirror (l2, l1, l3, j), as in the systems closures
+    induce."""
     m = draw(st.integers(min_value=1, max_value=3))
     label = st.integers(min_value=0, max_value=m - 1)
     rules = draw(st.lists(st.tuples(label, label, label, st.integers(0, 3)),
                           max_size=max_rules))
+    if mirrored:
+        rules += [(l2, l1, l3, j) for l1, l2, l3, j in rules]
     base = draw(st.lists(st.frozensets(st.integers(0, 8), max_size=3),
                          min_size=m, max_size=m))
     return QuadrupleSystem(m, tuple(rules), tuple(base))
@@ -249,6 +254,32 @@ def small_systems(draw, max_rules=6):
 @given(small_systems(), st.integers(min_value=0, max_value=16))
 @settings(max_examples=80, deadline=None)
 def test_reach_matches_naive_fixpoint(sysq, bound):
+    _check_reach_matches_naive_fixpoint(sysq, bound)
+
+
+@given(small_systems(mirrored=True), st.integers(min_value=0, max_value=16))
+@settings(max_examples=80, deadline=None)
+def test_reach_matches_naive_fixpoint_with_mirrored_rules(sysq, bound):
+    # _saturate applies one rule of each mirrored pair; naive_fixpoint and
+    # witness_tree read every rule
+    _check_reach_matches_naive_fixpoint(sysq, bound)
+
+
+def test_mirrored_rules_read_once_and_produce_twice():
+    sysq = QuadrupleSystem(3, ((0, 1, 2, 0), (1, 0, 2, 0), (0, 0, 1, 1), (2, 1, 0, 0)),
+                           (frozenset({1}), frozenset({2}), frozenset()))
+    pair = {sysq.rules.index((0, 1, 2, 0)), sysq.rules.index((1, 0, 2, 0))}
+    lone = sysq.rules.index((2, 1, 0, 0))   # its mirror is not a rule
+    for label in (0, 1):
+        assert len(sysq._by_operand[label] & pair) == 1
+    assert sysq._by_operand[0] & pair == sysq._by_operand[1] & pair
+    assert lone in sysq._by_operand[1] and lone in sysq._by_operand[2]
+    assert {idx for idx, *_ in sysq._producers[2]} == pair
+    members, _ = numbersets._saturate(sysq, 12)
+    assert [tuple(numbersets._bits(x)) for x in members] == naive_fixpoint(sysq, 12)
+
+
+def _check_reach_matches_naive_fixpoint(sysq, bound):
     # reach saturates above the bound and every base value
     slack = sysq.default_slack()
     top = max(bound, sysq.max_base)
