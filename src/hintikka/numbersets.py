@@ -21,14 +21,16 @@ are rebuilt. ``reach`` hands on one int per label, ``find_period`` and
 are decoded only where they are printed (``ReachResult.values``).
 
 A ``QuadrupleSystem`` indexes itself once, when it is made: its largest
-base value and deficit, its base sets ascending, and per label the rules
-that produce it and the rules that read it. Of a rule (l1, l2, l3, j) and
-its mirror (l2, l1, l3, j), which make the same values, only one is listed
-as reading. It also carries two memos that fill as it is used: the
-saturation per limit, and the finished derivation-tree lists of the pump
-search, which every later search of the same system replays. Index and
-memos stay outside its equality, hash and repr, so a system equals, hashes
-and prints like a fresh copy of itself.
+base value and deficit, its base sets ascending, per label the rules that
+produce it and the rules that read it, and the labels that reach no cycle
+of the producer graph (edges l3 -> l1 and l3 -> l2 per rule), which the
+pump search skips. Of a rule (l1, l2, l3, j) and its mirror (l2, l1, l3,
+j), which make the same values, only one is listed as reading. It also
+carries two memos that fill as it is used: the saturation per limit, and
+the finished derivation-tree lists of the pump search, which every later
+search of the same system replays. Index and memos stay outside its
+equality, hash and repr, so a system equals, hashes and prints like a
+fresh copy of itself.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class QuadrupleSystem:
     _bases: tuple = _derived()      # per label, its base values ascending
     _producers: tuple = _derived()  # per label, (idx, l1, l2, j) of the rules making it
     _by_operand: tuple = _derived()  # per label, the rules reading it, one of a mirrored pair
+    _acyclic: frozenset = _derived()  # labels that reach no cycle of the producer graph
     _saturated: dict = _derived()   # limit -> (members, stages) of _saturate
     _trees: dict = _derived()       # (label, nodes) -> finished list of _search_pump
 
@@ -73,6 +76,7 @@ class QuadrupleSystem:
             raise HintikkaError("base values must be naturals")
         producers = [[] for _ in range(self.m)]
         by_operand = [set() for _ in range(self.m)]
+        waiting = [0] * self.m      # per label, its indexed operand edges not yet settled
         rules = set(self.rules)
         for idx, (l1, l2, l3, j) in enumerate(self.rules):
             producers[l3].append((idx, l1, l2, j))
@@ -81,6 +85,18 @@ class QuadrupleSystem:
             if l1 <= l2 or (l2, l1, l3, j) not in rules:
                 by_operand[l1].add(idx)
                 by_operand[l2].add(idx)
+                waiting[l3] += 1 if l1 == l2 else 2
+        # a label reaches no cycle of the producer graph once every operand
+        # of every rule making it does: settle operands before the labels
+        # they make, one edge at a time (a rule left out of the index has
+        # the operands of its mirror)
+        settled = [label for label in range(self.m) if not waiting[label]]
+        for label in settled:
+            for idx in by_operand[label]:
+                made = self.rules[idx][2]
+                waiting[made] -= 1
+                if not waiting[made]:
+                    settled.append(made)
         bases = tuple(tuple(sorted(b)) for b in self.base)
         for name, value in (
                 ("max_base", max((b[-1] for b in bases if b), default=0)),
@@ -88,6 +104,7 @@ class QuadrupleSystem:
                 ("_bases", bases),
                 ("_producers", tuple(map(tuple, producers))),
                 ("_by_operand", tuple(map(frozenset, by_operand))),
+                ("_acyclic", frozenset(settled)),
                 ("_saturated", {}),
                 ("_trees", {})):
             object.__setattr__(self, name, value)
@@ -505,7 +522,9 @@ def find_period(sys: QuadrupleSystem, label: int, scan_bound: int,
     infinite, so the scan goes on to the next period (that search runs
     once, with period 1). Otherwise the status is certified-progression
     when a pump with increment a multiple of the period exists within
-    budget, else empirical.
+    budget, else empirical. A label that reaches no cycle of the producer
+    graph has finitely many derivation trees, none with a pump: its set is
+    finite whatever the budget, so its ``finite`` certificate is proved.
     """
     if not 0 <= label < sys.m:
         raise HintikkaError(f"label {label} out of range 0..{sys.m - 1}")
@@ -565,7 +584,18 @@ def _search_pump(sys: QuadrupleSystem, label: int, period: int,
     spent reaches ``find_pump``. Only runs build trees, and a kept list was
     built by a run of an earlier search or of this one, so the searches of
     one system build no tree that their plain enumerations would not.
+
+    A label that reaches no cycle of the producer graph (``_acyclic``) is
+    not searched. A pump pair is two nodes of one label, one a proper
+    descendant of the other, and the path between them is a cycle of that
+    graph below the root's label; so no tree of such a label has a pump,
+    whatever the cap, period or value cap, and the search is None. Skipping
+    it changes only which search first keeps a list: a later search that
+    finds none kept runs that enumeration instead, and a run counts the cap
+    exactly as a replay does, so no search finds another pump.
     """
+    if label in sys._acyclic:
+        return None
     budget = [config.pump_tree_cap]
     bases, producers, kept = sys._bases, sys._producers, sys._trees
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import mutated
 from hintikka import numbersets
+from hintikka.cli import run
+from hintikka.closure import parse_facts
 from hintikka.config import Config
 from hintikka.errors import BudgetError, HintikkaError, ParseError
 from hintikka.numbersets import (
@@ -39,6 +41,7 @@ from hintikka.numbersets import (
     verify_certificate,
     witness_tree,
 )
+from hintikka.spectra import induce_system_from_facts
 
 MULT3 = QuadrupleSystem(1, ((0, 0, 0, 0),), (frozenset({3}),))
 COFIN2 = QuadrupleSystem(1, ((0, 0, 0, 1),), (frozenset({2}),))
@@ -481,6 +484,69 @@ def test_search_pump_cap_boundary():
     found = search(sysq, 0, 1, 32, Config(pump_tree_cap=14))
     assert found.pair == PumpPair(low=(0,), high=(), delta=3)
     assert found.tree == Node(0, 8, 0, Node(0, 5), Node(0, 5))
+
+
+def reference_acyclic(sysq):
+    """The labels that reach no cycle of the producer graph (edges l3 -> l1
+    and l3 -> l2 per rule): a depth-first walk from each label that looks
+    for a label already on its own path."""
+    edges = [set() for _ in range(sysq.m)]
+    for l1, l2, l3, _ in sysq.rules:
+        edges[l3] |= {l1, l2}
+
+    def repeats(label, path):
+        return label in path or any(repeats(nxt, path | {label}) for nxt in edges[label])
+
+    return frozenset(label for label in range(sysq.m) if not repeats(label, frozenset()))
+
+
+# labels 0 <- 1 <- 2 and 0 <- 3, where label 2 makes itself: only label 3,
+# made by no rule, reaches no cycle
+CHAIN_TO_LOOP = QuadrupleSystem(4, ((1, 1, 0, 0), (3, 3, 0, 1), (2, 2, 1, 0), (2, 2, 2, 0)),
+                                (frozenset(), frozenset(), frozenset({1}), frozenset({2})))
+
+
+@example(CHAIN_TO_LOOP, 1, Config().pump_tree_cap, 32)
+@given(st.one_of(small_systems(), small_systems(mirrored=True)), st.integers(1, 3),
+       st.integers(1, 2000), st.sampled_from((8, 16, 32)))
+@settings(max_examples=300, deadline=None)
+def test_labels_that_reach_no_cycle_have_no_pump(sysq, period, cap, scan_bound):
+    """The labels the pump search skips are those of the depth-first walk,
+    with mirrored rules or without, and the plain enumeration finds no pump
+    at any of them; the search builds no tree there."""
+    assert sysq._acyclic == reference_acyclic(sysq)
+    config = Config(pump_tree_cap=cap)
+    for label in sysq._acyclic:
+        assert reference_search_pump(sysq, label, period, scan_bound, config) is None
+        assert count_nodes(numbersets._search_pump, sysq, label, period, scan_bound,
+                           config) == 0
+
+
+def test_a_label_above_a_cycle_is_still_searched():
+    """Label 0 reaches the loop at label 2 through label 1, so it is
+    searched, and finds the pump of label 2 that the plain enumeration finds
+    in a tree of nine nodes."""
+    assert CHAIN_TO_LOOP._acyclic == {3}
+    config = Config()
+    found = numbersets._search_pump(CHAIN_TO_LOOP, 0, 1, 32, config)
+    assert found is not None and found.tree.label == 0
+    assert found == reference_search_pump(fresh_copy(CHAIN_TO_LOOP), 0, 1, 32, config)
+    assert node_at(found.tree, found.pair.high).label == 2
+
+
+def test_spectrum_workload_labels_that_reach_no_cycle(tmp_path):
+    """The system induced by the spectrum workload's facts (the depth-0
+    disjoint-union closure of all graphs of size at most 1): 10 of its 17
+    labels reach no cycle, and all of them are certified finite."""
+    scheme, facts = tmp_path / "du.scm", tmp_path / "du.facts"
+    scheme.write_text("scheme k1=0 k2=0 k=0\n")
+    assert run(["closure", "--vocab", "E/2", "--depth", "0", "--scheme", str(scheme),
+                "--small-models", "1", "--facts-out", str(facts)]) == 0
+    sysq, _ = induce_system_from_facts(*parse_facts(facts.read_text()))
+    assert sysq.m == 17
+    assert sysq._acyclic == reference_acyclic(sysq) == {1, 3, 5, 6, 7, 9, 11, 13, 15, 16}
+    for label in sysq._acyclic:
+        assert find_period(sysq, label, 96, 16).status == "finite"
 
 
 def reference_find_pump(tree):
